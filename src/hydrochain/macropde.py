@@ -73,6 +73,8 @@ class MacroConfig:
             self.record_times > self.t_end * (1.0 + 1e-9) + 1e-12
         ):
             raise ValueError("record_times must lie inside [0, t_end]")
+        if np.any(np.diff(self.record_times) < 0.0):
+            raise ValueError("record_times must be sorted")
 
     @property
     def x(self) -> np.ndarray:
@@ -198,13 +200,24 @@ def advance(
     model: ThermoModel,
     t_target: float | None = None,
 ) -> MacroTrajectory:
-    """SSP-RK3 (Shu-Osher) integration to t_target (default config.t_end),
-    recording snapshots at config.record_times and the balance ledger every
-    step; W and D integrate the step-end rates by the trapezoidal rule."""
+    """SSP-RK3 (Shu-Osher) integration from state.t to t_target (default
+    config.t_end), recording snapshots at config.record_times and the balance
+    ledger every step; W and D integrate the step-end rates by the
+    trapezoidal rule.
+
+    t_target and record_times are absolute times. The run takes the fewest
+    equal steps of at most config.dt that end on t_target; record times snap
+    to the nearest step, and one before state.t raises ValueError."""
     t_target = config.t_end if t_target is None else t_target
-    n_steps = int(round(t_target / config.dt))
-    dt = config.dt
-    rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
+    span = t_target - state.t
+    if span < 0.0:
+        raise ValueError(f"t_target={t_target} lies before the state's t={state.t}")
+    n_steps = int(math.ceil(span / config.dt - 1e-9))
+    dt = span / n_steps if n_steps else config.dt
+    rec_steps = np.round((config.record_times - state.t) / dt).astype(int)
+    if np.any(rec_steps < 0):
+        raise ValueError(f"record_times start before the state's t={state.t}")
+    rec_steps = np.minimum(rec_steps, n_steps)
     step_times = state.t + dt * np.arange(n_steps + 1)
 
     def tension(t):
@@ -241,7 +254,7 @@ def advance(
         r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
         p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
         if not math.isfinite(float(np.sum(r) + np.sum(p))):
-            raise BlowUpError(f"macro solver blew up at step {k}, t={k * dt:.6g}")
+            raise BlowUpError(f"macro solver blew up at step {k}, t={t1:.6g}")
         now = MacroState(r, p, t1)
         f_hist[k] = free_energy_functional(now, model)
         w_next, d_next = balance_integrands(now, tension(t1), config, model)

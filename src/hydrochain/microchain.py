@@ -11,6 +11,11 @@ quadratic-variation counterterms (2/beta per momentum bond, (V''_i+V''_{i+1})
 generator computation, while martingale_p/martingale_r carry the zero-mean
 remainder. The first-law residual is then exactly the energy the explicit
 Hamiltonian leg fails to conserve, which vanishes linearly in dt.
+
+The step exists once, as the numpy function _chain_step: it computes the
+three legs over all sites and returns the new state with the step's ledger
+increments. run_trajectory loops over it; step and accumulate_ledger are thin
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -25,15 +30,6 @@ import numpy as np
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import ConstantSchedule
 from .thermo import PotentialParams, ThermoModel, eval_potential
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard performance dependency
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
 
 log = logging.getLogger(__name__)
 
@@ -169,145 +165,84 @@ class TrajectoryResult:
     n_steps: int
 
 
-# -- numba kernel -------------------------------------------------------------
+# -- one step -----------------------------------------------------------------
 
 
-@njit(cache=True)
-def _pot_v(r, kappa, h):
-    if r >= h:
-        return (1.0 - kappa) * r * r / 2.0 + kappa * (r * r / 2.0 + h * h / 10.0)
-    if r <= -h:
-        return (1.0 - kappa) * r * r / 2.0
-    x = r / h
-    s2 = x**3 / 8.0 - x**5 / 80.0 + x * x / 4.0 + 3.0 * x / 16.0 + 1.0 / 20.0
-    return (1.0 - kappa) * r * r / 2.0 + kappa * h * h * s2
+def _differences(x: np.ndarray, left: float, right: float) -> np.ndarray:
+    """g[i] = x[i] - x[i-1] for i = 0..n, with x[-1] = left and x[n] = right."""
+    g = np.empty(x.size + 1)
+    g[0] = x[0] - left
+    np.subtract(x[1:], x[:-1], out=g[1:-1])
+    g[-1] = right - x[-1]
+    return g
 
 
-@njit(cache=True)
-def _pot_dv(r, kappa, h):
-    if r >= h:
-        return r
-    if r <= -h:
-        return (1.0 - kappa) * r
-    x = r / h
-    s1 = 3.0 * x * x / 8.0 - x**4 / 16.0 + x / 2.0 + 3.0 / 16.0
-    return (1.0 - kappa) * r + kappa * h * s1
+def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
+    """Drift pieces per site: (p_i - p_{i-1} with the wall p_0 = 0,
+    a_{i+1} - a_i with a_{N+1} = tau_bar, Laplacian of a, Laplacian of p).
+
+    The Laplacians are those of the path graph (Neumann ends): their rows sum
+    to zero, so the noise drift conserves sum r and sum p."""
+    ga = _differences(a, a[0], tau_bar)
+    gp = _differences(p, 0.0, p[-1])
+    lap_a = ga[1:] - ga[:-1]
+    lap_a[-1] = -ga[-2]
+    lap_p = gp[1:] - gp[:-1]
+    lap_p[0] = gp[1]
+    return gp[:-1], ga[1:], lap_a, lap_p
 
 
-@njit(cache=True)
-def _pot_d2v(r, kappa, h):
-    if r >= h:
-        return 1.0
-    if r <= -h:
-        return 1.0 - kappa
-    x = r / h
-    return (1.0 - kappa) + kappa * (3.0 * x - x**3 + 2.0) / 4.0
+def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential):
+    """One Euler-Maruyama step of size config.dt_fine from (r, p).
 
-
-@njit(cache=True)
-def _segment_kernel(r, p, dw, dwt, taubars, dt, nn, sigma, beta, kappa, h, acc):
-    """Advance (r, p) by dw.shape[0] steps, accumulating the ledger in acc.
-
-    acc layout: [W, Q_p, Q_r, M_p, M_r]. Returns the first step index with a
-    non-finite update, or -1.
+    The displacement is taken in three legs: Hamiltonian drift, noise drift
+    and noise coupling, whose increments couple neighbouring sites as
+    c (w_{i-1} - w_i) with w_0 = w_N = 0, so they telescope exactly. Returns
+    (r_new, p_new, incr), where incr holds the step's ledger increments
+    [W, Q_p, Q_r, M_p, M_r]: W = tau_bar * Delta(mean strain), and the Q/M
+    columns are the exact energy changes along the two noise legs, with the
+    quadratic-variation counterterms shifted into Q_p/Q_r. incr is NaN when
+    the new state is not finite; the caller raises.
     """
-    n = r.shape[0]
-    nsteps = dw.shape[0]
-    coeff = math.sqrt(2.0 * nn * sigma / beta)
-    ndt = nn * dt
-    nsdt = nn * sigma * dt
-    inv_n = 1.0 / nn
-    ct_p = 2.0 * sigma * (n - 1) * dt / (beta * nn)
-    ct_r_fac = sigma * dt / (beta * nn)
-    a = np.empty(n)
-    d2 = np.empty(n)
-    lap_a = np.empty(n)
-    lap_p = np.empty(n)
-    for s in range(nsteps):
-        taub = taubars[s]
-        for i in range(n):
-            a[i] = _pot_dv(r[i], kappa, h)
-            d2[i] = _pot_d2v(r[i], kappa, h)
-        for i in range(n):
-            left_a = a[i - 1] - a[i] if i > 0 else 0.0
-            right_a = a[i + 1] - a[i] if i < n - 1 else 0.0
-            lap_a[i] = left_a + right_a
-            left_p = p[i - 1] - p[i] if i > 0 else 0.0
-            right_p = p[i + 1] - p[i] if i < n - 1 else 0.0
-            lap_p[i] = left_p + right_p
-        k1 = 0.0
-        k2 = 0.0
-        k3 = 0.0
-        v1 = 0.0
-        v2 = 0.0
-        v3 = 0.0
-        dr_tot = 0.0
-        ct_r_sum = 0.0
-        p_prev = 0.0  # pre-update momentum of the previous site (wall p_0 = 0)
-        for i in range(n):
-            a_next = a[i + 1] if i < n - 1 else taub
-            drh = ndt * (p[i] - p_prev)
-            p_prev = p[i]
-            dph = ndt * (a_next - a[i])
-            drnd = nsdt * lap_a[i]
-            dpnd = nsdt * lap_p[i]
-            er_left = dwt[s, i - 1] if i > 0 else 0.0
-            er_right = dwt[s, i] if i < n - 1 else 0.0
-            eta_r = coeff * (er_left - er_right)
-            ep_left = dw[s, i - 1] if i > 0 else 0.0
-            ep_right = dw[s, i] if i < n - 1 else 0.0
-            eta_p = coeff * (ep_left - ep_right)
-            r1 = r[i] + drh
-            r2 = r1 + drnd
-            r3 = r2 + eta_r
-            q1 = p[i] + dph
-            q2 = q1 + dpnd
-            q3 = q2 + eta_p
-            k1 += q1 * q1
-            k2 += q2 * q2
-            k3 += q3 * q3
-            v1 += _pot_v(r1, kappa, h)
-            v2 += _pot_v(r2, kappa, h)
-            v3 += _pot_v(r3, kappa, h)
-            dr_tot += r3 - r[i]
-            deg = 2.0 if 0 < i < n - 1 else 1.0
-            ct_r_sum += deg * d2[i]
-            r[i] = r3
-            p[i] = q3
-        acc[0] += taub * inv_n * dr_tot
-        acc[1] += (k2 - k1) / (2.0 * nn) + ct_p
-        acc[2] += (v2 - v1) * inv_n + ct_r_fac * ct_r_sum
-        acc[3] += (k3 - k2) / (2.0 * nn) - ct_p
-        acc[4] += (v3 - v2) * inv_n - ct_r_fac * ct_r_sum
-        if not (math.isfinite(k3) and math.isfinite(v3) and math.isfinite(dr_tot)):
-            return s
-    return -1
+    n, sigma, beta = config.N, config.sigma, config.beta
+    dt = config.dt_fine
+    ndt = n * dt
+    nsdt = n * sigma * dt
+    coeff = math.sqrt(2.0 * n * sigma / beta)
+    if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
+        return r, p, np.full(5, np.nan)
+    _, a, d2 = eval_potential(potential, r)
+    dp_left, da_right, lap_a, lap_p = _gradients(a, p, tau_bar)
+    dw, dwt = increments
+    # rows: the state after each leg, so one call evaluates V on all three
+    rl = np.empty((3, n))
+    pl = np.empty((3, n))
+    rl[0] = r + ndt * dp_left
+    rl[1] = rl[0] + nsdt * lap_a
+    rl[2] = rl[1] - coeff * _differences(np.asarray(dwt), 0.0, 0.0)
+    pl[0] = p + ndt * da_right
+    pl[1] = pl[0] + nsdt * lap_p
+    pl[2] = pl[1] - coeff * _differences(np.asarray(dw), 0.0, 0.0)
+    dr_tot = float(np.sum(rl[2] - r))
+    if not math.isfinite(dr_tot):  # some leg is not finite
+        return rl[2], pl[2], np.full(5, np.nan)
+    v1, v2, v3 = eval_potential(potential, rl)[0].sum(axis=1)
+    k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
+    ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
+    ct_r = sigma * dt * (2.0 * np.sum(d2) - d2[0] - d2[-1]) / (beta * n)
+    incr = np.array(
+        [
+            tau_bar * dr_tot / n,
+            (k2 - k1) / (2.0 * n) + ct_p,
+            (v2 - v1) / n + ct_r,
+            (k3 - k2) / (2.0 * n) - ct_p,
+            (v3 - v2) / n - ct_r,
+        ]
+    )
+    return rl[2], pl[2], incr
 
 
 # -- public operations ---------------------------------------------------------
-
-
-def _neumann_lap(x: np.ndarray) -> np.ndarray:
-    # path-graph Laplacian: rows sum to zero, so noise drift conserves sums
-    d = np.diff(x)
-    out = np.empty_like(x)
-    out[0] = d[0]
-    out[-1] = -d[-1]
-    out[1:-1] = d[1:] - d[:-1]
-    return out
-
-
-def _noise_vectors(dw: np.ndarray, dwt: np.ndarray, coeff: float):
-    # row i gets coeff * (dw_{i-1} - dw_i) with w_0 = w_N = 0: exact telescoping
-    eta_p = np.empty(dw.size + 1)
-    eta_p[0] = -dw[0]
-    eta_p[-1] = dw[-1]
-    eta_p[1:-1] = dw[:-1] - dw[1:]
-    eta_r = np.empty(dwt.size + 1)
-    eta_r[0] = -dwt[0]
-    eta_r[-1] = dwt[-1]
-    eta_r[1:-1] = dwt[:-1] - dwt[1:]
-    return coeff * eta_r, coeff * eta_p
 
 
 def energy_per_particle(state: ChainState, model: ThermoModel) -> float:
@@ -324,32 +259,14 @@ def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> 
 def drift(state: ChainState, tau_bar: float, config: ChainConfig, model: ThermoModel):
     """Deterministic part of the SDE: rates (dr/dt, dp/dt)."""
     n, sigma = config.N, config.sigma
-    a = model.dV(state.r)
-    p = state.p
-    dr = n * (p - np.concatenate(([0.0], p[:-1]))) + n * sigma * _neumann_lap(a)
-    dp = n * (np.concatenate((a[1:], [tau_bar])) - a) + n * sigma * _neumann_lap(p)
-    return dr, dp
+    dp_left, da_right, lap_a, lap_p = _gradients(model.dV(state.r), state.p, tau_bar)
+    return n * dp_left + n * sigma * lap_a, n * da_right + n * sigma * lap_p
 
 
 def draw_increments(rng: np.random.Generator, n: int, dt: float):
     """(dw, dwt): one step of the 2(N-1) independent Brownian increments."""
     z = rng.standard_normal((2, n - 1)) * math.sqrt(dt)
     return z[0], z[1]
-
-
-def _split_displacements(state, tau_bar, config, model, increments):
-    dt = config.dt_fine
-    n, sigma = config.N, config.sigma
-    a = model.dV(state.r)
-    p = state.p
-    drh = n * dt * (p - np.concatenate(([0.0], p[:-1])))
-    dph = n * dt * (np.concatenate((a[1:], [tau_bar])) - a)
-    drnd = n * sigma * dt * _neumann_lap(a)
-    dpnd = n * sigma * dt * _neumann_lap(p)
-    dw, dwt = increments
-    coeff = math.sqrt(2.0 * n * sigma / config.beta)
-    eta_r, eta_p = _noise_vectors(np.asarray(dw), np.asarray(dwt), coeff)
-    return drh, dph, drnd, dpnd, eta_r, eta_p
 
 
 def step(
@@ -362,15 +279,11 @@ def step(
     """One Euler-Maruyama step of size config.dt_fine."""
     if tau_bar is None:
         tau_bar = float(config.tension_schedule(state.t))
-    drh, dph, drnd, dpnd, eta_r, eta_p = _split_displacements(
-        state, tau_bar, config, model, increments
-    )
-    r2 = state.r + (drh + drnd + eta_r)
-    p2 = state.p + (dph + dpnd + eta_p)
+    r, p, incr = _chain_step(state.r, state.p, increments, tau_bar, config, model.potential)
     t2 = state.t + config.dt_fine
-    if not (math.isfinite(r2.sum()) and math.isfinite(p2.sum())):
+    if not np.isfinite(incr).all():
         raise BlowUpError(f"non-finite state after step at t={t2:.6g}")
-    return ChainState(r=r2, p=p2, t=t2)
+    return ChainState(r=r, p=p, t=t2)
 
 
 def accumulate_ledger(
@@ -381,41 +294,19 @@ def accumulate_ledger(
     increments,
     model: ThermoModel,
 ) -> Ledger:
-    """Ledger increments for one step.
-
-    W is tau_bar * Delta(mean strain) exactly; Q/M columns are the exact
-    energy changes along the noise-drift and noise-coupling displacement legs,
-    with the quadratic-variation counterterms shifted into Q_p/Q_r.
-    """
-    n, sigma, beta = config.N, config.sigma, config.beta
-    dt = config.dt_fine
-    drh, dph, drnd, dpnd, eta_r, eta_p = _split_displacements(
-        state_before, tau_bar, config, model, increments
+    """Ledger increments for one step (see _chain_step), with E the energy
+    per particle of state_after."""
+    _, _, incr = _chain_step(
+        state_before.r, state_before.p, increments, tau_bar, config, model.potential
     )
-    r1 = state_before.r + drh
-    r2 = r1 + drnd
-    r3 = r2 + eta_r
-    p1 = state_before.p + dph
-    p2 = p1 + dpnd
-    p3 = p2 + eta_p
-    v1 = float(np.sum(model.V(r1)))
-    v2 = float(np.sum(model.V(r2)))
-    v3 = float(np.sum(model.V(r3)))
-    k1 = float(np.dot(p1, p1))
-    k2 = float(np.dot(p2, p2))
-    k3 = float(np.dot(p3, p3))
-    d2 = model.d2V(state_before.r)
-    deg = np.full(n, 2.0)
-    deg[0] = deg[-1] = 1.0
-    ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
-    ct_r = sigma * dt * float(np.dot(deg, d2)) / (beta * n)
+    w, q_p, q_r, m_p, m_r = (float(x) for x in incr)
     return Ledger(
         E=energy_per_particle(state_after, model),
-        W=tau_bar * float(np.mean(state_after.r) - np.mean(state_before.r)),
-        Q_p=(k2 - k1) / (2.0 * n) + ct_p,
-        Q_r=(v2 - v1) / n + ct_r,
-        martingale_p=(k3 - k2) / (2.0 * n) - ct_p,
-        martingale_r=(v3 - v2) / n - ct_r,
+        W=w,
+        Q_p=q_p,
+        Q_r=q_r,
+        martingale_p=m_p,
+        martingale_r=m_r,
     )
 
 
@@ -434,13 +325,12 @@ def run_trajectory(
     n = config.N
     dt = config.dt_fine
     n_steps = config.n_steps
-    kappa = model.potential.kappa
-    h = model.potential.moll_width
 
-    state = initial_state.copy() if initial_state is not None else make_initial_state(
+    # _chain_step returns new arrays, so the caller's state is never written
+    state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
-    r, p = state.r.copy(), state.p.copy()
+    r, p = state.r, state.p
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     acc = np.zeros(5)
@@ -468,38 +358,16 @@ def run_trajectory(
     k = 0
     for c0 in range(0, config.n_coarse, _CHUNK_COARSE):
         dw_chunk, dwt_chunk = noise.next_chunk(min(_CHUNK_COARSE, config.n_coarse - c0))
-        chunk_len = dw_chunk.shape[0]
-        # split the chunk at record boundaries so the kernel runs segment-wise
-        pos = 0
-        while pos < chunk_len:
-            seg_end = chunk_len
-            if rec_idx < len(rec_steps):
-                # records at step <= k were drained, so this stays > pos
-                seg_end = min(seg_end, pos + int(rec_steps[rec_idx]) - k)
-            times = (k + np.arange(seg_end - pos)) * dt
-            taubars = np.asarray(config.tension_schedule(times), dtype=float)
-            if taubars.ndim == 0:
-                taubars = np.full(seg_end - pos, float(taubars))
-            bad = _segment_kernel(
-                r,
-                p,
-                dw_chunk[pos:seg_end],
-                dwt_chunk[pos:seg_end],
-                taubars,
-                dt,
-                float(n),
-                float(config.sigma),
-                config.beta,
-                kappa,
-                h,
-                acc,
-            )
-            if bad >= 0:
-                raise BlowUpError(
-                    f"non-finite state at step {k + bad + 1}, t={(k + bad + 1) * dt:.6g}"
-                )
-            k += seg_end - pos
-            pos = seg_end
+        times = (k + np.arange(dw_chunk.shape[0])) * dt
+        taubars = np.broadcast_to(
+            np.asarray(config.tension_schedule(times), dtype=float), times.shape
+        )
+        for dw, dwt, taub in zip(dw_chunk, dwt_chunk, taubars.tolist()):
+            r, p, incr = _chain_step(r, p, (dw, dwt), taub, config, model.potential)
+            k += 1
+            if not np.isfinite(incr).all():
+                raise BlowUpError(f"non-finite state at step {k}, t={k * dt:.6g}")
+            acc += incr
             while rec_idx < len(rec_steps) and rec_steps[rec_idx] == k:
                 record(k)
                 rec_idx += 1

@@ -48,44 +48,36 @@ class PotentialParams:
         return 1.0
 
 
-def _smoothstep(x):
-    # s(x) = 0 for x<=-1, 1 for x>=1, cubic blend in between
-    x = np.clip(x, -1.0, 1.0)
-    return (3.0 * x - x**3 + 2.0) / 4.0
-
-
-def _smoothstep_i1(x):
-    # integral of _smoothstep from -1 to x
-    x = np.clip(x, -1.0, 1.0)
-    return 3.0 * x**2 / 8.0 - x**4 / 16.0 + x / 2.0 + 3.0 / 16.0
-
-
-def _smoothstep_i2(x):
-    # double integral: antiderivative of _smoothstep_i1 vanishing at -1
-    x = np.clip(x, -1.0, 1.0)
-    return x**3 / 8.0 - x**5 / 80.0 + x**2 / 4.0 + 3.0 * x / 16.0 + 1.0 / 20.0
-
-
 def eval_potential(params: PotentialParams, r):
     """Return (V, V', V'') of the mollified potential at r (scalar or array).
 
-    Outside the band: V' and V'' equal the piecewise-quadratic closed form
-    exactly; V matches it exactly for r <= -moll_width and carries the
-    constant kappa*h^2/10 on the extension side (antiderivative continuity).
+    With x = r/h clipped to [-1, 1] and y = x + 1, the blend of V'' is the
+    cubic smoothstep s = y^2 (3 - y)/4; its integrals from -1 are
+    I1 = y^3 (4 - y)/16 and I2 = y^4 (5 - y)/80, and ext = max(r - h, 0)
+    carries V' and V on past the band:
+
+        V'' = (1-kappa) + kappa s
+        V'  = (1-kappa) r + kappa (h I1 + ext)
+        V   = (1-kappa) r^2/2 + kappa (h^2 I2 + h ext + ext^2/2)
+
+    For r <= -h the kappa terms vanish exactly, so V and V' equal the
+    compression quadratic to the bit; for r >= h, V' = r and V'' = 1 up to
+    rounding, and V carries the constant kappa*h^2/10 (antiderivative
+    continuity).
     """
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("potential evaluated at non-finite strain")
     k, h = params.kappa, params.moll_width
-    x = r / h
-    d2 = (1.0 - k) + k * _smoothstep(x)
-    d1 = (1.0 - k) * r + k * np.where(
-        r >= h, r, np.where(r <= -h, 0.0, h * _smoothstep_i1(x))
-    )
-    v = (1.0 - k) * r**2 / 2.0 + k * np.where(
-        r >= h,
-        r**2 / 2.0 + h**2 / 10.0,
-        np.where(r <= -h, 0.0, h**2 * _smoothstep_i2(x)),
+    c1 = 1.0 - k
+    y = np.clip(r / h, -1.0, 1.0) + 1.0
+    ext = np.maximum(r - h, 0.0)
+    power = y * y
+    d2 = c1 + (0.25 * k) * (power * (3.0 - y))
+    power *= y  # y^3, in place: quadrature grids make these arrays large
+    d1 = c1 * r + k * ((h / 16.0) * (power * (4.0 - y)) + ext)
+    v = (0.5 * c1) * (r * r) + k * (
+        (h * h / 80.0) * (power * y * (5.0 - y)) + ext * (h + 0.5 * ext)
     )
     if v.ndim == 0:
         return float(v), float(d1), float(d2)
@@ -321,10 +313,13 @@ class ThermoModel:
             raise ThermoError("tabulated tension is not strictly increasing")
         slopes = 1.0 / (self.beta * var)
         free = taus * rho - g / self.beta
+        tau_of_rho = CubicSpline(rho, taus)
         table = {
             "tau": taus,
             "rho": rho,
-            "tau_of_rho": CubicSpline(rho, taus),
+            "tau_of_rho": tau_of_rho,
+            # built once: the slope certificate and invert_tau_table read it
+            "tau_of_rho_slope": tau_of_rho.derivative(),
             "rho_of_tau": CubicSpline(taus, rho),
             "F_of_rho": CubicSpline(rho, free),
             "tau_prime_of_rho": CubicSpline(rho, slopes),
@@ -336,7 +331,7 @@ class ThermoModel:
         err_tau = np.max(np.abs(table["tau_of_rho"](rho_p) - probe))
         err_rho = np.max(np.abs(table["rho_of_tau"](probe) - rho_p))
         dense = np.linspace(rho[0], rho[-1], 20001)
-        slope_dense = table["tau_of_rho"].derivative()(dense)
+        slope_dense = table["tau_of_rho_slope"](dense)
         mono_ok = (
             slope_dense.min() >= self.c1 - 1e-6 and slope_dense.max() <= self.c2 + 1e-6
         )
@@ -377,7 +372,7 @@ class ThermoModel:
         needing tau(r*) = tau to hold in the *spline* sense get it to
         rounding rather than to table accuracy."""
         spline = self.table["tau_of_rho"]
-        deriv = spline.derivative()
+        deriv = self.table["tau_of_rho_slope"]
         rho = float(self.table["rho_of_tau"](tau))
         for _ in range(8):
             f = float(spline(rho)) - tau

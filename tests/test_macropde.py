@@ -47,6 +47,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
 
+    def test_unsorted_record_times_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            MacroConfig(t_end=0.3, record_times=np.array([0.3, 0.2]))
+
     def test_dt_respects_both_bounds(self):
         cfg = MacroConfig(M=100, delta1=0.0, delta2=0.0, cfl=0.4, t_end=1.0)
         assert cfg.dt <= 0.4 * cfg.dx * (1 + 1e-12)
@@ -170,6 +174,32 @@ class TestAdvance:
         traj = advance(uniform_state(cfg, 0.2), cfg, model)
         assert traj.times.size == 3
         assert traj.times[1] == pytest.approx(0.1, abs=cfg.dt)
+
+    @staticmethod
+    def state_at(cfg, t):
+        state = uniform_state(cfg, 0.2)
+        return MacroState(state.r, state.p, t)
+
+    def test_starts_at_state_time(self, model):
+        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.2, 0.3]))
+        traj = advance(self.state_at(cfg, 0.1), cfg, model)
+        assert traj.t_hist[0] == 0.1
+        assert traj.t_hist[-1] == pytest.approx(0.3, abs=1e-12)
+        assert np.all(np.diff(traj.t_hist) <= cfg.dt * (1 + 1e-12))
+        assert traj.times == pytest.approx([0.2, 0.3], abs=cfg.dt / 2)
+
+    def test_t_target_is_absolute(self, model):
+        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.15, 0.2]))
+        traj = advance(self.state_at(cfg, 0.1), cfg, model, t_target=0.2)
+        assert traj.t_hist[-1] == pytest.approx(0.2, abs=1e-12)
+        assert traj.times == pytest.approx([0.15, 0.2], abs=cfg.dt / 2)
+        with pytest.raises(ValueError, match="t_target"):
+            advance(self.state_at(cfg, 0.1), cfg, model, t_target=0.05)
+
+    def test_record_time_before_state_rejected(self, model):
+        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.05, 0.3]))
+        with pytest.raises(ValueError, match="record_times"):
+            advance(self.state_at(cfg, 0.1), cfg, model)
 
 
 class TestFreeEnergy:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hydrochain import microchain
 from hydrochain.microchain import (
     BlowUpError,
     ChainConfig,
@@ -149,6 +150,44 @@ class TestStep:
             BlowUpError, match="step"
         ):
             run_trajectory(cfg, 0.0, model, initial_state=bad)
+
+    def test_nonfinite_state_is_a_blow_up(self, model):
+        # never the ValueError with which eval_potential rejects such strains
+        cfg = ChainConfig(N=16, t_end=0.01, seed=1, record_times=np.array([0.01]))
+        zero = (np.zeros(15), np.zeros(15))
+        for r, p in ((np.full(16, np.nan), np.zeros(16)), (np.zeros(16), np.full(16, np.inf))):
+            bad = ChainState(r=r, p=p, t=0.0)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(BlowUpError, match="step 1,"):
+                    run_trajectory(cfg, 0.0, model, initial_state=bad)
+                with pytest.raises(BlowUpError):
+                    step(bad, cfg, zero, model, tau_bar=0.0)
+
+    def test_chunking_invariance(self, model, monkeypatch):
+        # the noise is drawn row by row and the step is one function, so
+        # neither the record times nor the chunk length may change the result
+        t_end = 60 * 0.1 / (32 * 14)
+        runs = []
+        for n_records, chunk in ((2, None), (41, None), (2, 7), (41, 7)):
+            if chunk is not None:
+                monkeypatch.setattr(microchain, "_CHUNK_COARSE", chunk)
+            cfg = ChainConfig(
+                N=32,
+                t_end=t_end,
+                seed=23,
+                refine_level=1,
+                tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
+                record_times=np.linspace(0.0, t_end, n_records),
+            )
+            res = run_trajectory(cfg, 0.1, model)
+            led = res.ledger
+            row = [led.E, led.W, led.Q_p, led.Q_r, led.martingale_p, led.martingale_r]
+            runs.append((res.snapshots[-1], np.array([col[-1] for col in row])))
+        first_state, first_row = runs[0]
+        for state, row in runs[1:]:
+            assert np.array_equal(state.r, first_state.r)
+            assert np.array_equal(state.p, first_state.p)
+            assert np.array_equal(row, first_row)
 
 
 class TestLedger:

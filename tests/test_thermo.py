@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from hydrochain import GibbsSample, PotentialParams, ThermoModel, eval_potential
@@ -92,6 +94,63 @@ class TestPotential:
             PotentialParams(kappa=1.0 / 3.0)
         with pytest.raises(ValueError):
             PotentialParams(moll_width=0.0)
+
+
+params_st = st.builds(
+    PotentialParams,
+    kappa=st.floats(0.0, 0.33),
+    moll_width=st.floats(0.01, 1.0),
+)
+strain_st = st.floats(-10.0, 10.0)
+prop_settings = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestPotentialProperties:
+    @prop_settings
+    @given(params_st, strain_st)
+    def test_first_derivative_matches_central_difference(self, params, r):
+        # the third derivative is at most 3 kappa / (4 h), so truncation stays
+        # below 1e-10; rounding adds about eps |V| / e
+        e = 1e-5
+        lo = eval_potential(params, r - e)[0]
+        hi = eval_potential(params, r + e)[0]
+        assert (hi - lo) / (2 * e) == pytest.approx(eval_potential(params, r)[1], abs=1e-7)
+
+    @prop_settings
+    @given(params_st, st.floats(-1e6, 1e6))
+    def test_curvature_within_bounds(self, params, r):
+        d2 = eval_potential(params, r)[2]
+        assert 1.0 - params.kappa <= d2 <= 1.0
+
+    @prop_settings
+    @given(params_st, strain_st)
+    def test_closed_forms_outside_band(self, params, r):
+        k, h = params.kappa, params.moll_width
+        v, d1, d2 = eval_potential(params, r)
+        if r >= h:
+            # (1-kappa) r + kappa (h + (r - h)) rounds to within two ulps of r
+            assert abs(d1 - r) <= 2 * math.ulp(r)
+            assert d2 == 1.0
+            assert v == pytest.approx(r * r / 2 + k * h * h / 10, rel=1e-14)
+        elif r <= -h:
+            assert d1 == (1 - k) * r
+            assert v == (1 - k) * (r * r) / 2
+            assert d2 == 1 - k
+
+    @prop_settings
+    @given(params_st, strain_st)
+    def test_scalar_in_floats_out(self, params, r):
+        for arg in (r, np.float64(r), np.array(r)):
+            assert all(type(x) is float for x in eval_potential(params, arg))
+        out = eval_potential(params, np.array([r, r]))
+        assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in out)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_potential(PotentialParams(), bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_potential(PotentialParams(), np.array([[0.0, 1.0], [bad, 2.0]]))
 
 
 class TestLogPartition:
@@ -261,6 +320,22 @@ class TestConjugacyInvariants:
         cert = anharmonic.table["certificate"]
         assert cert["max_tau_error"] < 5e-8
         assert cert["monotone_within_bounds"]
+
+    def test_invert_tau_table_matches_fresh_derivative(self, anharmonic):
+        # the cached slope spline is bit-identical to a freshly built one, and
+        # so is the Newton inversion that reads it
+        spline = anharmonic.table["tau_of_rho"]
+        fresh = spline.derivative()
+        grid = np.linspace(-10.0, 10.0, 2001)
+        assert np.array_equal(anharmonic.table["tau_of_rho_slope"](grid), fresh(grid))
+        for tau in (-3.0, -0.05, 0.0, 0.3, 1.7, 8.0):
+            rho = float(anharmonic.table["rho_of_tau"](tau))
+            for _ in range(8):
+                f = float(spline(rho)) - tau
+                if abs(f) <= 1e-14 * max(1.0, abs(tau)):
+                    break
+                rho -= f / float(fresh(rho))
+            assert anharmonic.invert_tau_table(tau) == rho
 
 
 def test_export_table(tmp_path, anharmonic):
