@@ -106,11 +106,15 @@ def _field_values(state: ChainState, selector: str, model: ThermoModel) -> np.nd
     raise ConfigurationError(f"unknown field selector {selector!r}; use {_FIELD_SELECTORS}")
 
 
+def _mean_square(d: np.ndarray, n: int) -> float:
+    return float(np.sum(d**2) / n)
+
+
 def one_block_statistic(state: ChainState, spec: BlockSpec, model: ThermoModel) -> float:
     """(1/N) sum_i (hat V'_{l,i} - tau_beta(hat r_{l,i}))^2 over the window."""
     vp_hat = hat_profile(model.dV(state.r), spec.l)
     tau_hat = model.tau_of_rho(hat_profile(state.r, spec.l))
-    return float(np.sum((vp_hat - tau_hat) ** 2) / spec.N)
+    return _mean_square(vp_hat - tau_hat, spec.N)
 
 
 def _hat_of_selector(state, spec, selector, model):
@@ -124,7 +128,7 @@ def two_block_statistic(
 ) -> float:
     """(1/N) sum_i (zeta_hat_{l,i+1} - zeta_hat_{l,i})^2, i = l..N-l."""
     zh = _hat_of_selector(state, spec, selector, model)
-    return float(np.sum(np.diff(zh) ** 2) / spec.N)
+    return _mean_square(np.diff(zh), spec.N)
 
 
 def hat_bar_gap_statistic(
@@ -136,7 +140,7 @@ def hat_bar_gap_statistic(
     u = _field_values(state, selector, model)
     hat = hat_profile(u, spec.l)
     bar = bar_profile(u, spec.l)[: hat.size]
-    return float(np.sum((hat - bar) ** 2) / spec.N)
+    return _mean_square(hat - bar, spec.N)
 
 
 @dataclass
@@ -230,43 +234,34 @@ def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
     int int (p_hat dpsi/dt - tau(r_hat) dpsi/dx),
 
     midpoint in x on the piecewise-constant field, trapezoid in t over the
-    recorded snapshots."""
+    recorded snapshots. The K fields are stacked into (K, S) arrays, and each
+    derivative is evaluated once on the (K, S) grid of times and sites."""
     if len(fields) < 2:
         raise ConfigurationError("need at least two recorded fields")
     _check_support(fields, phi, "phi")
     _check_support(fields, psi, "psi")
     times = np.array([f.t for f in fields])
     n = fields[0].N
-    x = fields[0].x
-    res_r = np.empty(times.size)
-    res_p = np.empty(times.size)
-    for k, f in enumerate(fields):
-        dphi_t = np.array([phi.dt(f.t, xi) for xi in x])
-        dphi_x = np.array([phi.dx(f.t, xi) for xi in x])
-        dpsi_t = np.array([psi.dt(f.t, xi) for xi in x])
-        dpsi_x = np.array([psi.dx(f.t, xi) for xi in x])
-        tau_hat = np.asarray(model.tau_of_rho(f.r_hat))
-        res_r[k] = np.sum(f.r_hat * dphi_t - f.p_hat * dphi_x) / n
-        res_p[k] = np.sum(f.p_hat * dpsi_t - tau_hat * dpsi_x) / n
+    t, x = times[:, None], fields[0].x[None, :]
+    r_hat = np.stack([f.r_hat for f in fields])
+    p_hat = np.stack([f.p_hat for f in fields])
+    tau_hat = np.asarray(model.tau_of_rho(r_hat))
+    res_r = np.sum(r_hat * phi.dt(t, x) - p_hat * phi.dx(t, x), axis=1) / n
+    res_p = np.sum(p_hat * psi.dt(t, x) - tau_hat * psi.dx(t, x), axis=1) / n
     return float(np.trapezoid(res_r, times)), float(np.trapezoid(res_p, times))
 
 
 def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: ThermoModel):
-    """One row of the statistics CSV at a snapshot."""
-    return (
-        state.t,
-        spec.N,
-        spec.l,
-        sigma,
-        one_block_statistic(state, spec, model),
-        two_block_statistic(state, spec, "r", model),
-        two_block_statistic(state, spec, "p", model),
-        two_block_statistic(state, spec, "Vp", model),
-        two_block_statistic(state, spec, "tau", model),
-        hat_bar_gap_statistic(state, spec, "r", model),
-        hat_bar_gap_statistic(state, spec, "p", model),
-        hat_bar_gap_statistic(state, spec, "Vp", model),
-    )
+    """One row of the statistics CSV at a snapshot: the statistics above, with
+    V'(r), each hat profile and tau(hat r) computed once."""
+    l, n = spec.l, spec.N
+    sites = {"r": state.r, "p": state.p, "Vp": model.dV(state.r)}
+    hats = {key: hat_profile(u, l) for key, u in sites.items()}
+    tau_hat = np.asarray(model.tau_of_rho(hats["r"]))
+    one_block = hats["Vp"] - tau_hat
+    two_block = [np.diff(zh) for zh in (*hats.values(), tau_hat)]
+    hat_bar = [hats[key] - bar_profile(u, l)[: hats[key].size] for key, u in sites.items()]
+    return (state.t, n, l, sigma, *(_mean_square(d, n) for d in (one_block, *two_block, *hat_bar)))
 
 
 STATISTICS_HEADER = [

@@ -337,28 +337,23 @@ def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> flo
     if phi.x0 < 0.0 or phi.x1 > 1.0:
         raise ValueError("test function space support exceeds (0,1)")
     pair = entropy_pair(model)
-    x = traj.config.x
-    vals = np.empty(traj.times.size)
-    for k in range(traj.times.size):
-        t = traj.times[k]
-        r, p = traj.r[k], traj.p[k]
-        eta = pair["eta"](r, p)
-        qv = pair["q"](r, p)
-        dphi_t = np.array([phi.dt(t, xi) for xi in x])
-        dphi_x = np.array([phi.dx(t, xi) for xi in x])
-        vals[k] = np.mean(eta * dphi_t + qv * dphi_x)
+    t, x = traj.times[:, None], traj.config.x[None, :]
+    eta = pair["eta"](traj.r, traj.p)
+    qv = pair["q"](traj.r, traj.p)
+    vals = np.mean(eta * phi.dt(t, x) + qv * phi.dx(t, x), axis=1)
     return float(np.trapezoid(vals, traj.times))
 
 
 def write_fields_csv(path, traj: MacroTrajectory, model: ThermoModel) -> None:
     from .csvio import write_csv
 
-    x = traj.config.x
-    rows = []
-    for k in range(traj.times.size):
-        tau = np.asarray(model.tau_of_rho(traj.r[k]))
-        for j in range(x.size):
-            rows.append((traj.times[k], x[j], traj.r[k, j], traj.p[k, j], tau[j]))
+    x = traj.config.x.tolist()
+    tau = np.asarray(model.tau_of_rho(traj.r))
+    rows = (
+        (t, *row)
+        for t, r, p, tk in zip(traj.times.tolist(), traj.r.tolist(), traj.p.tolist(), tau.tolist())
+        for row in zip(x, r, p, tk)
+    )
     write_csv(path, ["t", "x", "r", "p", "tau"], rows)
 
 
@@ -366,8 +361,5 @@ def write_balance_csv(path, traj: MacroTrajectory) -> None:
     from .csvio import write_csv
 
     _, _, residual = work_and_dissipation(traj)
-    rows = [
-        (traj.t_hist[k], traj.F_hist[k], traj.W_hist[k], traj.D_hist[k], residual[k])
-        for k in range(traj.t_hist.size)
-    ]
-    write_csv(path, ["t", "F", "W", "D", "residual"], rows)
+    columns = (traj.t_hist, traj.F_hist, traj.W_hist, traj.D_hist, residual)
+    write_csv(path, ["t", "F", "W", "D", "residual"], zip(*(c.tolist() for c in columns)))

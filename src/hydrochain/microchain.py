@@ -20,6 +20,7 @@ wrappers around it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -192,7 +193,7 @@ def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
     return gp[:-1], ga[1:], lap_a, lap_p
 
 
-def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential):
+def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential, derivs=None):
     """One Euler-Maruyama step of size config.dt_fine from (r, p).
 
     The displacement is taken in three legs: Hamiltonian drift, noise drift
@@ -203,15 +204,22 @@ def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential
     columns are the exact energy changes along the two noise legs, with the
     quadratic-variation counterterms shifted into Q_p/Q_r. incr is NaN when
     the new state is not finite; the caller raises.
+
+    derivs is (V'(r), V''(r)), or None to evaluate them here; the fourth
+    return value is the same pair at the new state, taken from the V call on
+    the stacked legs, so passing it on changes no bit of the next step.
     """
     n, sigma, beta = config.N, config.sigma, config.beta
     dt = config.dt_fine
     ndt = n * dt
     nsdt = n * sigma * dt
     coeff = math.sqrt(2.0 * n * sigma / beta)
-    if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
-        return r, p, np.full(5, np.nan)
-    _, a, d2 = eval_potential(potential, r)
+    if derivs is None:
+        if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
+            return r, p, np.full(5, np.nan), None
+        _, a, d2 = eval_potential(potential, r)
+    else:  # r is a previous step's finite new state
+        a, d2 = derivs
     dp_left, da_right, lap_a, lap_p = _gradients(a, p, tau_bar)
     dw, dwt = increments
     # rows: the state after each leg, so one call evaluates V on all three
@@ -225,8 +233,9 @@ def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential
     pl[2] = pl[1] - coeff * _differences(np.asarray(dw), 0.0, 0.0)
     dr_tot = float(np.sum(rl[2] - r))
     if not math.isfinite(dr_tot):  # some leg is not finite
-        return rl[2], pl[2], np.full(5, np.nan)
-    v1, v2, v3 = eval_potential(potential, rl)[0].sum(axis=1)
+        return rl[2], pl[2], np.full(5, np.nan), None
+    v, d1l, d2l = eval_potential(potential, rl)
+    v1, v2, v3 = v.sum(axis=1)
     k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
     ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
     ct_r = sigma * dt * (2.0 * np.sum(d2) - d2[0] - d2[-1]) / (beta * n)
@@ -239,7 +248,7 @@ def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential
             (v3 - v2) / n - ct_r,
         ]
     )
-    return rl[2], pl[2], incr
+    return rl[2], pl[2], incr, (d1l[2], d2l[2])
 
 
 # -- public operations ---------------------------------------------------------
@@ -279,7 +288,7 @@ def step(
     """One Euler-Maruyama step of size config.dt_fine."""
     if tau_bar is None:
         tau_bar = float(config.tension_schedule(state.t))
-    r, p, incr = _chain_step(state.r, state.p, increments, tau_bar, config, model.potential)
+    r, p, incr, _ = _chain_step(state.r, state.p, increments, tau_bar, config, model.potential)
     t2 = state.t + config.dt_fine
     if not np.isfinite(incr).all():
         raise BlowUpError(f"non-finite state after step at t={t2:.6g}")
@@ -296,7 +305,7 @@ def accumulate_ledger(
 ) -> Ledger:
     """Ledger increments for one step (see _chain_step), with E the energy
     per particle of state_after."""
-    _, _, incr = _chain_step(
+    _, _, incr, _ = _chain_step(
         state_before.r, state_before.p, increments, tau_bar, config, model.potential
     )
     w, q_p, q_r, m_p, m_r = (float(x) for x in incr)
@@ -316,8 +325,13 @@ def run_trajectory(
     model: ThermoModel | None = None,
     initial_state: ChainState | None = None,
 ) -> TrajectoryResult:
-    """Integrate from the Gibbs initial state to t_end, recording snapshots and
-    the cumulative ledger at config.record_times (snapped to step boundaries)."""
+    """Integrate config.n_steps steps from the Gibbs initial state (or
+    initial_state), recording snapshots and the cumulative ledger at
+    config.record_times (snapped to step boundaries).
+
+    The run starts at the state's t = t0, and step k ends at t0 + k dt_fine:
+    snapshot and ledger times and the tension schedule use that time, while
+    record_times and n_steps count from the start of the run."""
     if model is None:
         model = ThermoModel(beta=config.beta, potential=PotentialParams())
     if abs(model.beta - config.beta) > 1e-12:
@@ -330,24 +344,18 @@ def run_trajectory(
     state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
-    r, p = state.r, state.p
+    r, p, t0 = state.r, state.p, state.t
+    derivs = None
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     acc = np.zeros(5)
-    out = {key: [] for key in ("t", "E", "W", "Q_p", "Q_r", "M_p", "M_r")}
+    rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record
     snapshots = []
 
     def record(k: int):
-        t_k = k * dt
-        st = ChainState(r=r.copy(), p=p.copy(), t=t_k)
+        st = ChainState(r=r.copy(), p=p.copy(), t=t0 + k * dt)
         snapshots.append(st)
-        out["t"].append(t_k)
-        out["E"].append(energy_per_particle(st, model))
-        out["W"].append(acc[0])
-        out["Q_p"].append(acc[1])
-        out["Q_r"].append(acc[2])
-        out["M_p"].append(acc[3])
-        out["M_r"].append(acc[4])
+        rows.append((st.t, energy_per_particle(st, model), *acc.tolist()))
 
     rec_idx = 0
     while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
@@ -358,63 +366,45 @@ def run_trajectory(
     k = 0
     for c0 in range(0, config.n_coarse, _CHUNK_COARSE):
         dw_chunk, dwt_chunk = noise.next_chunk(min(_CHUNK_COARSE, config.n_coarse - c0))
-        times = (k + np.arange(dw_chunk.shape[0])) * dt
+        times = t0 + (k + np.arange(dw_chunk.shape[0])) * dt
         taubars = np.broadcast_to(
             np.asarray(config.tension_schedule(times), dtype=float), times.shape
         )
         for dw, dwt, taub in zip(dw_chunk, dwt_chunk, taubars.tolist()):
-            r, p, incr = _chain_step(r, p, (dw, dwt), taub, config, model.potential)
+            r, p, incr, derivs = _chain_step(
+                r, p, (dw, dwt), taub, config, model.potential, derivs
+            )
             k += 1
             if not np.isfinite(incr).all():
-                raise BlowUpError(f"non-finite state at step {k}, t={k * dt:.6g}")
+                raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
             acc += incr
             while rec_idx < len(rec_steps) and rec_steps[rec_idx] == k:
                 record(k)
                 rec_idx += 1
-        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, k * dt, k, n_steps)
+        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
 
-    series = LedgerSeries(
-        t=np.asarray(out["t"]),
-        E=np.asarray(out["E"]),
-        W=np.asarray(out["W"]),
-        Q_p=np.asarray(out["Q_p"]),
-        Q_r=np.asarray(out["Q_r"]),
-        martingale_p=np.asarray(out["M_p"]),
-        martingale_r=np.asarray(out["M_r"]),
-    )
+    series = LedgerSeries(*np.ascontiguousarray(np.reshape(rows, (-1, 7)).T))
     return TrajectoryResult(snapshots=snapshots, ledger=series, config=config, n_steps=k)
 
 
 def write_snapshot_csv(path, snapshots) -> None:
     """Long-format (t, i, r, p) dump of the recorded states."""
-    from .csvio import write_csv
+    from .csvio import write_text
 
-    rows = []
-    for st in snapshots:
-        for i in range(st.r.size):
-            rows.append((st.t, i + 1, st.r[i], st.p[i]))
-    write_csv(path, ["t", "i", "r", "p"], rows)
+    def blocks():
+        for st in snapshots:
+            n = st.r.size
+            line = "%.17g" % st.t + ",%d,%.17g,%.17g\n"  # t formatted once per snapshot
+            rows = zip(range(1, n + 1), st.r.tolist(), st.p.tolist())
+            yield (line * n) % tuple(itertools.chain.from_iterable(rows))
+
+    write_text(path, ["t", "i", "r", "p"], blocks())
 
 
 def write_ledger_csv(path, series: LedgerSeries) -> None:
     from .csvio import write_csv
 
-    resid = series.first_law_residual
-    rows = [
-        (
-            series.t[k],
-            series.E[k],
-            series.W[k],
-            series.Q_p[k],
-            series.Q_r[k],
-            series.martingale_p[k],
-            series.martingale_r[k],
-            resid[k],
-        )
-        for k in range(series.t.size)
-    ]
-    write_csv(
-        path,
-        ["t", "E", "W", "Q_p", "Q_r", "M_p", "M_r", "first_law_residual"],
-        rows,
-    )
+    names = ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r", "first_law_residual")
+    columns = [getattr(series, name).tolist() for name in names]
+    header = ["t", "E", "W", "Q_p", "Q_r", "M_p", "M_r", "first_law_residual"]
+    write_csv(path, header, zip(*columns))

@@ -2,20 +2,33 @@
 
 Built from the C^2 bump (1-u^2)^3, optionally modulated by a sine mode, so
 weak-formulation pairings never need numerical differentiation.
+
+Evaluations are array-valued: t and x broadcast against each other, so
+phi.dt(times[:, None], x[None, :]) is a whole (T, X) grid; scalars give a
+Python float. Values are exactly zero outside the open support.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 
+
+# min(u^2, 1) makes w exactly 0 for |u| >= 1 and w = 1 - u^2 inside; products,
+# not **, because numpy's array power is not correctly rounded
 def _bump(u):
-    return (1.0 - u * u) ** 3 if -1.0 < u < 1.0 else 0.0
+    w = 1.0 - np.minimum(u * u, 1.0)
+    return w * w * w
 
 
 def _bump_d(u):
-    return -6.0 * u * (1.0 - u * u) ** 2 if -1.0 < u < 1.0 else 0.0
+    w = 1.0 - np.minimum(u * u, 1.0)
+    return -6.0 * u * (w * w)
+
+
+def _value(v):
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -42,36 +55,32 @@ class SpaceTimeTestFunction:
     def _ux(self, x):
         return (2.0 * x - (self.x0 + self.x1)) / (self.x1 - self.x0)
 
+    def _phase(self, x):
+        return np.pi * self.mode * ((x - self.x0) / (self.x1 - self.x0))
+
     def _space(self, x):
-        u = self._ux(x)
-        b = _bump(u)
-        if self.mode == 0 or b == 0.0:
+        b = _bump(self._ux(x))
+        if self.mode == 0:
             return b
-        s = (x - self.x0) / (self.x1 - self.x0)
-        return b * math.sin(math.pi * self.mode * s)
+        return b * np.sin(self._phase(x))
 
     def _space_d(self, x):
-        du = 2.0 / (self.x1 - self.x0)
         u = self._ux(x)
-        b, bd = _bump(u), _bump_d(u) * du
+        bd = _bump_d(u) * (2.0 / (self.x1 - self.x0))
         if self.mode == 0:
             return bd
-        if b == 0.0 and bd == 0.0:
-            return 0.0
-        w = math.pi * self.mode / (self.x1 - self.x0)
-        s = (x - self.x0) / (self.x1 - self.x0)
-        return bd * math.sin(math.pi * self.mode * s) + b * w * math.cos(
-            math.pi * self.mode * s
-        )
+        w = np.pi * self.mode / (self.x1 - self.x0)
+        s = self._phase(x)
+        return bd * np.sin(s) + _bump(u) * w * np.cos(s)
 
     def __call__(self, t, x):
-        return _bump(self._ut(t)) * self._space(x)
+        return _value(_bump(self._ut(t)) * self._space(x))
 
     def dt(self, t, x):
-        return _bump_d(self._ut(t)) * (2.0 / (self.t1 - self.t0)) * self._space(x)
+        return _value(_bump_d(self._ut(t)) * (2.0 / (self.t1 - self.t0)) * self._space(x))
 
     def dx(self, t, x):
-        return _bump(self._ut(t)) * self._space_d(x)
+        return _value(_bump(self._ut(t)) * self._space_d(x))
 
 
 def default_test_functions(t_end: float, x_lo: float = 0.2, x_hi: float = 0.8):

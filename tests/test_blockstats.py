@@ -216,6 +216,21 @@ def dalembert_fields(n, times, amp=0.25):
     return fields
 
 
+def pointwise_weak_residual(fields, phi, psi, model):
+    """weak_residual written as a loop over sites with scalar calls."""
+    res_r, res_p = [], []
+    for f in fields:
+        tau = model.tau_of_rho(f.r_hat)
+        s_r = s_p = 0.0
+        for xi, r, p, ta in zip(f.x, f.r_hat, f.p_hat, tau):
+            s_r += r * phi.dt(f.t, xi) - p * phi.dx(f.t, xi)
+            s_p += p * psi.dt(f.t, xi) - ta * psi.dx(f.t, xi)
+        res_r.append(s_r / f.N)
+        res_p.append(s_p / f.N)
+    times = [f.t for f in fields]
+    return float(np.trapezoid(res_r, times)), float(np.trapezoid(res_p, times))
+
+
 class TestWeakResidual:
     def test_frozen_equilibrium(self, model):
         n = 80
@@ -258,6 +273,25 @@ class TestWeakResidual:
         with pytest.raises(ConfigurationError):
             weak_residual(fields, ok, wide, model)
 
+    def test_matches_pointwise_reference(self, model):
+        # the stacked evaluation against the scalar loop it replaced
+        n = 64
+        spec = BlockSpec(default_block_width(n), n)
+        rng = np.random.default_rng(2024)
+        fields = [
+            EmpiricalField.from_state(
+                ChainState(rng.uniform(-0.5, 1.0, n), rng.normal(0.0, 1.0, n), t), spec
+            )
+            for t in np.linspace(0.0, 1.0, 31)
+        ]
+        for m_phi, m_psi in ((0, 1), (1, 2), (2, 0)):
+            phi = SpaceTimeTestFunction(0.05, 0.95, 0.3, 0.7, mode=m_phi)
+            psi = SpaceTimeTestFunction(0.1, 0.8, 0.35, 0.72, mode=m_psi)
+            ref = pointwise_weak_residual(fields, phi, psi, model)
+            got = weak_residual(fields, phi, psi, model)
+            assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+            assert got[1] == pytest.approx(ref[1], rel=1e-13, abs=0.0)
+
 
 class TestTestFunctions:
     def test_compact_support_and_smoothness(self):
@@ -275,3 +309,34 @@ class TestTestFunctions:
             fd_x = (phi(t, x + eps) - phi(t, x - eps)) / (2 * eps)
             assert phi.dt(t, x) == pytest.approx(fd_t, abs=1e-7)
             assert phi.dx(t, x) == pytest.approx(fd_x, abs=1e-7)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_broadcast_matches_scalar_calls(self, mode):
+        phi = SpaceTimeTestFunction(0.1, 0.9, 0.2, 0.8, mode=mode)
+        rng = np.random.default_rng(mode)
+        t = rng.uniform(0.0, 1.0, 23)
+        x = rng.uniform(0.0, 1.0, 37)
+        for fn in (phi, phi.dt, phi.dx):
+            grid = fn(t[:, None], x[None, :])
+            assert grid.shape == (23, 37)
+            ref = np.array([[fn(ti, xi) for xi in x] for ti in t])
+            assert np.max(np.abs(grid - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_exactly_zero_outside_support(self, mode):
+        # dyadic support ends make |u| = 1 exact at the boundary points
+        phi = SpaceTimeTestFunction(0.25, 0.75, 0.25, 0.5, mode=mode)
+        t_in, x_in = np.array([0.3, 0.5, 0.7]), np.array([0.3, 0.375, 0.45])
+        t_out, x_out = np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.0, 0.25, 0.5, 0.9])
+        for fn in (phi, phi.dt, phi.dx):
+            assert np.all(fn(t_out[:, None], x_in[None, :]) == 0.0)
+            assert np.all(fn(t_in[:, None], x_out[None, :]) == 0.0)
+            assert all(fn(ti, xi) == 0.0 for ti in t_out for xi in x_out)
+        assert np.all(phi(t_in[:, None], x_in[None, :]) != 0.0)
+
+    def test_scalar_input_returns_float(self):
+        phi = SpaceTimeTestFunction(0.1, 0.9, 0.2, 0.8, mode=1)
+        for t, x in ((0.5, 0.4), (0.05, 0.4), (0.5, 1)):
+            for fn in (phi, phi.dt, phi.dx):
+                assert type(fn(t, x)) is float
+        assert type(phi(np.float64(0.5), 0.4)) is float

@@ -189,6 +189,67 @@ class TestStep:
             assert np.array_equal(state.p, first_state.p)
             assert np.array_equal(row, first_row)
 
+    def test_carried_derivatives_change_no_bit(self, model):
+        # run_trajectory passes V', V'' from one step to the next; step and
+        # accumulate_ledger evaluate them afresh, and must agree to the bit
+        t_end = 12 * 0.1 / (32 * 14)
+        cfg = ChainConfig(
+            N=32,
+            t_end=t_end,
+            seed=31,
+            refine_level=1,
+            tension_schedule=RampSchedule(0.1, 0.6, t1=t_end),
+            record_times=np.linspace(0.0, t_end, 25),
+        )
+        res = run_trajectory(cfg, 0.1, model)
+        st = make_initial_state(cfg, 0.1, model)
+        dw, dwt = BridgedNoise(cfg.seed, cfg.N - 1, cfg.dt, 1).next_chunk(cfg.n_coarse)
+        led_run = res.ledger
+        cols = [led_run.W, led_run.Q_p, led_run.Q_r, led_run.martingale_p, led_run.martingale_r]
+        acc = np.zeros(5)
+        for k in range(cfg.n_steps):
+            taub = float(cfg.tension_schedule(k * cfg.dt_fine))
+            st2 = step(st, cfg, (dw[k], dwt[k]), model, tau_bar=taub)
+            led = accumulate_ledger(st, st2, taub, cfg, (dw[k], dwt[k]), model)
+            acc += [led.W, led.Q_p, led.Q_r, led.martingale_p, led.martingale_r]
+            st = st2
+            snap = res.snapshots[k + 1]
+            assert np.array_equal(st.r, snap.r) and np.array_equal(st.p, snap.p)
+            assert np.array_equal(acc, [col[k + 1] for col in cols])
+            assert led.E == led_run.E[k + 1]
+
+    def test_starts_at_state_time(self, model):
+        cfg = ChainConfig(N=32, t_end=0.01, seed=5, record_times=np.array([0.0, 0.01]))
+        st = make_initial_state(cfg, 0.0, model)
+        st.t = 0.1
+        res = run_trajectory(cfg, 0.0, model, initial_state=st)
+        assert cfg.n_steps == 45
+        expected = [0.1, 0.1 + 45 * cfg.dt]  # 0.01 snaps to step 45, t = 0.01004
+        assert [s.t for s in res.snapshots] == expected
+        assert res.ledger.t.tolist() == expected
+
+    def test_tension_read_at_state_time(self, model):
+        # a run from t0 under tau(t) equals a run from 0 under tau(t + t0)
+        t_end = 40 * 0.1 / (32 * 14)
+        ramp = RampSchedule(0.0, 0.5, t1=2 * t_end)
+        runs = []
+        for t0, schedule in ((t_end, ramp), (0.0, lambda t: ramp(np.asarray(t) + t_end))):
+            cfg = ChainConfig(N=32, t_end=t_end, seed=8, tension_schedule=schedule)
+            st = make_initial_state(cfg, 0.0, model)
+            st.t = t0
+            runs.append(run_trajectory(cfg, 0.0, model, initial_state=st))
+        a, b = runs
+        assert np.array_equal(a.snapshots[-1].r, b.snapshots[-1].r)
+        assert np.array_equal(a.ledger.W, b.ledger.W)
+        assert np.array_equal(a.ledger.Q_r, b.ledger.Q_r)
+        assert a.ledger.W[-1] != 0.0
+
+    def test_run_from_zero_times_are_step_multiples(self, model):
+        cfg = ChainConfig(N=32, t_end=0.01, seed=5, record_times=np.array([0.0, 0.004, 0.01]))
+        res = run_trajectory(cfg, 0.0, model)
+        steps = np.round(cfg.record_times / cfg.dt).astype(int)
+        assert res.ledger.t.tolist() == [int(k) * cfg.dt for k in steps]
+
 
 class TestLedger:
     def test_frozen_chain_net_zero(self, model):
