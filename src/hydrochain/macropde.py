@@ -102,21 +102,6 @@ class MacroTrajectory:
     W_hist: np.ndarray
     D_hist: np.ndarray
 
-    def state_at(self, t: float) -> MacroState:
-        """Snapshot linearly interpolated in time between records."""
-        k = int(np.searchsorted(self.times, t - 1e-12))
-        if k == 0:
-            return MacroState(self.r[0].copy(), self.p[0].copy(), float(self.times[0]))
-        if k >= self.times.size:
-            return MacroState(self.r[-1].copy(), self.p[-1].copy(), float(self.times[-1]))
-        t0, t1 = self.times[k - 1], self.times[k]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return MacroState(
-            (1 - w) * self.r[k - 1] + w * self.r[k],
-            (1 - w) * self.p[k - 1] + w * self.p[k],
-            t,
-        )
-
 
 def uniform_state(config: MacroConfig, rho: float) -> MacroState:
     return MacroState(r=np.full(config.M, float(rho)), p=np.zeros(config.M), t=0.0)

@@ -5,17 +5,23 @@ Every other module gets its equilibrium quantities from here. All quadratures
 run over fixed Gauss-Legendre panels split at the mollification band edges, so
 evaluation errors vary smoothly with the arguments and finite differences of
 tabulated values stay meaningful down to ~1e-12.
+
+The spline table is built on nodes uniform in tension, where the quadrature
+needs no inversion; tension_of_strain is the one inversion of rho(tau). Table
+lookups outside the tabulated range raise instead of extrapolating.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+
+
+_QUAD_TOL = 1e-30
 
 
 class ThermoError(RuntimeError):
@@ -97,28 +103,25 @@ class ThermoModel:
 
     Exposes the exact quadrature path (log_partition, mean_strain,
     tension_of_strain, free_energy, internal_energy, sample_canonical) plus a
-    lazily built spline table (tau_of_rho, rho_of_tau, ...) for hot loops.
+    lazily built, certified spline table for hot loops (tau_of_rho,
+    tau_prime_of_rho, free_energy_of_rho, rho_of_tau, invert_tau_table).
     """
 
     def __init__(
         self,
         beta: float = 1.0,
         potential: PotentialParams | None = None,
-        quad_tol: float = 1e-30,
         n_quad: int = 80,
     ):
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"beta must be positive, got {beta}")
-        if not (0.0 < quad_tol < 1.0):
-            raise ValueError(f"quad_tol must lie in (0,1), got {quad_tol}")
         self.beta = float(beta)
         self.potential = potential if potential is not None else PotentialParams()
-        self.quad_tol = float(quad_tol)
         self.c1 = self.potential.c1
         self.c2 = self.potential.c2
         # integration half-width: Gaussian domination V >= V(r*) + c1 (r-r*)^2/2
-        # puts the tail mass below quad_tol at this distance from the maximizer
-        self._halfwidth = math.sqrt(2.0 * math.log(1.0 / quad_tol) / (self.beta * self.c1))
+        # puts the tail mass below _QUAD_TOL at this distance from the maximizer
+        self._halfwidth = math.sqrt(2.0 * math.log(1.0 / _QUAD_TOL) / (self.beta * self.c1))
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(n_quad)
         self._table = None
         self._verify_curvature_bounds()
@@ -205,9 +208,6 @@ class ThermoModel:
     def mean_strain(self, tau: float) -> float:
         """rho(beta, tau): canonical mean of r (direct quadrature)."""
         return float(self._moments(tau)[1][0])
-
-    def strain_variance(self, tau: float) -> float:
-        return float(self._moments(tau)[2][0])
 
     def internal_energy(self, tau: float) -> float:
         """U(beta, tau) = 1/(2 beta) + E[V(r)] (kinetic part exact)."""
@@ -297,37 +297,29 @@ class ThermoModel:
     # -- tabulated fast path ----------------------------------------------------
 
     def _build_table(self, rho_min=-10.0, rho_max=10.0, n_nodes=3600):
-        rho_nodes = np.linspace(rho_min, rho_max, n_nodes)
-        taus = rho_nodes.copy()  # Newton start; global convergence from the
-        # slope bounds 1/c2 <= d rho/d tau <= 1/c1
-        for _ in range(60):
-            g, rho, var, ev = self._moments(taus)
-            res = rho - rho_nodes
-            if np.max(np.abs(res)) <= 1e-12:
-                break
-            taus = taus - res / (self.beta * var)
-        else:
-            raise ThermoError("table inversion did not converge")
-        rho = rho_nodes
-        if np.any(np.diff(taus) <= 0.0):
-            raise ThermoError("tabulated tension is not strictly increasing")
-        slopes = 1.0 / (self.beta * var)
-        free = taus * rho - g / self.beta
+        """Splines of tau(rho), rho(tau) and F(rho) on nodes uniform in tau, from
+        the exact tension of rho_min to that of rho_max. One batched quadrature
+        gives (G, rho) at every node; the slope bounds keep the strain spacing
+        within c2/c1 of uniform. Certified against exact values midway between
+        nodes and against the slope bounds."""
+        taus = np.linspace(
+            self.tension_of_strain(rho_min), self.tension_of_strain(rho_max), n_nodes
+        )
+        g, rho, _, _ = self._moments(taus)
+        if np.any(np.diff(rho) <= 0.0):
+            raise ThermoError("tabulated strain is not strictly increasing")
         tau_of_rho = CubicSpline(rho, taus)
         table = {
             "tau": taus,
             "rho": rho,
             "tau_of_rho": tau_of_rho,
-            # built once: the slope certificate and invert_tau_table read it
+            # built once: tau_prime_of_rho, invert_tau_table and the certificate read it
             "tau_of_rho_slope": tau_of_rho.derivative(),
             "rho_of_tau": CubicSpline(taus, rho),
-            "F_of_rho": CubicSpline(rho, free),
-            "tau_prime_of_rho": CubicSpline(rho, slopes),
-            "U_of_tau": CubicSpline(taus, 0.5 / self.beta + ev),
+            "F_of_rho": CubicSpline(rho, taus * rho - g / self.beta),
         }
-        # certify against off-node exact values and the slope bounds
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
-        _, rho_p, var_p, _ = self._moments(probe)
+        _, rho_p, _, _ = self._moments(probe)
         err_tau = np.max(np.abs(table["tau_of_rho"](rho_p) - probe))
         err_rho = np.max(np.abs(table["rho_of_tau"](probe) - rho_p))
         dense = np.linspace(rho[0], rho[-1], 20001)
@@ -351,21 +343,29 @@ class ThermoModel:
             self._table = self._build_table()
         return self._table
 
+    def _in_table(self, values, key: str) -> np.ndarray:
+        """values as a float array, checked to lie within the table's nodes."""
+        nodes = self.table[key]
+        lo, hi = nodes[0], nodes[-1]
+        v = np.asarray(values, dtype=float)
+        if v.size and not (lo <= v.min() and v.max() <= hi):
+            bad = v.max() if lo <= v.min() else v.min()
+            raise ValueError(f"{key} = {bad} lies outside the thermo table [{lo}, {hi}]")
+        return v
+
     def tau_of_rho(self, rho):
         """Spline tension, vectorized; certified against the exact inversion."""
-        return self.table["tau_of_rho"](rho)
+        return self.table["tau_of_rho"](self._in_table(rho, "rho"))
 
     def rho_of_tau(self, tau):
-        return self.table["rho_of_tau"](tau)
+        return self.table["rho_of_tau"](self._in_table(tau, "tau"))
 
     def free_energy_of_rho(self, rho):
-        return self.table["F_of_rho"](rho)
+        return self.table["F_of_rho"](self._in_table(rho, "rho"))
 
     def tau_prime_of_rho(self, rho):
-        return self.table["tau_prime_of_rho"](rho)
-
-    def internal_energy_of_tau(self, tau):
-        return self.table["U_of_tau"](tau)
+        """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""
+        return self.table["tau_of_rho_slope"](self._in_table(rho, "rho"))
 
     def invert_tau_table(self, tau: float) -> float:
         """Invert the tabulated tau_of_rho spline itself (Newton), so callers
@@ -373,7 +373,7 @@ class ThermoModel:
         rounding rather than to table accuracy."""
         spline = self.table["tau_of_rho"]
         deriv = self.table["tau_of_rho_slope"]
-        rho = float(self.table["rho_of_tau"](tau))
+        rho = float(self.rho_of_tau(tau))
         for _ in range(8):
             f = float(spline(rho)) - tau
             if abs(f) <= 1e-14 * max(1.0, abs(tau)):
@@ -403,13 +403,3 @@ class ThermoModel:
             )
         write_csv(path, ["rho", "tau", "F", "U", "tau_prime", "tau_second"], rows)
 
-
-def harmonic_checks(model: ThermoModel) -> dict:
-    """Closed-form harmonic (kappa=0) reference values for self-tests."""
-    beta = model.beta
-    return {
-        "G0": 0.5 * math.log(2.0 * math.pi / beta),
-        "rho_of_tau": lambda tau: tau,
-        "F": lambda rho: rho**2 / 2.0 - 0.5 * math.log(2.0 * math.pi / beta) / beta,
-        "U": lambda tau: 1.0 / beta + tau**2 / 2.0,
-    }

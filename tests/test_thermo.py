@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hydrochain import GibbsSample, PotentialParams, ThermoModel, eval_potential
+from hydrochain import GibbsSample, PotentialParams, ThermoError, ThermoModel, eval_potential
 
 
 def simpson_oracle(model, tau, what="G"):
@@ -336,6 +336,50 @@ class TestConjugacyInvariants:
                     break
                 rho -= f / float(fresh(rho))
             assert anharmonic.invert_tau_table(tau) == rho
+
+
+class TestTable:
+    def test_too_few_quadrature_nodes_fail_certification(self):
+        with pytest.raises(ThermoError, match="certification"):
+            ThermoModel(n_quad=16).table
+
+    def test_strain_nodes_span_the_table_range(self, anharmonic):
+        rho = anharmonic.table["rho"]
+        assert rho[0] == pytest.approx(-10.0, abs=1e-12)
+        assert rho[-1] == pytest.approx(10.0, abs=1e-12)
+
+    def test_nodes_are_exact_conjugate_pairs(self, anharmonic):
+        table = anharmonic.table
+        for k in np.linspace(0, table["rho"].size - 1, 5).astype(int):
+            tau = anharmonic.tension_of_strain(float(table["rho"][k]))
+            assert tau == pytest.approx(table["tau"][k], abs=1e-11)
+
+    def test_tau_prime_is_inverse_beta_variance(self, anharmonic):
+        for rho in (-7.0, -0.05, 0.0, 0.08, 2.5, 9.0):
+            tau = anharmonic.tension_of_strain(rho)
+            var = anharmonic._moments(tau)[2][0]
+            assert anharmonic.tau_prime_of_rho(rho) == pytest.approx(
+                1.0 / (anharmonic.beta * var), abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "lookup, key",
+        [
+            ("tau_of_rho", "rho"),
+            ("free_energy_of_rho", "rho"),
+            ("tau_prime_of_rho", "rho"),
+            ("rho_of_tau", "tau"),
+            ("invert_tau_table", "tau"),
+        ],
+    )
+    def test_lookups_reject_arguments_off_the_table(self, anharmonic, lookup, key):
+        f = getattr(anharmonic, lookup)
+        lo, hi = (float(v) for v in anharmonic.table[key][[0, -1]])
+        for edge in (lo, hi):
+            assert math.isfinite(float(f(edge)))
+        for off in (lo - 1e-9, hi + 1e-9, -20.0, 20.0, math.nan, np.array([0.0, hi + 0.5])):
+            with pytest.raises(ValueError, match="outside the thermo table"):
+                f(off)
 
 
 def test_export_table(tmp_path, anharmonic):
