@@ -14,9 +14,14 @@ so the energy balance
     F(t) - F(0) = W(t) - D(t)
 
 can be checked against the discretization error, and the Clausius gap
-W - (F(rho1) - F(rho0)) evaluated after relaxation. The stencils exist once,
-in viscous_rhs and balance_integrands, vectorized over the tabulated
-tension/free-energy splines; advance steps by calling them.
+W - (F(rho1) - F(rho0)) evaluated after relaxation. The ghost padding, the
+stencil and the balance rates exist once, in _pad, _stencil and _balance,
+vectorized over the tabulated tension/free-energy splines; apply_bcs,
+viscous_rhs and balance_integrands are thin wrappers over them, and advance
+steps with them directly. advance calls the tension schedule once, on the
+array of every stage time of the run, and solves every face strain
+tau(r*) = taubar with one array call to ThermoModel.invert_tau_table; it
+evaluates tau(r) once per step-end state.
 """
 
 from __future__ import annotations
@@ -49,8 +54,13 @@ class MacroConfig:
     def __post_init__(self):
         if self.M < 8:
             raise ValueError(f"need at least 8 cells, got M={self.M}")
+        for name in ("delta1", "delta2", "t_end", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta1 < 0.0 or self.delta2 < 0.0:
             raise ValueError("viscosities must be nonnegative")
+        if self.beta <= 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
         if self.t_end <= 0.0:
@@ -107,17 +117,20 @@ def uniform_state(config: MacroConfig, rho: float) -> MacroState:
     return MacroState(r=np.full(config.M, float(rho)), p=np.zeros(config.M), t=0.0)
 
 
-def _ghost_pad(state: MacroState, tau_bar: float, model: ThermoModel):
+def _pad(r, p, r_face):
     """(r_pad, p_pad) of length M+4: two ghost cells on each side.
 
     At x=0 r is reflected evenly (dr/dx = 0) and p oddly (p = 0); at x=1 r is
-    reflected oddly about the face strain r* with tau(r*) = tau_bar, and p
-    evenly (dp/dx = 0)."""
-    r, p = state.r, state.p
-    r_face = model.invert_tau_table(tau_bar)
+    reflected oddly about the face strain r_face, and p evenly (dp/dx = 0)."""
     r_pad = np.concatenate((r[1::-1], r, 2.0 * r_face - r[:-3:-1]))
     p_pad = np.concatenate((-p[1::-1], p, p[:-3:-1]))
     return r_pad, p_pad
+
+
+def _padded_state(r, p, r_face, model: ThermoModel):
+    """(r_pad, p_pad, tau_pad): the padded state and its tension."""
+    r_pad, p_pad = _pad(r, p, r_face)
+    return r_pad, p_pad, np.asarray(model.tau_of_rho(r_pad))
 
 
 def apply_bcs(state: MacroState, tau_bar: float, model: ThermoModel):
@@ -125,17 +138,13 @@ def apply_bcs(state: MacroState, tau_bar: float, model: ThermoModel):
     p(0)=0, dr/dx(0)=0, tau(r(1))=tau_bar, dp/dx(1)=0. The second ghost
     layer, which the fourth-order stencil also reads, is built by the same
     reflections."""
-    r_pad, p_pad = _ghost_pad(state, tau_bar, model)
+    r_pad, p_pad = _pad(state.r, state.p, model.invert_tau_table(tau_bar))
     return r_pad[1:-1], p_pad[1:-1]
 
 
-def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: ThermoModel):
-    """(dr/dt, dp/dt) on the two-layer ghost-padded arrays: fourth-order
-    central first derivatives for the advective terms, three-point Laplacians
-    for the viscous ones."""
+def _stencil(r_pad, p_pad, tau_pad, config: MacroConfig):
+    """(dr/dt, dp/dt) from the padded strain, momentum and tension."""
     dx = config.dx
-    r_pad, p_pad = _ghost_pad(state, tau_bar, model)
-    tau_pad = np.asarray(model.tau_of_rho(r_pad))
 
     def d1(f):
         return (8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])) / (12.0 * dx)
@@ -146,22 +155,23 @@ def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: T
     return d1(p_pad) + config.delta1 * lap(tau_pad), d1(tau_pad) + config.delta2 * lap(p_pad)
 
 
+def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: ThermoModel):
+    """(dr/dt, dp/dt) on the two-layer ghost-padded arrays: fourth-order
+    central first derivatives for the advective terms, three-point Laplacians
+    for the viscous ones."""
+    r_face = model.invert_tau_table(tau_bar)
+    return _stencil(*_padded_state(state.r, state.p, r_face, model), config)
+
+
 def free_energy_functional(state: MacroState, model: ThermoModel) -> float:
     """int_0^1 (p^2/2 + F(beta, r)) dx by midpoint quadrature."""
     f_vals = np.asarray(model.free_energy_of_rho(state.r))
     return float(np.mean(state.p**2 / 2.0 + f_vals))
 
 
-def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, model):
-    """(work rate, dissipation rate) at one instant, face-based.
-
-    The work rate is the boundary energy flux of viscous_rhs itself: summing
-    its fourth-order advective stencil by parts against the ghost cells leaves
-    tau_bar (7 p[M-1] - p[M-2]) / 6 at x=1 (nothing at x=0), and the viscous
-    Laplacian leaves delta1 tau_bar g_tau at the last face."""
+def _balance(r, p, tau, tau_bar: float, config: MacroConfig):
+    """(work rate, dissipation rate) of the state (r, p) with tension tau."""
     dx = config.dx
-    r, p = state.r, state.p
-    tau = np.asarray(model.tau_of_rho(r))
     # tau gradients at the M+1 faces: Neumann r at x=0 zeroes the first one,
     # the Dirichlet tension at x=1 gives a half-cell one-sided difference
     g_tau = np.empty(config.M + 1)
@@ -179,6 +189,17 @@ def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, m
     return work, diss
 
 
+def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, model):
+    """(work rate, dissipation rate) at one instant, face-based.
+
+    The work rate is the boundary energy flux of viscous_rhs itself: summing
+    its fourth-order advective stencil by parts against the ghost cells leaves
+    tau_bar (7 p[M-1] - p[M-2]) / 6 at x=1 (nothing at x=0), and the viscous
+    Laplacian leaves delta1 tau_bar g_tau at the last face."""
+    tau = np.asarray(model.tau_of_rho(state.r))
+    return _balance(state.r, state.p, tau, tau_bar, config)
+
+
 def advance(
     state: MacroState,
     config: MacroConfig,
@@ -192,7 +213,21 @@ def advance(
 
     t_target and record_times are absolute times. The run takes the fewest
     equal steps of at most config.dt that end on t_target; record times snap
-    to the nearest step, and one before state.t raises ValueError."""
+    to the nearest step, and one before state.t raises ValueError.
+
+    The three stages of a step from t to t + dt read the tension at t,
+    t + dt and t + dt/2. config.tension_schedule is called once, on the array
+    of every stage time of the run, so it must accept an array of times (as
+    run_trajectory requires). The face strains are solved once per run, by
+    one call to model.invert_tau_table on all those tensions, so a tension
+    outside the thermo table raises ValueError before the first step. tau(r)
+    is evaluated once per step-end state, on its ghost-padded array, and
+    serves both the balance rates and the next step's first stage.
+    model.beta must equal config.beta."""
+    if abs(model.beta - config.beta) > 1e-12:
+        raise ValueError(
+            f"thermo model beta={model.beta} disagrees with config beta={config.beta}"
+        )
     t_target = config.t_end if t_target is None else t_target
     span = t_target - state.t
     if span < 0.0:
@@ -205,11 +240,22 @@ def advance(
     rec_steps = np.minimum(rec_steps, n_steps)
     step_times = state.t + dt * np.arange(n_steps + 1)
 
-    def tension(t):
-        return float(config.tension_schedule(t))
+    # tensions and face strains at the step times t_k, then at t_k + dt/2
+    stage_times = np.concatenate((step_times, step_times[:-1] + 0.5 * dt))
+    tensions = np.broadcast_to(
+        np.asarray(config.tension_schedule(stage_times), dtype=float), stage_times.shape
+    )
+    faces = model.invert_tau_table(tensions)
+    tau_bar = tensions[: n_steps + 1].tolist()
+    face, face_mid = faces[: n_steps + 1].tolist(), faces[n_steps + 1 :].tolist()
 
-    def rhs(r, p, t):
-        return viscous_rhs(MacroState(r, p, t), tension(t), config, model)
+    def step_end(r, p, k):
+        """The padded state at step k and its interior tension. The last
+        state starts no step, so its ghosts are neither built nor read."""
+        if k == n_steps:
+            return None, np.asarray(model.tau_of_rho(r))
+        padded = _padded_state(r, p, face[k], model)
+        return padded, padded[2][2:-2]
 
     r = state.r.copy()
     p = state.p.copy()
@@ -217,7 +263,8 @@ def advance(
     w_hist = np.zeros(n_steps + 1)
     d_hist = np.zeros(n_steps + 1)
     f_hist[0] = free_energy_functional(MacroState(r, p, state.t), model)
-    w_rate, d_rate = balance_integrands(MacroState(r, p, state.t), tension(state.t), config, model)
+    padded, tau = step_end(r, p, 0)
+    w_rate, d_rate = _balance(r, p, tau, tau_bar[0], config)
     snapshots_t, snaps_r, snaps_p = [], [], []
 
     def record(k):
@@ -229,20 +276,19 @@ def advance(
 
     record(0)
     for k in range(1, n_steps + 1):
-        t0, t1 = float(step_times[k - 1]), float(step_times[k])
-        dr, dp = rhs(r, p, t0)
+        dr, dp = _stencil(*padded, config)
         r1, p1 = r + dt * dr, p + dt * dp
-        dr, dp = rhs(r1, p1, t1)
+        dr, dp = _stencil(*_padded_state(r1, p1, face[k], model), config)
         r2 = 0.75 * r + 0.25 * (r1 + dt * dr)
         p2 = 0.75 * p + 0.25 * (p1 + dt * dp)
-        dr, dp = rhs(r2, p2, t0 + 0.5 * dt)
+        dr, dp = _stencil(*_padded_state(r2, p2, face_mid[k - 1], model), config)
         r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
         p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
         if not math.isfinite(float(np.sum(r) + np.sum(p))):
-            raise BlowUpError(f"macro solver blew up at step {k}, t={t1:.6g}")
-        now = MacroState(r, p, t1)
-        f_hist[k] = free_energy_functional(now, model)
-        w_next, d_next = balance_integrands(now, tension(t1), config, model)
+            raise BlowUpError(f"macro solver blew up at step {k}, t={step_times[k]:.6g}")
+        f_hist[k] = free_energy_functional(MacroState(r, p, float(step_times[k])), model)
+        padded, tau = step_end(r, p, k)
+        w_next, d_next = _balance(r, p, tau, tau_bar[k], config)
         w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
         d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
         w_rate, d_rate = w_next, d_next

@@ -124,6 +124,7 @@ class ThermoModel:
         self._halfwidth = math.sqrt(2.0 * math.log(1.0 / _QUAD_TOL) / (self.beta * self.c1))
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(n_quad)
         self._table = None
+        self._rho0 = None  # rho(beta, 0), centre of tension_of_strain's bracket
         self._verify_curvature_bounds()
 
     # -- potential shorthands ------------------------------------------------
@@ -221,8 +222,9 @@ class ThermoModel:
         """
         if not math.isfinite(rho):
             raise ValueError(f"non-finite strain {rho}")
-        _, rho0, var0, _ = self._moments(0.0)
-        d = rho - float(rho0[0])
+        if self._rho0 is None:
+            self._rho0 = float(self._moments(0.0)[1][0])
+        d = rho - self._rho0
         lo = min(self.c1 * d, self.c2 * d) - 1e-9
         hi = max(self.c1 * d, self.c2 * d) + 1e-9
         tau = min(max(self.c2 * d, lo), hi)
@@ -367,19 +369,29 @@ class ThermoModel:
         """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""
         return self.table["tau_of_rho_slope"](self._in_table(rho, "rho"))
 
-    def invert_tau_table(self, tau: float) -> float:
+    def invert_tau_table(self, tau):
         """Invert the tabulated tau_of_rho spline itself (Newton), so callers
         needing tau(r*) = tau to hold in the *spline* sense get it to
-        rounding rather than to table accuracy."""
+        rounding rather than to table accuracy.
+
+        Vectorized over tau: each entry takes its own Newton steps and is
+        frozen once it converges, so it equals the call on that tension alone
+        to the bit. A scalar tau returns a float."""
         spline = self.table["tau_of_rho"]
         deriv = self.table["tau_of_rho_slope"]
-        rho = float(self.rho_of_tau(tau))
+        tau = np.asarray(tau, dtype=float)
+        taus = tau.ravel()
+        rho = self.rho_of_tau(taus)
+        tol = 1e-14 * np.maximum(1.0, np.abs(taus))
+        live = np.arange(rho.size)
         for _ in range(8):
-            f = float(spline(rho)) - tau
-            if abs(f) <= 1e-14 * max(1.0, abs(tau)):
+            f = spline(rho[live]) - taus[live]
+            moving = ~(np.abs(f) <= tol[live])
+            if not np.count_nonzero(moving):
                 break
-            rho -= f / float(deriv(rho))
-        return rho
+            live, f = live[moving], f[moving]
+            rho[live] -= f / deriv(rho[live])
+        return float(rho[0]) if tau.ndim == 0 else rho.reshape(tau.shape)
 
     # -- export ------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from hydrochain.macropde import (
     viscous_rhs,
     work_and_dissipation,
 )
-from hydrochain.schedules import ConstantSchedule, RampSchedule
+from hydrochain.schedules import ConstantSchedule, RampSchedule, StepSchedule
 from hydrochain.testfunctions import SpaceTimeTestFunction
 from hydrochain.thermo import PotentialParams, ThermoModel
 
@@ -46,6 +46,20 @@ class TestConfig:
             MacroConfig(cfl=1.5)
         with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
+
+    @pytest.mark.parametrize("name", ["delta1", "delta2", "t_end"])
+    def test_nonfinite_input_rejected(self, name):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                MacroConfig(**{name: bad})
+
+    def test_beta_validated(self, model):
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                MacroConfig(beta=bad)
+        cfg = MacroConfig(M=16, t_end=0.1, beta=2.0)
+        with pytest.raises(ValueError, match="beta"):
+            advance(uniform_state(cfg, 0.0), cfg, model)
 
     def test_unsorted_record_times_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -200,6 +214,82 @@ class TestAdvance:
         cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.05, 0.3]))
         with pytest.raises(ValueError, match="record_times"):
             advance(self.state_at(cfg, 0.1), cfg, model)
+
+
+def reference_advance(state, config, model):
+    """The SSP-RK3 loop through the public functions, one scalar schedule call
+    and one face-strain inversion per stage: (snapshot r, snapshot p, t_hist,
+    F_hist, W_hist, D_hist)."""
+    span = config.t_end - state.t
+    n_steps = int(math.ceil(span / config.dt - 1e-9))
+    dt = span / n_steps
+    rec_steps = np.minimum(np.round((config.record_times - state.t) / dt).astype(int), n_steps)
+    step_times = state.t + dt * np.arange(n_steps + 1)
+
+    def tension(t):
+        return float(config.tension_schedule(t))
+
+    def rhs(r, p, t):
+        return viscous_rhs(MacroState(r, p, t), tension(t), config, model)
+
+    r, p = state.r.copy(), state.p.copy()
+    f_hist, w_hist, d_hist = np.empty(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    f_hist[0] = free_energy_functional(MacroState(r, p, state.t), model)
+    w_rate, d_rate = balance_integrands(MacroState(r, p, state.t), tension(state.t), config, model)
+    snaps = {0: (r, p)}
+    for k in range(1, n_steps + 1):
+        t0, t1 = float(step_times[k - 1]), float(step_times[k])
+        dr, dp = rhs(r, p, t0)
+        r1, p1 = r + dt * dr, p + dt * dp
+        dr, dp = rhs(r1, p1, t1)
+        r2 = 0.75 * r + 0.25 * (r1 + dt * dr)
+        p2 = 0.75 * p + 0.25 * (p1 + dt * dp)
+        dr, dp = rhs(r2, p2, t0 + 0.5 * dt)
+        r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
+        p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
+        now = MacroState(r, p, t1)
+        f_hist[k] = free_energy_functional(now, model)
+        w_next, d_next = balance_integrands(now, tension(t1), config, model)
+        w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
+        d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
+        w_rate, d_rate = w_next, d_next
+        snaps[k] = (r, p)
+    snap_r = np.array([snaps[k][0] for k in rec_steps])
+    snap_p = np.array([snaps[k][1] for k in rec_steps])
+    return snap_r, snap_p, step_times, f_hist, w_hist, d_hist
+
+
+class TestAdvanceBitwise:
+    """advance equals the stage-by-stage loop through the public functions to
+    the bit: its schedule and face strains are evaluated in one array call
+    each, and tau(r) of a step-end state once."""
+
+    @staticmethod
+    def check(state, config, model):
+        traj = advance(state, config, model)
+        ref = reference_advance(state, config, model)
+        got = (traj.r, traj.p, traj.t_hist, traj.F_hist, traj.W_hist, traj.D_hist)
+        for name, a, b in zip(("r", "p", "t_hist", "F_hist", "W_hist", "D_hist"), got, ref):
+            assert np.array_equal(a, b), name
+
+    def test_ramp_from_nonzero_time(self, model):
+        cfg = MacroConfig(M=64, delta1=2e-3, delta2=1e-3, t_end=0.4,
+                          tension_schedule=RampSchedule(-0.2, 0.5, t1=0.3),
+                          record_times=np.array([0.13, 0.25, 0.4]))
+        x = cfg.x
+        rho0 = model.mean_strain(-0.2)
+        state = MacroState(rho0 + 0.1 * np.cos(3.0 * x), 0.05 * np.sin(2.0 * x), 0.13)
+        self.check(state, cfg, model)
+
+    def test_step_between_two_stages(self, model):
+        base = MacroConfig(M=64, t_end=0.2)
+        # the jump falls after the half-step stage of step 4 and before its end
+        t_step = 3.75 * base.dt
+        cfg = MacroConfig(M=64, t_end=0.2, tension_schedule=StepSchedule(0.1, 0.6, t_step),
+                          record_times=np.array([0.0, 0.1, 0.2]))
+        assert float(cfg.tension_schedule(3.5 * cfg.dt)) == 0.1
+        assert float(cfg.tension_schedule(4.0 * cfg.dt)) == 0.6
+        self.check(uniform_state(cfg, model.mean_strain(0.1)), cfg, model)
 
 
 class TestFreeEnergy:

@@ -354,6 +354,34 @@ class TestTable:
             tau = anharmonic.tension_of_strain(float(table["rho"][k]))
             assert tau == pytest.approx(table["tau"][k], abs=1e-11)
 
+    def test_invert_tau_table_array_matches_scalar_calls(self, anharmonic):
+        tau = anharmonic.table["tau"]
+        grid = np.concatenate(
+            ([tau[0], tau[-1]], np.random.default_rng(3).uniform(tau[0], tau[-1], 98))
+        )
+        got = anharmonic.invert_tau_table(grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        for g, t in zip(got, grid):
+            assert g == anharmonic.invert_tau_table(float(t))
+        assert type(anharmonic.invert_tau_table(0.3)) is float
+        with pytest.raises(ValueError, match="outside the thermo table"):
+            anharmonic.invert_tau_table(np.append(grid, tau[-1] + 1e-9))
+
+    def test_strain_inversion_centres_on_one_zero_tension_quadrature(self, monkeypatch):
+        model = ThermoModel(beta=1.3)
+        centres = []
+        moments = model._moments
+
+        def counting(tau_values):
+            if np.ndim(tau_values) == 0 and tau_values == 0.0:
+                centres.append(tau_values)
+            return moments(tau_values)
+
+        monkeypatch.setattr(model, "_moments", counting)
+        model.tension_of_strain(0.5)
+        model.tension_of_strain(-0.7)
+        assert len(centres) == 1
+
     def test_tau_prime_is_inverse_beta_variance(self, anharmonic):
         for rho in (-7.0, -0.05, 0.0, 0.08, 2.5, 9.0):
             tau = anharmonic.tension_of_strain(rho)
