@@ -1,8 +1,8 @@
 """Block averages, empirical fields and the micro/macro bridge statistics.
 
 Index convention: site sequences are 1-based in the math (u_1..u_N); array
-arguments are plain 0-based numpy arrays, and scalar operations taking a site
-index i use the 1-based convention of the block-average definitions.
+arguments are plain 0-based numpy arrays. hat_profile and bar_profile start at
+site i = l, so the average at site i is entry i - l.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .thermo import ThermoModel
 
 
 class ConfigurationError(ValueError):
-    """Inadmissible statistic request (window, support, selector)."""
+    """Inadmissible statistic request (window, support, field)."""
 
 
 def default_block_width(n: int) -> int:
@@ -63,84 +63,6 @@ def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
     if l == 1:
         return u.copy()
     return np.convolve(u, np.full(l, 1.0 / l), mode="valid")
-
-
-def hat_average(u, l: int, i: int) -> float:
-    """Triangular block average at 1-based site i, l <= i <= N-l+1."""
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    if not (l <= i <= n - l + 1):
-        raise ConfigurationError(f"i={i} outside the hat window [{l}, {n - l + 1}]")
-    return float(hat_profile(u, l)[i - l])
-
-
-def bar_average(u, l: int, i: int) -> float:
-    """Flat left-window mean at 1-based site i, l <= i <= N."""
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    if not (l <= i <= n):
-        raise ConfigurationError(f"i={i} outside the bar window [{l}, {n}]")
-    return float(bar_profile(u, l)[i - l])
-
-
-def etahat_identity_gap(u, l: int, i: int) -> float:
-    """|(hat_{l,i+1} - hat_{l,i}) - (bar_{l,i+l} - bar_{l,i})/l|, which is an
-    exact algebraic identity (zero up to rounding) for any sequence."""
-    lhs = hat_average(u, l, i + 1) - hat_average(u, l, i)
-    rhs = (bar_average(u, l, i + l) - bar_average(u, l, i)) / l
-    return abs(lhs - rhs)
-
-
-_FIELD_SELECTORS = ("r", "p", "Vp", "tau")
-
-
-def _field_values(state: ChainState, selector: str, model: ThermoModel) -> np.ndarray:
-    if selector == "r":
-        return state.r
-    if selector == "p":
-        return state.p
-    if selector == "Vp":
-        return model.dV(state.r)
-    if selector == "tau":
-        raise ConfigurationError("tau acts on hat-averaged strain, not site values")
-    raise ConfigurationError(f"unknown field selector {selector!r}; use {_FIELD_SELECTORS}")
-
-
-def _mean_square(d: np.ndarray, n: int) -> float:
-    return float(np.sum(d**2) / n)
-
-
-def one_block_statistic(state: ChainState, spec: BlockSpec, model: ThermoModel) -> float:
-    """(1/N) sum_i (hat V'_{l,i} - tau_beta(hat r_{l,i}))^2 over the window."""
-    vp_hat = hat_profile(model.dV(state.r), spec.l)
-    tau_hat = model.tau_of_rho(hat_profile(state.r, spec.l))
-    return _mean_square(vp_hat - tau_hat, spec.N)
-
-
-def _hat_of_selector(state, spec, selector, model):
-    if selector == "tau":
-        return np.asarray(model.tau_of_rho(hat_profile(state.r, spec.l)))
-    return hat_profile(_field_values(state, selector, model), spec.l)
-
-
-def two_block_statistic(
-    state: ChainState, spec: BlockSpec, selector: str, model: ThermoModel
-) -> float:
-    """(1/N) sum_i (zeta_hat_{l,i+1} - zeta_hat_{l,i})^2, i = l..N-l."""
-    zh = _hat_of_selector(state, spec, selector, model)
-    return _mean_square(np.diff(zh), spec.N)
-
-
-def hat_bar_gap_statistic(
-    state: ChainState, spec: BlockSpec, selector: str, model: ThermoModel
-) -> float:
-    """(1/N) sum_i (eta_hat_{l,i} - eta_bar_{l,i})^2 over the hat window."""
-    if selector == "tau":
-        raise ConfigurationError("hat/bar comparison applies to site fields r, p, Vp")
-    u = _field_values(state, selector, model)
-    hat = hat_profile(u, spec.l)
-    bar = bar_profile(u, spec.l)[: hat.size]
-    return _mean_square(hat - bar, spec.N)
 
 
 @dataclass
@@ -252,8 +174,16 @@ def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
 
 
 def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: ThermoModel):
-    """One row of the statistics CSV at a snapshot: the statistics above, with
-    V'(r), each hat profile and tau(hat r) computed once."""
+    """One row of the statistics CSV at a snapshot, in the columns of
+    STATISTICS_HEADER: t, N, l, sigma, then each statistic (1/N) sum_i d_i^2
+    over its window, for the differences d_i
+
+        one_block:         hat V'_{l,i} - tau(hat r_{l,i}),     i = l..N-l+1
+        two_block_<f>:     hat f_{l,i+1} - hat f_{l,i},         i = l..N-l
+        hat_bar_gap_<f>:   hat f_{l,i} - bar f_{l,i},           i = l..N-l+1
+
+    with f = r, p, Vp = V'(r) and, for two_block only, tau = tau(hat r).
+    V'(r), each hat profile and tau(hat r) are computed once."""
     l, n = spec.l, spec.N
     sites = {"r": state.r, "p": state.p, "Vp": model.dV(state.r)}
     hats = {key: hat_profile(u, l) for key, u in sites.items()}
@@ -261,7 +191,8 @@ def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: Ther
     one_block = hats["Vp"] - tau_hat
     two_block = [np.diff(zh) for zh in (*hats.values(), tau_hat)]
     hat_bar = [hats[key] - bar_profile(u, l)[: hats[key].size] for key, u in sites.items()]
-    return (state.t, n, l, sigma, *(_mean_square(d, n) for d in (one_block, *two_block, *hat_bar)))
+    diffs = (one_block, *two_block, *hat_bar)
+    return (state.t, n, l, sigma, *(float(np.sum(d**2) / n) for d in diffs))
 
 
 STATISTICS_HEADER = [
@@ -279,9 +210,3 @@ STATISTICS_HEADER = [
     "hat_bar_gap_Vp",
 ]
 
-
-def write_statistics_csv(path, snapshots, spec: BlockSpec, sigma: float, model: ThermoModel):
-    from .csvio import write_csv
-
-    rows = [statistics_row(s, spec, sigma, model) for s in snapshots]
-    write_csv(path, STATISTICS_HEADER, rows)

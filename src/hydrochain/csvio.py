@@ -36,10 +36,3 @@ def write_csv(path, header, rows) -> None:
 
     write_text(path, header, map(line, rows))
 
-
-def read_csv(path):
-    """Read back a CSV written by write_csv: (header, list of float rows)."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in f if line.strip()]
-    return header, rows

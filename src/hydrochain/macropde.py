@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .microchain import BlowUpError
-from .schedules import ConstantSchedule
+from .schedules import ConstantSchedule, checked_record_times
 from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
@@ -78,13 +78,7 @@ class MacroConfig:
         self.dt = self.t_end / self.n_steps
         if self.record_times is None:
             self.record_times = np.linspace(0.0, self.t_end, 200)
-        self.record_times = np.asarray(self.record_times, dtype=float)
-        if np.any(self.record_times < 0.0) or np.any(
-            self.record_times > self.t_end * (1.0 + 1e-9) + 1e-12
-        ):
-            raise ValueError("record_times must lie inside [0, t_end]")
-        if np.any(np.diff(self.record_times) < 0.0):
-            raise ValueError("record_times must be sorted")
+        self.record_times = checked_record_times(self.record_times, self.t_end)
 
     @property
     def x(self) -> np.ndarray:
@@ -96,9 +90,6 @@ class MacroState:
     r: np.ndarray
     p: np.ndarray
     t: float
-
-    def copy(self) -> "MacroState":
-        return MacroState(self.r.copy(), self.p.copy(), self.t)
 
 
 @dataclass
@@ -229,6 +220,8 @@ def advance(
             f"thermo model beta={model.beta} disagrees with config beta={config.beta}"
         )
     t_target = config.t_end if t_target is None else t_target
+    if not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target}")
     span = t_target - state.t
     if span < 0.0:
         raise ValueError(f"t_target={t_target} lies before the state's t={state.t}")
@@ -334,32 +327,9 @@ def clausius_gap(
     return float(traj.W_hist[-1] - df)
 
 
-def entropy_pair(model: ThermoModel):
-    """Mechanical Lax pair eta = p^2/2 + F(r), q = -p tau(r) and its partials."""
-
-    def eta(r, p):
-        return p**2 / 2.0 + np.asarray(model.free_energy_of_rho(r))
-
-    def q(r, p):
-        return -p * np.asarray(model.tau_of_rho(r))
-
-    def eta_r(r, p):
-        return np.asarray(model.tau_of_rho(r)) + 0.0 * np.asarray(p)
-
-    def eta_p(r, p):
-        return np.asarray(p) + 0.0 * np.asarray(r)
-
-    def q_r(r, p):
-        return -np.asarray(p) * np.asarray(model.tau_prime_of_rho(r))
-
-    def q_p(r, p):
-        return -np.asarray(model.tau_of_rho(r)) + 0.0 * np.asarray(p)
-
-    return {"eta": eta, "q": q, "eta_r": eta_r, "eta_p": eta_p, "q_r": q_r, "q_p": q_p}
-
-
 def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> float:
-    """int int (eta dphi/dt + q dphi/dx) dx dt over the recorded trajectory.
+    """int int (eta dphi/dt + q dphi/dx) dx dt over the recorded trajectory,
+    for the mechanical entropy pair eta = p^2/2 + F(r), q = -p tau(r).
 
     For vanishing-viscosity trajectories this is >= -O(delta) and strictly
     positive at entropy-producing shocks."""
@@ -367,10 +337,9 @@ def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> flo
         raise ValueError("test function time support exceeds the trajectory")
     if phi.x0 < 0.0 or phi.x1 > 1.0:
         raise ValueError("test function space support exceeds (0,1)")
-    pair = entropy_pair(model)
     t, x = traj.times[:, None], traj.config.x[None, :]
-    eta = pair["eta"](traj.r, traj.p)
-    qv = pair["q"](traj.r, traj.p)
+    eta = traj.p**2 / 2.0 + np.asarray(model.free_energy_of_rho(traj.r))
+    qv = -traj.p * np.asarray(model.tau_of_rho(traj.r))
     vals = np.mean(eta * phi.dt(t, x) + qv * phi.dx(t, x), axis=1)
     return float(np.trapezoid(vals, traj.times))
 

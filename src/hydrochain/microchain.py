@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
-from .schedules import ConstantSchedule
+from .schedules import ConstantSchedule, checked_record_times
 from .thermo import PotentialParams, ThermoModel, eval_potential
 
 log = logging.getLogger(__name__)
@@ -67,19 +67,21 @@ class ChainConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.sigma is None:
             self.sigma = float(default_sigma(self.N))
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.theta <= THETA_MAX):
             raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
         if self.dt is None:
             self.dt = self.theta / (self.N * self.sigma)
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.dt > THETA_MAX / (self.N * self.sigma) * (1.0 + 1e-12):
             raise ValueError(
                 f"dt={self.dt} violates the stability bound "
                 f"theta/(N sigma) with theta <= {THETA_MAX}"
             )
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.refine_level < 0:
             raise ValueError("refine_level must be >= 0")
         if self.sigma / self.N >= 1.0 or self.N / self.sigma**2 >= 1.0:
@@ -92,14 +94,8 @@ class ChainConfig:
         self.t_end_eff = self.n_coarse * self.dt
         if self.record_times is None:
             self.record_times = np.linspace(0.0, self.t_end_eff, 200)
-        self.record_times = np.asarray(self.record_times, dtype=float)
         t_max = max(self.t_end, self.t_end_eff)
-        if np.any(self.record_times < 0.0) or np.any(
-            self.record_times > t_max * (1.0 + 1e-9) + 1e-12
-        ):
-            raise ValueError("record_times must lie inside [0, t_end]")
-        if np.any(np.diff(self.record_times) < 0.0):
-            raise ValueError("record_times must be sorted")
+        self.record_times = checked_record_times(self.record_times, t_max)
 
     @property
     def dt_fine(self) -> float:
@@ -116,9 +112,6 @@ class ChainState:
     p: np.ndarray
     t: float
 
-    def copy(self) -> "ChainState":
-        return ChainState(self.r.copy(), self.p.copy(), self.t)
-
 
 @dataclass
 class Ledger:
@@ -134,9 +127,6 @@ class Ledger:
     @property
     def heat(self) -> float:
         return self.Q_p + self.Q_r + self.martingale_p + self.martingale_r
-
-    def residual(self, e0: float) -> float:
-        return self.E - e0 - self.W - self.heat
 
 
 @dataclass

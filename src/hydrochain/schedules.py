@@ -1,10 +1,24 @@
-"""Boundary tension schedules tau_bar(t), shared by the chain and the PDE."""
+"""Boundary tension schedules tau_bar(t) and the record-time check, shared by
+the chain and the PDE."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def checked_record_times(times, t_max: float) -> np.ndarray:
+    """times as a float array, checked to be finite, sorted and inside
+    [0, t_max] (up to rounding)."""
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"record_times must be finite, got {times[~np.isfinite(times)][0]}")
+    if np.any(times < 0.0) or np.any(times > t_max * (1.0 + 1e-9) + 1e-12):
+        raise ValueError("record_times must lie inside [0, t_end]")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("record_times must be sorted")
+    return times
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,8 @@ class ThermoModel:
     tension_of_strain, free_energy, internal_energy, sample_canonical) plus a
     lazily built, certified spline table for hot loops (tau_of_rho,
     tau_prime_of_rho, free_energy_of_rho, rho_of_tau, invert_tau_table).
+    The slope tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
+    derivative of the tau_of_rho spline.
     """
 
     def __init__(
@@ -257,13 +259,6 @@ class ThermoModel:
         tau = self.tension_of_strain(rho)
         return tau * rho - self.log_partition(tau) / self.beta
 
-    def tau_derivatives(self, rho: float, step: float = 1e-4) -> tuple[float, float]:
-        """(tau', tau'') at rho by central finite differences of the exact path."""
-        tm = self.tension_of_strain(rho - step)
-        t0 = self.tension_of_strain(rho)
-        tp = self.tension_of_strain(rho + step)
-        return (tp - tm) / (2.0 * step), (tp - 2.0 * t0 + tm) / step**2
-
     # -- sampling -------------------------------------------------------------
 
     def sample_canonical(self, pbar: float, tau: float, n: int, seed) -> GibbsSample:
@@ -392,26 +387,3 @@ class ThermoModel:
             live, f = live[moving], f[moving]
             rho[live] -= f / deriv(rho[live])
         return float(rho[0]) if tau.ndim == 0 else rho.reshape(tau.shape)
-
-    # -- export ------------------------------------------------------------------
-
-    def export_table(self, path, rho_grid) -> None:
-        """CSV with columns (rho, tau, F, U, tau_prime, tau_second)."""
-        from .csvio import write_csv
-
-        rows = []
-        for rho in np.asarray(rho_grid, dtype=float):
-            tau = self.tension_of_strain(float(rho))
-            tp, ts = self.tau_derivatives(float(rho))
-            rows.append(
-                (
-                    rho,
-                    tau,
-                    tau * rho - self.log_partition(tau) / self.beta,
-                    self.internal_energy(tau),
-                    tp,
-                    ts,
-                )
-            )
-        write_csv(path, ["rho", "tau", "F", "U", "tau_prime", "tau_second"], rows)
-

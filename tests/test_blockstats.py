@@ -1,5 +1,8 @@
 """Block-average tests: hand-computed kernel values, the exact hat/bar
-difference identity, statistic trivia and manufactured-solution residuals."""
+difference identity, statistic trivia and manufactured-solution residuals.
+
+The statistics are read from the columns of statistics_row, the one function
+that computes them."""
 
 import math
 
@@ -7,19 +10,16 @@ import numpy as np
 import pytest
 
 from hydrochain.blockstats import (
+    STATISTICS_HEADER,
     BlockSpec,
     ConfigurationError,
     EmpiricalField,
-    bar_average,
+    bar_profile,
     default_block_width,
     empirical_pairing,
-    etahat_identity_gap,
-    hat_average,
-    hat_bar_gap_statistic,
     hat_profile,
-    one_block_statistic,
+    statistics_row,
     triangular_kernel,
-    two_block_statistic,
     weak_residual,
 )
 from hydrochain.microchain import ChainState
@@ -37,6 +37,19 @@ def harmonic():
     return ThermoModel(beta=1.0, potential=PotentialParams(kappa=0.0, moll_width=0.1))
 
 
+def statistics(state, spec, model, sigma=1.0):
+    """statistics_row keyed by its column names."""
+    return dict(zip(STATISTICS_HEADER, statistics_row(state, spec, sigma, model)))
+
+
+def etahat_identity_gaps(u, l):
+    """|(hat_{l,i+1} - hat_{l,i}) - (bar_{l,i+l} - bar_{l,i})/l| for every
+    i = l..N-l, entry i - l: an exact algebraic identity (zero up to rounding)
+    for any sequence."""
+    hat, bar = hat_profile(u, l), bar_profile(u, l)
+    return np.abs(np.diff(hat) - (bar[l:] - bar[:-l]) / l)
+
+
 class TestKernels:
     @pytest.mark.parametrize("l", [1, 2, 3, 8, 21])
     def test_normalization(self, l):
@@ -45,33 +58,34 @@ class TestKernels:
     def test_hat_constant(self):
         u = np.full(30, 3.7)
         for l in (1, 2, 5):
-            assert hat_average(u, l, 10) == pytest.approx(3.7, abs=1e-13)
+            assert hat_profile(u, l)[10 - l] == pytest.approx(3.7, abs=1e-13)
 
     def test_hat_hand_value(self):
         u = np.arange(1.0, 11.0)  # u_j = j, 1-based
-        assert hat_average(u, 2, 3) == pytest.approx(3.0, abs=1e-14)
+        assert hat_profile(u, 2)[3 - 2] == pytest.approx(3.0, abs=1e-14)
 
     def test_hat_degenerate(self):
         u = np.array([5.0, -1.0, 2.0])
-        assert hat_average(u, 1, 2) == -1.0
+        assert hat_profile(u, 1)[2 - 1] == -1.0
 
     def test_bar_hand_value(self):
         u = np.arange(1.0, 11.0) ** 2  # u_j = j^2
-        assert bar_average(u, 2, 5) == pytest.approx(20.5, abs=1e-14)
+        assert bar_profile(u, 2)[5 - 2] == pytest.approx(20.5, abs=1e-14)
 
     def test_bar_degenerate_and_constant(self):
         u = np.full(12, -0.4)
-        assert bar_average(u, 1, 7) == pytest.approx(-0.4)
-        assert bar_average(u, 4, 12) == pytest.approx(-0.4, abs=1e-14)
+        assert bar_profile(u, 1)[7 - 1] == pytest.approx(-0.4)
+        assert bar_profile(u, 4)[12 - 4] == pytest.approx(-0.4, abs=1e-14)
 
     def test_window_validation(self):
+        # the widest windows N allows: 2l <= N for hat, l <= N for bar
         u = np.arange(10.0)
+        assert hat_profile(u, 5).size == 2
+        assert bar_profile(u, 10).size == 1
         with pytest.raises(ConfigurationError):
-            hat_average(u, 3, 2)
+            hat_profile(u, 6)
         with pytest.raises(ConfigurationError):
-            hat_average(u, 3, 9)
-        with pytest.raises(ConfigurationError):
-            bar_average(u, 4, 3)
+            bar_profile(u, 11)
 
     def test_default_width(self):
         assert default_block_width(512) == 64
@@ -82,23 +96,36 @@ class TestEtahatIdentity:
     def test_hand_value(self):
         u = np.arange(1.0, 11.0) ** 2
         # hat side: 16.5 - 9.5 = 7; bar side: (20.5 - 6.5)/2 = 7
-        assert hat_average(u, 2, 4) == pytest.approx(16.5)
-        assert hat_average(u, 2, 3) == pytest.approx(9.5)
-        assert bar_average(u, 2, 3) == pytest.approx(6.5)
-        assert etahat_identity_gap(u, 2, 3) == pytest.approx(0.0, abs=1e-13)
+        assert hat_profile(u, 2)[4 - 2] == pytest.approx(16.5)
+        assert hat_profile(u, 2)[3 - 2] == pytest.approx(9.5)
+        assert bar_profile(u, 2)[3 - 2] == pytest.approx(6.5)
+        assert etahat_identity_gaps(u, 2)[3 - 2] == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_exact(self):
         u = np.full(20, 2.5)
-        assert etahat_identity_gap(u, 4, 9) == 0.0
+        gaps = etahat_identity_gaps(u, 4)
+        assert gaps.size == 20 - 2 * 4 + 1
+        assert np.all(gaps == 0.0)
 
     def test_random_all_admissible(self):
         rng = np.random.default_rng(3)
         u = rng.normal(scale=10.0, size=40)
         scale = np.abs(u).max()
         for l in (2, 3, 5, 8):
-            for i in range(l, 40 - l + 1):
-                if i + l <= 40:
-                    assert etahat_identity_gap(u, l, i) <= 1e-12 * scale
+            gaps = etahat_identity_gaps(u, l)
+            assert gaps.size == 40 - 2 * l + 1
+            assert gaps.max() <= 1e-12 * scale
+
+
+class TestStatisticsRow:
+    def test_columns(self, model):
+        rng = np.random.default_rng(1)
+        st = ChainState(r=rng.normal(0.3, 1.0, 40), p=rng.normal(size=40), t=0.25)
+        row = statistics_row(st, BlockSpec(l=4, N=40), 7.0, model)
+        assert len(row) == len(STATISTICS_HEADER)
+        assert STATISTICS_HEADER[:4] == ["t", "N", "l", "sigma"]
+        assert row[:4] == (0.25, 40, 4, 7.0)
+        assert all(type(v) is float and v >= 0.0 for v in row[4:])
 
 
 class TestOneBlock:
@@ -106,7 +133,7 @@ class TestOneBlock:
         n, l, rho = 64, 4, 0.9
         st = ChainState(r=np.full(n, rho), p=np.zeros(n), t=0.0)
         expected = (model.dV(rho) - model.tension_of_strain(rho)) ** 2
-        got = one_block_statistic(st, BlockSpec(l=l, N=n), model)
+        got = statistics(st, BlockSpec(l=l, N=n), model)["one_block"]
         count = n - 2 * l + 2
         assert got == pytest.approx(count / n * expected, rel=1e-5)
         assert got > 0.0  # V' != tau pointwise for the asymmetric potential
@@ -114,29 +141,27 @@ class TestOneBlock:
     def test_harmonic_uniform_is_zero(self, harmonic):
         # kappa=0: V'(rho) = tau(rho) = rho, so the statistic vanishes
         st = ChainState(r=np.full(64, 0.9), p=np.zeros(64), t=0.0)
-        got = one_block_statistic(st, BlockSpec(l=4, N=64), harmonic)
+        got = statistics(st, BlockSpec(l=4, N=64), harmonic)["one_block"]
         assert got <= 1e-13
 
     def test_harmonic_any_state_near_zero(self, harmonic):
         rng = np.random.default_rng(5)
         st = ChainState(r=rng.normal(0.5, 1.0, 128), p=np.zeros(128), t=0.0)
-        got = one_block_statistic(st, BlockSpec(l=8, N=128), harmonic)
+        got = statistics(st, BlockSpec(l=8, N=128), harmonic)["one_block"]
         assert got <= 1e-12
 
 
 class TestTwoBlock:
     def test_constant_state(self, model):
         st = ChainState(r=np.full(50, 1.1), p=np.full(50, -0.3), t=0.0)
-        spec = BlockSpec(l=5, N=50)
+        got = statistics(st, BlockSpec(l=5, N=50), model)
         for sel in ("r", "p", "Vp", "tau"):
-            assert two_block_statistic(st, spec, sel, model) == pytest.approx(
-                0.0, abs=1e-16
-            )
+            assert got[f"two_block_{sel}"] == pytest.approx(0.0, abs=1e-16)
 
     def test_linear_profile_exact(self, model):
         n, l, a = 100, 8, 2.0
         st = ChainState(r=a * np.arange(1, n + 1) / n, p=np.zeros(n), t=0.0)
-        got = two_block_statistic(st, BlockSpec(l=l, N=n), "r", model)
+        got = statistics(st, BlockSpec(l=l, N=n), model)["two_block_r"]
         expected = (n - 2 * l + 1) * a**2 / n**3
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -144,30 +169,25 @@ class TestTwoBlock:
         rng = np.random.default_rng(8)
         p = rng.normal(size=80)
         spec = BlockSpec(l=6, N=80)
-        a = two_block_statistic(ChainState(np.zeros(80), p, 0.0), spec, "p", model)
-        b = two_block_statistic(ChainState(np.zeros(80), p + 5.0, 0.0), spec, "p", model)
+        a = statistics(ChainState(np.zeros(80), p, 0.0), spec, model)["two_block_p"]
+        b = statistics(ChainState(np.zeros(80), p + 5.0, 0.0), spec, model)["two_block_p"]
         assert a == pytest.approx(b, rel=1e-10)
 
 
 class TestHatBarGap:
     def test_constant_state(self, model):
         st = ChainState(r=np.full(40, 0.2), p=np.zeros(40), t=0.0)
-        assert hat_bar_gap_statistic(st, BlockSpec(l=4, N=40), "r", model) == pytest.approx(
-            0.0, abs=1e-16
-        )
+        got = statistics(st, BlockSpec(l=4, N=40), model)["hat_bar_gap_r"]
+        assert got == pytest.approx(0.0, abs=1e-16)
 
     def test_linear_sequence_closed_form(self, model):
-        # hat average of u_j = j is i; bar average is i - (l-1)/2
+        # hat average of u_j = j is i; bar average is i - (l-1)/2. The
+        # sequence is the momentum: as a strain, j = 60 is off the thermo table
         n, l = 60, 5
-        st = ChainState(r=np.arange(1.0, n + 1), p=np.zeros(n), t=0.0)
-        got = hat_bar_gap_statistic(st, BlockSpec(l=l, N=n), "r", model)
+        st = ChainState(r=np.zeros(n), p=np.arange(1.0, n + 1), t=0.0)
+        got = statistics(st, BlockSpec(l=l, N=n), model)["hat_bar_gap_p"]
         expected = (n - 2 * l + 2) * ((l - 1) / 2.0) ** 2 / n
         assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_tau_selector_rejected(self, model):
-        st = ChainState(r=np.zeros(40), p=np.zeros(40), t=0.0)
-        with pytest.raises(ConfigurationError):
-            hat_bar_gap_statistic(st, BlockSpec(l=4, N=40), "tau", model)
 
 
 class TestEmpiricalField:

@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 
-from hydrochain.csvio import read_csv, write_csv
+from hydrochain.csvio import write_csv
 from hydrochain.microchain import ChainState, write_snapshot_csv
+
+
+def read_back(path):
+    """(header, float rows) of a written CSV."""
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), [[float(tok) for tok in line.split(",")] for line in lines]
 
 
 def test_write_csv_mixed_row(tmp_path):
@@ -15,7 +21,7 @@ def test_write_csv_mixed_row(tmp_path):
     assert path.read_text() == (
         "a,b,c,d,e,f,g,h\n1,3,-7,0.10000000000000001,0.33333333333333331,-0,1e-300,2.5e-3\n"
     )
-    header, rows = read_csv(path)
+    header, rows = read_back(path)
     assert header == list("abcdefgh")
     assert rows == [[1.0, 3.0, -7.0, 0.1, 1 / 3, 0.0, 1e-300, 2.5e-3]]
     assert math.copysign(1.0, rows[0][5]) == -1.0
@@ -37,7 +43,7 @@ def test_write_snapshot_csv(tmp_path):
         "0.10000000000000001,2,10000000000000000,0\n"
         "0.10000000000000001,3,-7,-0.66666666666666663\n"
     )
-    header, rows = read_csv(path)
+    header, rows = read_back(path)
     assert header == ["t", "i", "r", "p"]
     expected = [[s.t, i + 1, s.r[i], s.p[i]] for s in snaps for i in range(3)]
     assert rows == expected

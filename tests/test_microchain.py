@@ -52,6 +52,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="record_times"):
             ChainConfig(N=64, t_end=0.1, record_times=np.array([0.0, 0.2]))
 
+    def test_nonfinite_record_times_rejected(self):
+        # NaN compares false with every bound, so unchecked it silently drops
+        # the records after it
+        for times in ([0.0, math.nan, 0.01], [math.nan, 0.0, 0.01], [math.inf]):
+            with pytest.raises(ValueError, match="record_times must be finite"):
+                ChainConfig(N=32, t_end=0.01, record_times=np.array(times))
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("t_end", math.nan), ("t_end", math.inf), ("sigma", math.nan), ("sigma", math.inf),
+         ("dt", math.nan)],
+    )
+    def test_nonfinite_input_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ChainConfig(**{"N": 64, "t_end": 0.1, name: bad})
+
     def test_scaling_warning(self):
         with pytest.warns(UserWarning, match="hydrodynamic"):
             ChainConfig(N=8, sigma=16.0, t_end=0.01)

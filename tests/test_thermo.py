@@ -211,7 +211,7 @@ class TestTensionOfStrain:
 
     def test_slope_bounds_spot(self, anharmonic):
         for rho in np.arange(-4.0, 4.0 + 1e-9, 1.0):
-            tp, _ = anharmonic.tau_derivatives(float(rho))
+            tp = anharmonic.tau_prime_of_rho(rho)
             assert 0.75 - 1e-6 <= tp <= 1.0 + 1e-6
 
 
@@ -390,6 +390,16 @@ class TestTable:
                 1.0 / (anharmonic.beta * var), abs=1e-9
             )
 
+    def test_table_conjugacy_by_finite_differences(self, anharmonic):
+        # on the table, dF/drho = tau and dtau/drho = tau'
+        F, tau = anharmonic.free_energy_of_rho, anharmonic.tau_of_rho
+        eps = 1e-5
+        for r in (0.3, -1.2):
+            fd_f = (F(r + eps) - F(r - eps)) / (2 * eps)
+            fd_tau = (tau(r + eps) - tau(r - eps)) / (2 * eps)
+            assert float(fd_f) == pytest.approx(float(tau(r)), abs=1e-6)
+            assert float(fd_tau) == pytest.approx(float(anharmonic.tau_prime_of_rho(r)), abs=1e-6)
+
     @pytest.mark.parametrize(
         "lookup, key",
         [
@@ -408,14 +418,3 @@ class TestTable:
         for off in (lo - 1e-9, hi + 1e-9, -20.0, 20.0, math.nan, np.array([0.0, hi + 0.5])):
             with pytest.raises(ValueError, match="outside the thermo table"):
                 f(off)
-
-
-def test_export_table(tmp_path, anharmonic):
-    path = tmp_path / "thermo.csv"
-    anharmonic.export_table(path, np.linspace(-1, 1, 5))
-    from hydrochain.csvio import read_csv
-
-    header, rows = read_csv(path)
-    assert header == ["rho", "tau", "F", "U", "tau_prime", "tau_second"]
-    assert len(rows) == 5
-    assert rows[2][1] == pytest.approx(anharmonic.tension_of_strain(0.0), abs=1e-10)
