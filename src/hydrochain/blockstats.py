@@ -7,6 +7,7 @@ site i = l, so the average at site i is entry i - l.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,20 @@ class BlockSpec:
             )
 
 
-def triangular_kernel(l: int) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _kernels(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(triangular, flat) weights for window l, built once per l; they are
+    shared, so read-only."""
     j = np.arange(-(l - 1), l)
-    return (l - np.abs(j)) / l**2
+    kernels = ((l - np.abs(j)) / l**2, np.full(l, 1.0 / l))
+    for kernel in kernels:
+        kernel.flags.writeable = False
+    return kernels
+
+
+def triangular_kernel(l: int) -> np.ndarray:
+    """Weights (l - |j|)/l^2 for |j| < l; read-only (see _kernels)."""
+    return _kernels(l)[0]
 
 
 def hat_profile(u: np.ndarray, l: int) -> np.ndarray:
@@ -62,7 +74,7 @@ def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
         raise ConfigurationError(f"l={l} too large for N={u.size}")
     if l == 1:
         return u.copy()
-    return np.convolve(u, np.full(l, 1.0 / l), mode="valid")
+    return np.convolve(u, _kernels(l)[1], mode="valid")
 
 
 @dataclass
@@ -183,16 +195,18 @@ def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: Ther
         hat_bar_gap_<f>:   hat f_{l,i} - bar f_{l,i},           i = l..N-l+1
 
     with f = r, p, Vp = V'(r) and, for two_block only, tau = tau(hat r).
-    V'(r), each hat profile and tau(hat r) are computed once."""
+    V'(r), each hat profile and tau(hat r) are computed once; the differences
+    are stacked by window length, so two reductions give all eight sums."""
     l, n = spec.l, spec.N
-    sites = {"r": state.r, "p": state.p, "Vp": model.dV(state.r)}
-    hats = {key: hat_profile(u, l) for key, u in sites.items()}
-    tau_hat = np.asarray(model.tau_of_rho(hats["r"]))
-    one_block = hats["Vp"] - tau_hat
-    two_block = [np.diff(zh) for zh in (*hats.values(), tau_hat)]
-    hat_bar = [hats[key] - bar_profile(u, l)[: hats[key].size] for key, u in sites.items()]
-    diffs = (one_block, *two_block, *hat_bar)
-    return (state.t, n, l, sigma, *(float(np.sum(d**2) / n) for d in diffs))
+    sites = (state.r, state.p, model.dV(state.r))
+    hats = [hat_profile(u, l) for u in sites]
+    hats = np.array(hats + [model.tau_of_rho(hats[0])])  # rows r, p, Vp, tau
+    bars = [zh - bar_profile(u, l)[: zh.size] for zh, u in zip(hats, sites)]
+    one_block_and_bars = np.array([hats[2] - hats[3], *bars])
+    two_block = hats[:, 1:] - hats[:, :-1]
+    sums = [np.sum(d * d, axis=1) / n for d in (one_block_and_bars, two_block)]
+    one_block, *hat_bar = sums[0].tolist()
+    return (state.t, n, l, sigma, one_block, *sums[1].tolist(), *hat_bar)
 
 
 STATISTICS_HEADER = [

@@ -52,6 +52,8 @@ class MacroConfig:
     record_times: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.M, (int, np.integer)):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
         if self.M < 8:
             raise ValueError(f"need at least 8 cells, got M={self.M}")
         for name in ("delta1", "delta2", "t_end", "beta"):
@@ -219,6 +221,8 @@ def advance(
         raise ValueError(
             f"thermo model beta={model.beta} disagrees with config beta={config.beta}"
         )
+    if not math.isfinite(state.t):
+        raise ValueError(f"state t must be finite, got {state.t}")
     t_target = config.t_end if t_target is None else t_target
     if not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite, got {t_target}")

@@ -13,14 +13,15 @@ remainder. The first-law residual is then exactly the energy the explicit
 Hamiltonian leg fails to conserve, which vanishes linearly in dt.
 
 The step exists once, as the numpy function _chain_step: it computes the
-three legs over all sites and returns the new state with the step's ledger
-increments. run_trajectory loops over it; step and accumulate_ledger are thin
-wrappers around it.
+three legs over all sites in place and returns the new state with the step's
+ledger increments and (V, V', V'') there. run_trajectory loops over it, with
+the noise couplings of a whole BridgedNoise chunk built in one operation and
+(V, V', V'') carried to the next step and to the record's energy; step and
+accumulate_ledger are thin wrappers around it.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import warnings
@@ -61,6 +62,8 @@ class ChainConfig:
     refine_level: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 2:
             raise ValueError(f"need N >= 2 particles, got {self.N}")
         if self.beta <= 0.0 or not math.isfinite(self.beta):
@@ -183,52 +186,66 @@ def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
     return gp[:-1], ga[1:], lap_a, lap_p
 
 
-def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential, derivs=None):
+def _couplings(dw, dwt, config: ChainConfig):
+    """The noise-coupling kicks c (w_i - w_{i-1}), with w_0 = w_N = 0, that
+    _chain_step subtracts from p and from r: for one step's increments
+    (dw, dwt), or row by row for a whole chunk of them."""
+    coeff = math.sqrt(2.0 * config.N * config.sigma / config.beta)
+    kicks = []
+    for w in map(np.asarray, (dw, dwt)):
+        g = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+        g[..., :-1] = w
+        g[..., 1:] -= w
+        g *= coeff
+        kicks.append(g)
+    return kicks
+
+
+def _chain_step(r, p, couplings, tau_bar: float, config: ChainConfig, potential, pot=None):
     """One Euler-Maruyama step of size config.dt_fine from (r, p).
 
     The displacement is taken in three legs: Hamiltonian drift, noise drift
-    and noise coupling, whose increments couple neighbouring sites as
-    c (w_{i-1} - w_i) with w_0 = w_N = 0, so they telescope exactly. Returns
-    (r_new, p_new, incr), where incr holds the step's ledger increments
-    [W, Q_p, Q_r, M_p, M_r]: W = tau_bar * Delta(mean strain), and the Q/M
-    columns are the exact energy changes along the two noise legs, with the
-    quadratic-variation counterterms shifted into Q_p/Q_r. incr is NaN when
+    and noise coupling; couplings is the pair (kick_p, kick_r) of _couplings,
+    which telescope exactly. Returns (r_new, p_new, incr, pot_new), where
+    incr holds the step's ledger increments [W, Q_p, Q_r, M_p, M_r]:
+    W = tau_bar * Delta(mean strain), and the Q/M columns are the exact
+    energy changes along the two noise legs, with the quadratic-variation
+    counterterms shifted into Q_p/Q_r. incr is NaN, and pot_new None, when
     the new state is not finite; the caller raises.
 
-    derivs is (V'(r), V''(r)), or None to evaluate them here; the fourth
-    return value is the same pair at the new state, taken from the V call on
-    the stacked legs, so passing it on changes no bit of the next step.
+    pot is (V, V', V'') at r, or None to evaluate it here; pot_new is the same
+    triple at the new state, taken from the V call on the stacked legs, so
+    passing it on changes no bit of the next step.
     """
     n, sigma, beta = config.N, config.sigma, config.beta
     dt = config.dt_fine
     ndt = n * dt
     nsdt = n * sigma * dt
-    coeff = math.sqrt(2.0 * n * sigma / beta)
-    if derivs is None:
+    if pot is None:
         if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
             return r, p, np.full(5, np.nan), None
-        _, a, d2 = eval_potential(potential, r)
-    else:  # r is a previous step's finite new state
-        a, d2 = derivs
+        pot = eval_potential(potential, r)
+    _, a, d2 = pot
     dp_left, da_right, lap_a, lap_p = _gradients(a, p, tau_bar)
-    dw, dwt = increments
+    kick_p, kick_r = couplings
     # rows: the state after each leg, so one call evaluates V on all three
     rl = np.empty((3, n))
     pl = np.empty((3, n))
-    rl[0] = r + ndt * dp_left
-    rl[1] = rl[0] + nsdt * lap_a
-    rl[2] = rl[1] - coeff * _differences(np.asarray(dwt), 0.0, 0.0)
-    pl[0] = p + ndt * da_right
-    pl[1] = pl[0] + nsdt * lap_p
-    pl[2] = pl[1] - coeff * _differences(np.asarray(dw), 0.0, 0.0)
-    dr_tot = float(np.sum(rl[2] - r))
+    (r1, r2, r3), (p1, p2, p3) = rl, pl
+    np.add(r, np.multiply(ndt, dp_left, out=r1), out=r1)
+    np.add(r1, np.multiply(nsdt, lap_a, out=r2), out=r2)
+    np.subtract(r2, kick_r, out=r3)
+    np.add(p, np.multiply(ndt, da_right, out=p1), out=p1)
+    np.add(p1, np.multiply(nsdt, lap_p, out=p2), out=p2)
+    np.subtract(p2, kick_p, out=p3)
+    dr_tot = float((rl[2] - r).sum())
     if not math.isfinite(dr_tot):  # some leg is not finite
         return rl[2], pl[2], np.full(5, np.nan), None
     v, d1l, d2l = eval_potential(potential, rl)
     v1, v2, v3 = v.sum(axis=1)
     k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
     ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
-    ct_r = sigma * dt * (2.0 * np.sum(d2) - d2[0] - d2[-1]) / (beta * n)
+    ct_r = sigma * dt * (2.0 * d2.sum() - d2[0] - d2[-1]) / (beta * n)
     incr = np.array(
         [
             tau_bar * dr_tot / n,
@@ -238,14 +255,19 @@ def _chain_step(r, p, increments, tau_bar: float, config: ChainConfig, potential
             (v3 - v2) / n - ct_r,
         ]
     )
-    return rl[2], pl[2], incr, (d1l[2], d2l[2])
+    return rl[2], pl[2], incr, (v[2], d1l[2], d2l[2])
 
 
 # -- public operations ---------------------------------------------------------
 
 
+def _energy(p: np.ndarray, v: np.ndarray) -> float:
+    """Energy per particle from the momenta and the spring energies V(r)."""
+    return float(np.mean(p**2) / 2.0 + np.mean(v))
+
+
 def energy_per_particle(state: ChainState, model: ThermoModel) -> float:
-    return float(np.mean(state.p**2) / 2.0 + np.mean(model.V(state.r)))
+    return _energy(state.p, model.V(state.r))
 
 
 def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> ChainState:
@@ -278,7 +300,8 @@ def step(
     """One Euler-Maruyama step of size config.dt_fine."""
     if tau_bar is None:
         tau_bar = float(config.tension_schedule(state.t))
-    r, p, incr, _ = _chain_step(state.r, state.p, increments, tau_bar, config, model.potential)
+    couplings = _couplings(*increments, config)
+    r, p, incr, _ = _chain_step(state.r, state.p, couplings, tau_bar, config, model.potential)
     t2 = state.t + config.dt_fine
     if not np.isfinite(incr).all():
         raise BlowUpError(f"non-finite state after step at t={t2:.6g}")
@@ -295,9 +318,9 @@ def accumulate_ledger(
 ) -> Ledger:
     """Ledger increments for one step (see _chain_step), with E the energy
     per particle of state_after."""
-    _, _, incr, _ = _chain_step(
-        state_before.r, state_before.p, increments, tau_bar, config, model.potential
-    )
+    r, p = state_before.r, state_before.p
+    couplings = _couplings(*increments, config)
+    _, _, incr, _ = _chain_step(r, p, couplings, tau_bar, config, model.potential)
     w, q_p, q_r, m_p, m_r = (float(x) for x in incr)
     return Ledger(
         E=energy_per_particle(state_after, model),
@@ -321,7 +344,9 @@ def run_trajectory(
 
     The run starts at the state's t = t0, and step k ends at t0 + k dt_fine:
     snapshot and ledger times and the tension schedule use that time, while
-    record_times and n_steps count from the start of the run."""
+    record_times and n_steps count from the start of the run. A non-finite t0
+    raises ValueError, and so does a non-finite tension, before the chunk of
+    steps that would read it."""
     if model is None:
         model = ThermoModel(beta=config.beta, potential=PotentialParams())
     if abs(model.beta - config.beta) > 1e-12:
@@ -335,21 +360,23 @@ def run_trajectory(
         config, tau0, model
     )
     r, p, t0 = state.r, state.p, state.t
-    derivs = None
+    if not math.isfinite(t0):
+        raise ValueError(f"state t must be finite, got {t0}")
+    pot = None  # (V, V', V'') at r, carried from one step to the next
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     acc = np.zeros(5)
     rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record
     snapshots = []
 
-    def record(k: int):
+    def record(k: int, v: np.ndarray):
         st = ChainState(r=r.copy(), p=p.copy(), t=t0 + k * dt)
         snapshots.append(st)
-        rows.append((st.t, energy_per_particle(st, model), *acc.tolist()))
+        rows.append((st.t, _energy(p, v), *acc.tolist()))
 
     rec_idx = 0
     while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
-        record(0)
+        record(0, model.V(r))
         rec_idx += 1
 
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
@@ -360,16 +387,20 @@ def run_trajectory(
         taubars = np.broadcast_to(
             np.asarray(config.tension_schedule(times), dtype=float), times.shape
         )
-        for dw, dwt, taub in zip(dw_chunk, dwt_chunk, taubars.tolist()):
-            r, p, incr, derivs = _chain_step(
-                r, p, (dw, dwt), taub, config, model.potential, derivs
+        if not np.isfinite(taubars).all():
+            i = int(np.argmin(np.isfinite(taubars)))
+            raise ValueError(f"non-finite boundary tension {taubars[i]} for step {k + i + 1}")
+        kicks_p, kicks_r = _couplings(dw_chunk, dwt_chunk, config)
+        for kick_p, kick_r, taub in zip(kicks_p, kicks_r, taubars.tolist()):
+            r, p, incr, pot = _chain_step(
+                r, p, (kick_p, kick_r), taub, config, model.potential, pot
             )
             k += 1
             if not np.isfinite(incr).all():
                 raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
             acc += incr
             while rec_idx < len(rec_steps) and rec_steps[rec_idx] == k:
-                record(k)
+                record(k, pot[0])
                 rec_idx += 1
         log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
 
@@ -381,12 +412,15 @@ def write_snapshot_csv(path, snapshots) -> None:
     """Long-format (t, i, r, p) dump of the recorded states."""
     from .csvio import write_text
 
+    templates = {}  # per N: the rows with the site index baked in, "T" for t
+
     def blocks():
         for st in snapshots:
             n = st.r.size
-            line = "%.17g" % st.t + ",%d,%.17g,%.17g\n"  # t formatted once per snapshot
-            rows = zip(range(1, n + 1), st.r.tolist(), st.p.tolist())
-            yield (line * n) % tuple(itertools.chain.from_iterable(rows))
+            if n not in templates:
+                templates[n] = "".join("T,%d,%%.17g,%%.17g\n" % i for i in range(1, n + 1))
+            values = np.column_stack((st.r, st.p)).ravel().tolist()
+            yield templates[n].replace("T", "%.17g" % st.t) % tuple(values)
 
     write_text(path, ["t", "i", "r", "p"], blocks())
 

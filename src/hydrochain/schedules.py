@@ -3,6 +3,7 @@ the chain and the PDE."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,17 @@ def checked_record_times(times, t_max: float) -> np.ndarray:
     return times
 
 
+def _check_finite(schedule) -> None:
+    """A NaN parameter would pass the range checks and reshape the schedule."""
+    for name, value in vars(schedule).items():
+        if not math.isfinite(value):
+            raise ValueError(f"tension schedule parameter {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ConstantSchedule:
+    """tau_bar(t) = tau0, checked where it is read, as any schedule's tension."""
+
     tau0: float = 0.0
 
     def __call__(self, t):
@@ -45,6 +55,7 @@ class RampSchedule:
     t1: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.t1 <= 0.0:
             raise ValueError(f"ramp duration must be positive, got {self.t1}")
 
@@ -64,6 +75,9 @@ class StepSchedule:
     tau0: float = 0.0
     tau1: float = 0.5
     t_step: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def __call__(self, t):
         val = np.where(np.asarray(t, dtype=float) < self.t_step, self.tau0, self.tau1)

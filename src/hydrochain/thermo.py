@@ -70,21 +70,45 @@ def eval_potential(params: PotentialParams, r):
     compression quadratic to the bit; for r >= h, V' = r and V'' = 1 up to
     rounding, and V carries the constant kappa*h^2/10 (antiderivative
     continuity).
+
+    The arithmetic follows the operation order of the formulas above, in
+    place on a few buffers for an array r; a scalar r runs the same
+    statements on numpy scalars, where the in-place operators rebind.
     """
     r = np.asarray(r, dtype=float)
     if not np.isfinite(r).all():
         raise ValueError("potential evaluated at non-finite strain")
+    r = r[()]  # a numpy scalar when r is 0-d
     k, h = params.kappa, params.moll_width
     c1 = 1.0 - k
-    y = np.clip(r / h, -1.0, 1.0) + 1.0
+    y = np.minimum(np.maximum(r / h, -1.0), 1.0)
+    y += 1.0
     ext = np.maximum(r - h, 0.0)
     power = y * y
-    d2 = c1 + (0.25 * k) * (power * (3.0 - y))
-    power *= y  # y^3, in place: quadrature grids make these arrays large
-    d1 = c1 * r + k * ((h / 16.0) * (power * (4.0 - y)) + ext)
-    v = (0.5 * c1) * (r * r) + k * (
-        (h * h / 80.0) * (power * y * (5.0 - y)) + ext * (h + 0.5 * ext)
-    )
+    d2 = 3.0 - y
+    d2 *= power
+    d2 *= 0.25 * k
+    d2 += c1
+    power *= y  # y^3
+    scratch = 4.0 - y
+    scratch *= power
+    scratch *= h / 16.0
+    scratch += ext
+    scratch *= k
+    d1 = r * c1
+    d1 += scratch
+    power *= y  # y^4
+    scratch = 5.0 - y
+    scratch *= power
+    scratch *= h * h / 80.0
+    y = ext * 0.5
+    y += h
+    y *= ext
+    scratch += y
+    scratch *= k
+    v = r * r
+    v *= 0.5 * c1
+    v += scratch
     if v.ndim == 0:
         return float(v), float(d1), float(d2)
     return v, d1, d2

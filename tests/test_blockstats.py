@@ -55,6 +55,21 @@ class TestKernels:
     def test_normalization(self, l):
         assert triangular_kernel(l).sum() == pytest.approx(1.0, abs=1e-14)
 
+    def test_cached_kernels_are_read_only(self):
+        # the kernels are built once per l and shared, so a caller's write
+        # must raise rather than change every later block average
+        u = np.random.default_rng(3).normal(size=40)
+        hat, bar = hat_profile(u, 5), bar_profile(u, 5)
+        kernel = triangular_kernel(5)
+        assert triangular_kernel(5) is kernel
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            kernel *= 2.0
+        assert np.array_equal(kernel, [1, 2, 3, 4, 5, 4, 3, 2, 1] / np.float64(25))
+        assert np.array_equal(hat_profile(u, 5), hat)
+        assert np.array_equal(bar_profile(u, 5), bar)
+
     def test_hat_constant(self):
         u = np.full(30, 3.7)
         for l in (1, 2, 5):

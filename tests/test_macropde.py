@@ -46,6 +46,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
 
+    def test_non_integral_m_rejected(self):
+        # M = 16.5 used to give 17 cells with dx = 1/16.5
+        for bad in (16.5, 16.0):
+            with pytest.raises(ValueError, match="M must be an integer"):
+                MacroConfig(M=bad)
+        for good in (16, np.int64(16), np.int32(16)):
+            cfg = MacroConfig(M=good)
+            assert cfg.x.size == 16 and cfg.dx == 1.0 / 16
+
     @pytest.mark.parametrize("name", ["delta1", "delta2", "t_end"])
     def test_nonfinite_input_rejected(self, name):
         for bad in (math.nan, math.inf):
@@ -219,6 +228,17 @@ class TestAdvance:
         cfg = MacroConfig(M=16, t_end=0.1)
         with pytest.raises(ValueError, match="t_target must be finite"):
             advance(uniform_state(cfg, 0.2), cfg, model, t_target=t_target)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_start_time_rejected(self, model, t):
+        cfg = MacroConfig(M=16, t_end=0.1)
+        with pytest.raises(ValueError, match="state t must be finite"):
+            advance(self.state_at(cfg, t), cfg, model)
+
+    def test_nonfinite_tension_named(self, model):
+        cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=ConstantSchedule(math.nan))
+        with pytest.raises(ValueError, match="tau = nan"):
+            advance(uniform_state(cfg, 0.2), cfg, model)
 
     def test_record_time_before_state_rejected(self, model):
         cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.05, 0.3]))

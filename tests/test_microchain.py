@@ -15,6 +15,7 @@ from hydrochain.microchain import (
     accumulate_ledger,
     draw_increments,
     drift,
+    energy_per_particle,
     make_initial_state,
     run_trajectory,
     step,
@@ -71,6 +72,13 @@ class TestConfig:
     def test_scaling_warning(self):
         with pytest.warns(UserWarning, match="hydrodynamic"):
             ChainConfig(N=8, sigma=16.0, t_end=0.01)
+
+    def test_non_integral_n_rejected(self):
+        for bad in (32.5, 32.0, "32"):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                ChainConfig(N=bad, t_end=0.01)
+        for good in (32, np.int64(32), np.int32(32)):
+            assert ChainConfig(N=good, t_end=0.01).n_steps == ChainConfig(N=32, t_end=0.01).n_steps
 
 
 class TestInitialState:
@@ -260,6 +268,27 @@ class TestStep:
         assert np.array_equal(a.ledger.Q_r, b.ledger.Q_r)
         assert a.ledger.W[-1] != 0.0
 
+    def test_nonfinite_start_time_rejected(self, model):
+        cfg = ChainConfig(N=16, t_end=0.01, seed=1)
+        st = make_initial_state(cfg, 0.0, model)
+        for bad in (math.nan, math.inf):
+            st.t = bad
+            with pytest.raises(ValueError, match="state t must be finite"):
+                run_trajectory(cfg, 0.0, model, initial_state=st)
+
+    def test_nonfinite_tension_rejected_before_step_one(self, model):
+        # named as the tension, not a blow-up of the state it produces
+        for tau in (math.nan, math.inf):
+            cfg = ChainConfig(N=16, t_end=0.01, seed=1, tension_schedule=ConstantSchedule(tau))
+            with pytest.raises(ValueError, match=f"boundary tension {tau} for step 1$"):
+                run_trajectory(cfg, 0.0, model)
+        # a tension that turns non-finite later is named at its own step
+        cfg = ChainConfig(N=16, t_end=0.01, seed=1, tension_schedule=lambda t: np.where(
+            np.asarray(t) < 0.005, 0.1, np.nan))
+        step_1 = int(np.ceil(0.005 / cfg.dt)) + 1
+        with pytest.raises(ValueError, match=f"boundary tension nan for step {step_1}$"):
+            run_trajectory(cfg, 0.0, model)
+
     def test_run_from_zero_times_are_step_multiples(self, model):
         cfg = ChainConfig(N=32, t_end=0.01, seed=5, record_times=np.array([0.0, 0.004, 0.01]))
         res = run_trajectory(cfg, 0.0, model)
@@ -268,6 +297,24 @@ class TestStep:
 
 
 class TestLedger:
+    def test_recorded_energy_is_snapshot_energy(self, model):
+        # a record reads E from the V that the step carries, not from a
+        # second potential call; both must give the same bits
+        t_end = 30 * 0.1 / (32 * 14)
+        cfg = ChainConfig(
+            N=32,
+            t_end=t_end,
+            seed=13,
+            refine_level=1,
+            tension_schedule=RampSchedule(0.0, 0.5, t1=t_end),
+            record_times=np.linspace(0.0, t_end, 7),
+        )
+        res = run_trajectory(cfg, 0.0, model)
+        assert len(res.snapshots) == 7
+        energies = [energy_per_particle(snap, model) for snap in res.snapshots]
+        assert res.ledger.E.tolist() == energies
+        assert len(set(energies)) == 7
+
     def test_frozen_chain_net_zero(self, model):
         # zero increments at the drift fixed point: no energy, work or heat
         # moves; the QV counterterm only shifts between Q and M columns

@@ -145,6 +145,17 @@ class TestPotentialProperties:
         out = eval_potential(params, np.array([r, r]))
         assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in out)
 
+    @prop_settings
+    @given(params_st, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40))
+    def test_scalar_equals_array_call(self, params, rs):
+        # the scalar call must give the array call's bits, element for element,
+        # on a band-resolving grid around the mollifier as well as at the draws
+        h = params.moll_width
+        r = np.concatenate((rs, np.linspace(-1.5 * h, 1.5 * h, 61)))
+        arrays = eval_potential(params, r.reshape(-1, 1))
+        for i, x in enumerate(r.tolist()):
+            assert eval_potential(params, x) == tuple(a[i, 0] for a in arrays)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
