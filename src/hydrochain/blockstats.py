@@ -33,6 +33,10 @@ class BlockSpec:
     N: int
 
     def __post_init__(self):
+        for name in ("l", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.l <= self.N):
             raise ConfigurationError(f"need 1 <= l <= N, got l={self.l}, N={self.N}")
         if 2 * self.l > self.N:

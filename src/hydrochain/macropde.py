@@ -7,9 +7,10 @@
 Collocated uniform grid with two ghost cells on each side for the boundary
 conditions, fourth-order central first derivatives for the advective terms,
 three-point Laplacians for the viscous ones, and SSP-RK3 (Shu-Osher) time
-stepping; smooth inviscid solutions converge at fourth order in space. The
-solver accumulates the free energy, boundary work and dissipation every step
-so the energy balance
+stepping at the fixed Courant number _CFL = 0.4 of both the advective and the
+diffusive bound; smooth inviscid solutions converge at fourth order in space.
+The inverse temperature beta is the ThermoModel's. The solver accumulates the
+free energy, boundary work and dissipation every step so the energy balance
 
     F(t) - F(0) = W(t) - D(t)
 
@@ -39,15 +40,21 @@ from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
 
+# advective bound with max wave speed sqrt(c2) = 1: the fourth-order stencil's
+# eigenvalues reach 1.372 i/dx, and SSP-RK3 is stable on the imaginary axis up
+# to sqrt(3), so any Courant number < 1 is inside; the diffusive bound uses the
+# larger of delta1 c2 and delta2
+_CFL = 0.4
+# ||p||_2 above which clausius_gap warns that the final state has not relaxed
+_STATIONARITY_TOL = 1e-3
+
 
 @dataclass
 class MacroConfig:
     M: int = 400
     delta1: float = 1e-3
     delta2: float = 1e-3
-    beta: float = 1.0
     tension_schedule: object = field(default_factory=ConstantSchedule)
-    cfl: float = 0.4
     t_end: float = 1.0
     record_times: np.ndarray | None = None
 
@@ -56,26 +63,18 @@ class MacroConfig:
             raise ValueError(f"M must be an integer, got {self.M!r}")
         if self.M < 8:
             raise ValueError(f"need at least 8 cells, got M={self.M}")
-        for name in ("delta1", "delta2", "t_end", "beta"):
+        for name in ("delta1", "delta2", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta1 < 0.0 or self.delta2 < 0.0:
             raise ValueError("viscosities must be nonnegative")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (0.0 < self.cfl < 1.0):
-            raise ValueError(f"cfl must lie in (0,1), got {self.cfl}")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
         self.dx = 1.0 / self.M
-        # advective bound with max wave speed sqrt(c2) = 1: the fourth-order
-        # stencil's eigenvalues reach 1.372 i/dx, and SSP-RK3 is stable on the
-        # imaginary axis up to sqrt(3), so any cfl < 1 is inside; diffusive
-        # bound with the larger of delta1 c2 and delta2
         adv = self.dx
         dif_coeff = max(self.delta1 * 1.0, self.delta2)
         dif = self.dx**2 / (2.0 * dif_coeff) if dif_coeff > 0.0 else math.inf
-        dt_stable = self.cfl * min(adv, dif)
+        dt_stable = _CFL * min(adv, dif)
         self.n_steps = max(1, int(math.ceil(self.t_end / dt_stable - 1e-12)))
         self.dt = self.t_end / self.n_steps
         if self.record_times is None:
@@ -215,12 +214,7 @@ def advance(
     one call to model.invert_tau_table on all those tensions, so a tension
     outside the thermo table raises ValueError before the first step. tau(r)
     is evaluated once per step-end state, on its ghost-padded array, and
-    serves both the balance rates and the next step's first stage.
-    model.beta must equal config.beta."""
-    if abs(model.beta - config.beta) > 1e-12:
-        raise ValueError(
-            f"thermo model beta={model.beta} disagrees with config beta={config.beta}"
-        )
+    serves both the balance rates and the next step's first stage."""
     if not math.isfinite(state.t):
         raise ValueError(f"state t must be finite, got {state.t}")
     t_target = config.t_end if t_target is None else t_target
@@ -309,19 +303,13 @@ def work_and_dissipation(traj: MacroTrajectory):
     return traj.W_hist, traj.D_hist, residual
 
 
-def clausius_gap(
-    traj: MacroTrajectory,
-    model: ThermoModel,
-    tau0: float,
-    tau1: float,
-    stationarity_tol: float = 1e-3,
-) -> float:
+def clausius_gap(traj: MacroTrajectory, model: ThermoModel, tau0: float, tau1: float) -> float:
     """W - (F(beta, rho(tau1)) - F(beta, rho(tau0))) at the end of the run.
 
     Nonnegative up to discretization error; equals the accumulated
     dissipation once the final state has relaxed."""
     p_norm = math.sqrt(float(np.mean(traj.p[-1] ** 2)))
-    if p_norm > stationarity_tol:
+    if p_norm > _STATIONARITY_TOL:
         warnings.warn(
             f"final state not stationary: ||p||_2 = {p_norm:.3g}", stacklevel=2
         )

@@ -2,6 +2,10 @@
 
 Integrates the coupled SDEs for (r_1..r_N, p_1..p_N) with the wall convention
 p_0 = 0 by Euler-Maruyama, and keeps the trajectory energy/work/heat ledger.
+The inverse temperature beta and the potential V come from the ThermoModel
+every chain function takes; ChainConfig holds the chain's size, noise and
+schedule, and its one step parameter theta: the coarse step is
+dt = theta / (N sigma), with theta <= THETA_MAX.
 
 Ledger convention: within each step the displacement splits into Hamiltonian
 drift, noise drift and noise coupling; the heat columns are the exact kinetic
@@ -31,7 +35,7 @@ import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import ConstantSchedule, checked_record_times
-from .thermo import PotentialParams, ThermoModel, eval_potential
+from .thermo import ThermoModel, eval_potential
 
 log = logging.getLogger(__name__)
 
@@ -51,11 +55,10 @@ def default_sigma(n: int) -> int:
 @dataclass
 class ChainConfig:
     N: int
-    beta: float = 1.0
     tension_schedule: object = field(default_factory=ConstantSchedule)
     sigma: float | None = None
     theta: float = 0.1
-    dt: float | None = None  # coarse step; defaults to theta / (N sigma)
+    dt: float = field(init=False)  # coarse step theta / (N sigma)
     t_end: float = 1.0
     seed: int = 0
     record_times: np.ndarray | None = None
@@ -66,25 +69,17 @@ class ChainConfig:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 2:
             raise ValueError(f"need N >= 2 particles, got {self.N}")
-        if self.beta <= 0.0 or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be positive, got {self.beta}")
         if self.sigma is None:
             self.sigma = float(default_sigma(self.N))
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.theta <= THETA_MAX):
             raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
-        if self.dt is None:
-            self.dt = self.theta / (self.N * self.sigma)
-        for name in ("dt", "t_end"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.dt > THETA_MAX / (self.N * self.sigma) * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={self.dt} violates the stability bound "
-                f"theta/(N sigma) with theta <= {THETA_MAX}"
-            )
+        self.dt = self.theta / (self.N * self.sigma)
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not isinstance(self.refine_level, (int, np.integer)):
+            raise ValueError(f"refine_level must be an integer, got {self.refine_level!r}")
         if self.refine_level < 0:
             raise ValueError("refine_level must be >= 0")
         if self.sigma / self.N >= 1.0 or self.N / self.sigma**2 >= 1.0:
@@ -186,11 +181,11 @@ def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
     return gp[:-1], ga[1:], lap_a, lap_p
 
 
-def _couplings(dw, dwt, config: ChainConfig):
+def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     """The noise-coupling kicks c (w_i - w_{i-1}), with w_0 = w_N = 0, that
     _chain_step subtracts from p and from r: for one step's increments
     (dw, dwt), or row by row for a whole chunk of them."""
-    coeff = math.sqrt(2.0 * config.N * config.sigma / config.beta)
+    coeff = math.sqrt(2.0 * config.N * config.sigma / model.beta)
     kicks = []
     for w in map(np.asarray, (dw, dwt)):
         g = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
@@ -201,7 +196,9 @@ def _couplings(dw, dwt, config: ChainConfig):
     return kicks
 
 
-def _chain_step(r, p, couplings, tau_bar: float, config: ChainConfig, potential, pot=None):
+def _chain_step(
+    r, p, couplings, tau_bar: float, config: ChainConfig, model: ThermoModel, pot=None
+):
     """One Euler-Maruyama step of size config.dt_fine from (r, p).
 
     The displacement is taken in three legs: Hamiltonian drift, noise drift
@@ -217,14 +214,14 @@ def _chain_step(r, p, couplings, tau_bar: float, config: ChainConfig, potential,
     triple at the new state, taken from the V call on the stacked legs, so
     passing it on changes no bit of the next step.
     """
-    n, sigma, beta = config.N, config.sigma, config.beta
+    n, sigma, beta = config.N, config.sigma, model.beta
     dt = config.dt_fine
     ndt = n * dt
     nsdt = n * sigma * dt
     if pot is None:
         if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
             return r, p, np.full(5, np.nan), None
-        pot = eval_potential(potential, r)
+        pot = eval_potential(model.potential, r)
     _, a, d2 = pot
     dp_left, da_right, lap_a, lap_p = _gradients(a, p, tau_bar)
     kick_p, kick_r = couplings
@@ -241,7 +238,7 @@ def _chain_step(r, p, couplings, tau_bar: float, config: ChainConfig, potential,
     dr_tot = float((rl[2] - r).sum())
     if not math.isfinite(dr_tot):  # some leg is not finite
         return rl[2], pl[2], np.full(5, np.nan), None
-    v, d1l, d2l = eval_potential(potential, rl)
+    v, d1l, d2l = eval_potential(model.potential, rl)
     v1, v2, v3 = v.sum(axis=1)
     k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
     ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
@@ -295,13 +292,14 @@ def step(
     config: ChainConfig,
     increments,
     model: ThermoModel,
-    tau_bar: float | None = None,
+    tau_bar: float,
 ) -> ChainState:
-    """One Euler-Maruyama step of size config.dt_fine."""
-    if tau_bar is None:
-        tau_bar = float(config.tension_schedule(state.t))
-    couplings = _couplings(*increments, config)
-    r, p, incr, _ = _chain_step(state.r, state.p, couplings, tau_bar, config, model.potential)
+    """One Euler-Maruyama step of size config.dt_fine under the boundary
+    tension tau_bar; a non-finite tau_bar raises ValueError."""
+    if not math.isfinite(tau_bar):
+        raise ValueError(f"non-finite boundary tension {tau_bar} for the step at t={state.t:.6g}")
+    couplings = _couplings(*increments, config, model)
+    r, p, incr, _ = _chain_step(state.r, state.p, couplings, tau_bar, config, model)
     t2 = state.t + config.dt_fine
     if not np.isfinite(incr).all():
         raise BlowUpError(f"non-finite state after step at t={t2:.6g}")
@@ -319,8 +317,8 @@ def accumulate_ledger(
     """Ledger increments for one step (see _chain_step), with E the energy
     per particle of state_after."""
     r, p = state_before.r, state_before.p
-    couplings = _couplings(*increments, config)
-    _, _, incr, _ = _chain_step(r, p, couplings, tau_bar, config, model.potential)
+    couplings = _couplings(*increments, config, model)
+    _, _, incr, _ = _chain_step(r, p, couplings, tau_bar, config, model)
     w, q_p, q_r, m_p, m_r = (float(x) for x in incr)
     return Ledger(
         E=energy_per_particle(state_after, model),
@@ -335,7 +333,7 @@ def accumulate_ledger(
 def run_trajectory(
     config: ChainConfig,
     tau0: float,
-    model: ThermoModel | None = None,
+    model: ThermoModel,
     initial_state: ChainState | None = None,
 ) -> TrajectoryResult:
     """Integrate config.n_steps steps from the Gibbs initial state (or
@@ -347,10 +345,6 @@ def run_trajectory(
     record_times and n_steps count from the start of the run. A non-finite t0
     raises ValueError, and so does a non-finite tension, before the chunk of
     steps that would read it."""
-    if model is None:
-        model = ThermoModel(beta=config.beta, potential=PotentialParams())
-    if abs(model.beta - config.beta) > 1e-12:
-        raise ValueError("thermo model beta disagrees with chain config")
     n = config.N
     dt = config.dt_fine
     n_steps = config.n_steps
@@ -390,10 +384,10 @@ def run_trajectory(
         if not np.isfinite(taubars).all():
             i = int(np.argmin(np.isfinite(taubars)))
             raise ValueError(f"non-finite boundary tension {taubars[i]} for step {k + i + 1}")
-        kicks_p, kicks_r = _couplings(dw_chunk, dwt_chunk, config)
+        kicks_p, kicks_r = _couplings(dw_chunk, dwt_chunk, config, model)
         for kick_p, kick_r, taub in zip(kicks_p, kicks_r, taubars.tolist()):
             r, p, incr, pot = _chain_step(
-                r, p, (kick_p, kick_r), taub, config, model.potential, pot
+                r, p, (kick_p, kick_r), taub, config, model, pot
             )
             k += 1
             if not np.isfinite(incr).all():

@@ -41,7 +41,6 @@ class SpaceTimeTestFunction:
     x0: float
     x1: float
     mode: int = 0
-    name: str = ""
 
     def __post_init__(self):
         if not (self.t0 < self.t1 and self.x0 < self.x1):
@@ -83,10 +82,11 @@ class SpaceTimeTestFunction:
         return _value(_bump(self._ut(t)) * self._space_d(x))
 
 
-def default_test_functions(t_end: float, x_lo: float = 0.2, x_hi: float = 0.8):
-    """Small built-in family used by the weak-residual reports."""
+def default_test_functions(t_end: float):
+    """Small built-in family used by the weak-residual reports: the bump and
+    its first two sine modes on (0.2, 0.8)."""
     return [
-        SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, x_lo, x_hi, mode=0, name="bump"),
-        SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, x_lo, x_hi, mode=1, name="sin1"),
-        SpaceTimeTestFunction(0.10 * t_end, 0.90 * t_end, x_lo, x_hi, mode=2, name="sin2"),
+        SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, 0.2, 0.8, mode=0),
+        SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, 0.2, 0.8, mode=1),
+        SpaceTimeTestFunction(0.10 * t_end, 0.90 * t_end, 0.2, 0.8, mode=2),
     ]

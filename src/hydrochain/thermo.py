@@ -22,6 +22,9 @@ from scipy.optimize import brentq
 
 
 _QUAD_TOL = 1e-30
+_STRAIN_TOL = 1e-12  # |rho(tau) - rho| at which tension_of_strain stops
+_TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
+_TABLE_NODES = 3600
 
 
 class ThermoError(RuntimeError):
@@ -240,7 +243,7 @@ class ThermoModel:
         """U(beta, tau) = 1/(2 beta) + E[V(r)] (kinetic part exact)."""
         return 0.5 / self.beta + float(self._moments(tau)[3][0])
 
-    def tension_of_strain(self, rho: float, tol: float = 1e-12) -> float:
+    def tension_of_strain(self, rho: float) -> float:
         """Invert rho(tau) = rho by safeguarded Newton with bisection fallback.
 
         The slope d rho/d tau = beta Var(r) lies in [1/c2, 1/c1], so a bracket
@@ -259,7 +262,7 @@ class ThermoModel:
         for it in range(200):
             _, rh, var, _ = self._moments(tau)
             f = float(rh[0]) - rho
-            if abs(f) <= tol:
+            if abs(f) <= _STRAIN_TOL:
                 return float(tau)
             if f > 0.0:
                 hi, fhi = tau, f
@@ -317,14 +320,17 @@ class ThermoModel:
 
     # -- tabulated fast path ----------------------------------------------------
 
-    def _build_table(self, rho_min=-10.0, rho_max=10.0, n_nodes=3600):
-        """Splines of tau(rho), rho(tau) and F(rho) on nodes uniform in tau, from
-        the exact tension of rho_min to that of rho_max. One batched quadrature
+    def _build_table(self):
+        """Splines of tau(rho), rho(tau) and F(rho) on _TABLE_NODES nodes uniform
+        in tau, from the exact tension of _TABLE_RHO_MIN to that of
+        _TABLE_RHO_MAX. One batched quadrature
         gives (G, rho) at every node; the slope bounds keep the strain spacing
         within c2/c1 of uniform. Certified against exact values midway between
         nodes and against the slope bounds."""
         taus = np.linspace(
-            self.tension_of_strain(rho_min), self.tension_of_strain(rho_max), n_nodes
+            self.tension_of_strain(_TABLE_RHO_MIN),
+            self.tension_of_strain(_TABLE_RHO_MAX),
+            _TABLE_NODES,
         )
         g, rho, _, _ = self._moments(taus)
         if np.any(np.diff(rho) <= 0.0):

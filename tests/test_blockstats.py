@@ -102,6 +102,14 @@ class TestKernels:
         with pytest.raises(ConfigurationError):
             bar_profile(u, 11)
 
+    def test_block_spec_sizes_must_be_integers(self):
+        # l = 2.5 used to pass, and EmpiricalField.from_state then raised a
+        # bare TypeError from the kernel build
+        for name, bad in (("l", 2.5), ("l", 2.0), ("N", 32.0), ("N", "32")):
+            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+                BlockSpec(**{"l": 2, "N": 32, name: bad})
+        assert BlockSpec(np.int64(2), np.int32(32)) == BlockSpec(2, 32)
+
     def test_default_width(self):
         assert default_block_width(512) == 64
         assert default_block_width(128) == 26

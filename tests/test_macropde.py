@@ -42,8 +42,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MacroConfig(delta1=-1.0)
         with pytest.raises(ValueError):
-            MacroConfig(cfl=1.5)
-        with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
 
     def test_non_integral_m_rejected(self):
@@ -61,14 +59,6 @@ class TestConfig:
             with pytest.raises(ValueError, match=name):
                 MacroConfig(**{name: bad})
 
-    def test_beta_validated(self, model):
-        for bad in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="beta"):
-                MacroConfig(beta=bad)
-        cfg = MacroConfig(M=16, t_end=0.1, beta=2.0)
-        with pytest.raises(ValueError, match="beta"):
-            advance(uniform_state(cfg, 0.0), cfg, model)
-
     def test_unsorted_record_times_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             MacroConfig(t_end=0.3, record_times=np.array([0.3, 0.2]))
@@ -79,9 +69,9 @@ class TestConfig:
                 MacroConfig(M=16, t_end=0.1, record_times=np.array(times))
 
     def test_dt_respects_both_bounds(self):
-        cfg = MacroConfig(M=100, delta1=0.0, delta2=0.0, cfl=0.4, t_end=1.0)
+        cfg = MacroConfig(M=100, delta1=0.0, delta2=0.0, t_end=1.0)
         assert cfg.dt <= 0.4 * cfg.dx * (1 + 1e-12)
-        cfg2 = MacroConfig(M=100, delta1=0.05, delta2=0.05, cfl=0.4, t_end=1.0)
+        cfg2 = MacroConfig(M=100, delta1=0.05, delta2=0.05, t_end=1.0)
         assert cfg2.dt <= 0.4 * cfg2.dx**2 / (2 * 0.05) * (1 + 1e-12)
 
 

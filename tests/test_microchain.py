@@ -46,8 +46,24 @@ class TestConfig:
         assert ChainConfig(N=512, t_end=0.1).sigma == 108.0
 
     def test_stability_bound_enforced(self):
-        with pytest.raises(ValueError, match="stability"):
-            ChainConfig(N=128, t_end=0.1, dt=1.0)
+        with pytest.raises(ValueError, match="theta"):
+            ChainConfig(N=128, t_end=0.1, theta=1.0)
+
+    def test_theta_validated(self):
+        for bad in (0.0, -0.1, 0.3, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                ChainConfig(N=32, t_end=0.01, theta=bad)
+        cfg = ChainConfig(N=32, t_end=0.01, theta=microchain.THETA_MAX)
+        assert cfg.dt == microchain.THETA_MAX / (32 * cfg.sigma)
+
+    def test_non_integral_refine_level_rejected(self):
+        # refine_level = 1.5 used to give n_steps = 11.31 and a bare TypeError
+        # from run_trajectory
+        for bad in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="refine_level must be an integer"):
+                ChainConfig(N=32, t_end=0.001, refine_level=bad)
+        for good in (1, np.int64(1)):
+            assert ChainConfig(N=32, t_end=0.001, refine_level=good).n_steps == 8
 
     def test_record_times_outside_range(self):
         with pytest.raises(ValueError, match="record_times"):
@@ -62,8 +78,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name, bad",
-        [("t_end", math.nan), ("t_end", math.inf), ("sigma", math.nan), ("sigma", math.inf),
-         ("dt", math.nan)],
+        [("t_end", math.nan), ("t_end", math.inf), ("sigma", math.nan), ("sigma", math.inf)],
     )
     def test_nonfinite_input_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -288,6 +303,17 @@ class TestStep:
         step_1 = int(np.ceil(0.005 / cfg.dt)) + 1
         with pytest.raises(ValueError, match=f"boundary tension nan for step {step_1}$"):
             run_trajectory(cfg, 0.0, model)
+
+    def test_step_names_nonfinite_tension(self, model):
+        # a non-finite tension used to surface as "non-finite state after step"
+        cfg = ChainConfig(N=16, t_end=0.01)
+        st, _ = fixed_point_state(model, 16)
+        zero = (np.zeros(15), np.zeros(15))
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"non-finite boundary tension {tau}"):
+                step(st, cfg, zero, model, tau_bar=tau)
+        with pytest.raises(TypeError):  # no schedule lookup: the tension is required
+            step(st, cfg, zero, model)
 
     def test_run_from_zero_times_are_step_multiples(self, model):
         cfg = ChainConfig(N=32, t_end=0.01, seed=5, record_times=np.array([0.0, 0.004, 0.01]))

@@ -187,6 +187,12 @@ class TestLogPartition:
                 simpson_oracle(anharmonic, tau, "G"), abs=1e-8
             )
 
+    def test_beta_validated(self):
+        # the one beta check: chain and PDE read beta from the model
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                ThermoModel(beta=bad)
+
 
 class TestMeanStrain:
     def test_harmonic_identity(self, harmonic):
