@@ -19,9 +19,10 @@ Hamiltonian leg fails to conserve, which vanishes linearly in dt.
 The step exists once, as the numpy function _chain_step: it computes the
 three legs over all sites in place and returns the new state with the step's
 ledger increments and (V, V', V'') there. run_trajectory loops over it, with
-the noise couplings of a whole BridgedNoise chunk built in one operation and
-(V, V', V'') carried to the next step and to the record's energy; step and
-accumulate_ledger are thin wrappers around it.
+the noise couplings of a whole BridgedNoise chunk (at most _CHUNK_BYTES of
+increments) built in one operation and (V, V', V'') carried to the next step
+and to the record's energy; step and accumulate_ledger are thin wrappers
+around it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ log = logging.getLogger(__name__)
 
 THETA_MAX = 0.25
 _CHUNK_COARSE = 1024
+_CHUNK_BYTES = 8 << 20  # bound on one chunk's (dw, dwt) increments
 
 
 class BlowUpError(RuntimeError):
@@ -75,17 +77,25 @@ class ChainConfig:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.theta <= THETA_MAX):
             raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
-        self.dt = self.theta / (self.N * self.sigma)
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        self.dt = self.theta / (self.N * self.sigma)
+        # an extreme sigma under- or overflows dt, or the step count t_end / dt
+        if not (0.0 < self.dt < math.inf and self.t_end / self.dt < math.inf):
+            raise ValueError(
+                f"sigma={self.sigma} gives the step dt = theta/(N sigma) = {self.dt}; "
+                "dt and the step count t_end/dt must be positive and finite"
+            )
         if not isinstance(self.refine_level, (int, np.integer)):
             raise ValueError(f"refine_level must be an integer, got {self.refine_level!r}")
         if self.refine_level < 0:
             raise ValueError("refine_level must be >= 0")
-        if self.sigma / self.N >= 1.0 or self.N / self.sigma**2 >= 1.0:
+        # N / sigma / sigma, not N / sigma**2: sigma**2 over- or underflows
+        if self.sigma / self.N >= 1.0 or self.N / self.sigma / self.sigma >= 1.0:
             warnings.warn(
                 f"noise scaling far from the hydrodynamic regime: "
-                f"sigma/N={self.sigma / self.N:.3g}, N/sigma^2={self.N / self.sigma**2:.3g}",
+                f"sigma/N={self.sigma / self.N:.3g}, "
+                f"N/sigma^2={self.N / self.sigma / self.sigma:.3g}",
                 stacklevel=2,
             )
         self.n_coarse = max(1, int(round(self.t_end / self.dt)))
@@ -330,6 +340,14 @@ def accumulate_ledger(
     )
 
 
+def _chunk_rows(n: int, level: int) -> int:
+    """Coarse rows per noise chunk: at most _CHUNK_COARSE, and few enough that
+    the chunk's 2**level fine rows of (dw, dwt) over n - 1 bonds fit in
+    _CHUNK_BYTES; at least one."""
+    row_bytes = 2**level * 2 * (n - 1) * 8
+    return max(1, min(_CHUNK_COARSE, _CHUNK_BYTES // row_bytes))
+
+
 def run_trajectory(
     config: ChainConfig,
     tau0: float,
@@ -374,9 +392,10 @@ def run_trajectory(
         rec_idx += 1
 
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
+    chunk = _chunk_rows(n, config.refine_level)
     k = 0
-    for c0 in range(0, config.n_coarse, _CHUNK_COARSE):
-        dw_chunk, dwt_chunk = noise.next_chunk(min(_CHUNK_COARSE, config.n_coarse - c0))
+    for c0 in range(0, config.n_coarse, chunk):
+        dw_chunk, dwt_chunk = noise.next_chunk(min(chunk, config.n_coarse - c0))
         times = t0 + (k + np.arange(dw_chunk.shape[0])) * dt
         taubars = np.broadcast_to(
             np.asarray(config.tension_schedule(times), dtype=float), times.shape

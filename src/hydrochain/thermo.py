@@ -4,7 +4,10 @@ pair (strain <-> tension), free/internal energy and canonical sampling.
 Every other module gets its equilibrium quantities from here. All quadratures
 run over fixed Gauss-Legendre panels split at the mollification band edges, so
 evaluation errors vary smoothly with the arguments and finite differences of
-tabulated values stay meaningful down to ~1e-12.
+tabulated values stay meaningful down to ~1e-12. A batch of tensions is
+integrated in blocks of _BLOCK, so a panel's arrays stay cache-sized, and each
+panel forms its weighted integrand once for all four moments; every tension's
+sums run along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
 needs no inversion; tension_of_strain is the one inversion of rho(tau). Table
@@ -25,6 +28,7 @@ _QUAD_TOL = 1e-30
 _STRAIN_TOL = 1e-12  # |rho(tau) - rho| at which tension_of_strain stops
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
 _TABLE_NODES = 3600
+_BLOCK = 256  # tensions per quadrature block: a (256, n_quad) panel stays in cache
 
 
 class ThermoError(RuntimeError):
@@ -144,6 +148,8 @@ class ThermoModel:
     ):
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"beta must be positive, got {beta}")
+        if not (isinstance(n_quad, (int, np.integer)) and n_quad >= 2):
+            raise ValueError(f"n_quad must be an integer >= 2, got {n_quad!r}")
         self.beta = float(beta)
         self.potential = potential if potential is not None else PotentialParams()
         self.c1 = self.potential.c1
@@ -189,19 +195,46 @@ class ThermoModel:
             return float(tau)
         return brentq(lambda r: self.dV(r) - tau, -h, h, xtol=1e-15, rtol=8.9e-16)
 
+    def _argmax_exponents(self, taus: np.ndarray) -> np.ndarray:
+        """_argmax_exponent of each entry of a 1-d taus, to the bit: the closed
+        forms off the band as array operations, brentq only inside it."""
+        k, h = self.potential.kappa, self.potential.moll_width
+        rstar = taus / (1.0 - k)
+        ext = taus >= h
+        rstar[ext] = taus[ext]
+        for i in np.flatnonzero(~ext & (taus > -(1.0 - k) * h)):
+            rstar[i] = self._argmax_exponent(taus[i])
+        return rstar
+
     def _moments(self, tau_values):
         """Batched canonical moments at each tau.
 
         Returns arrays (G, rho, var, EV): log partition, mean strain, strain
         variance and mean potential energy under exp(-beta V + beta tau r).
+        The quadrature runs over blocks of _BLOCK tensions, so its panels stay
+        cache-sized however many tensions are asked for; each tension's sums
+        are the same whatever block holds it.
         """
         taus = np.atleast_1d(np.asarray(tau_values, dtype=float))
         if not np.all(np.isfinite(taus)):
             raise ValueError("non-finite tension in quadrature")
+        blocks = [
+            self._moments_block(taus[i : i + _BLOCK]) for i in range(0, taus.size, _BLOCK)
+        ]
+        return tuple(np.concatenate(cols) for cols in zip(*blocks))
+
+    def _moments_block(self, taus: np.ndarray):
+        """_moments on one block of finite tensions.
+
+        Each window [r* - w, r* + w] is split at the band edges into three
+        Gauss-Legendre panels. A panel forms the weighted integrand
+        fw = f (half w_i) once: z = sum fw, the strain moments share the
+        product fw r (m1 = sum fw r, m2 = sum (fw r) r), and mv = sum fw v.
+        """
         beta = self.beta
         h = self.potential.moll_width
         w = self._halfwidth
-        rstar = np.array([self._argmax_exponent(t) for t in taus])
+        rstar = self._argmax_exponents(taus)
         vstar = self.V(rstar)
 
         lo = rstar - w
@@ -218,11 +251,12 @@ class ThermoModel:
             r = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
             v, _, _ = eval_potential(self.potential, r)
             f = np.exp(beta * (taus[:, None] * (r - rstar[:, None]) - v + vstar[:, None]))
-            wts = half[:, None] * self._gl_weights[None, :]
-            z += np.sum(f * wts, axis=1)
-            m1 += np.sum(f * wts * r, axis=1)
-            m2 += np.sum(f * wts * r * r, axis=1)
-            mv += np.sum(f * wts * v, axis=1)
+            fw = f * (half[:, None] * self._gl_weights[None, :])
+            fwr = fw * r
+            z += np.sum(fw, axis=1)
+            m1 += np.sum(fwr, axis=1)
+            m2 += np.sum(fwr * r, axis=1)
+            mv += np.sum(fw * v, axis=1)
         if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
             raise ThermoError(f"quadrature non-convergence at tau={taus}, Z={z}")
         g = beta * (taus * rstar - vstar) + np.log(z)
@@ -293,10 +327,14 @@ class ThermoModel:
 
         Momenta are exactly Gaussian(pbar, 1/beta). Strains come from rejection
         against the Gaussian envelope N(r*, 1/(beta c1)), valid because
-        V'' >= c1 makes the target log-concave under that envelope.
+        V'' >= c1 makes the target log-concave under that envelope. A tension
+        so large that the acceptance ratio overflows raises ThermoError.
         """
         if n < 1:
             raise ValueError(f"need n >= 1 samples, got {n}")
+        for name, value in (("pbar", pbar), ("tau", tau)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         beta = self.beta
         p = pbar + rng.standard_normal(n) / math.sqrt(beta)
@@ -312,6 +350,10 @@ class ThermoModel:
             log_acc = beta * (
                 tau * (cand - rstar) - v + vstar + self.c1 * (cand - rstar) ** 2 / 2.0
             )
+            if not np.isfinite(log_acc).all():
+                raise ThermoError(
+                    f"canonical sampler at tau={tau}: the acceptance ratio is not finite"
+                )
             keep = cand[np.log(rng.random(m)) < log_acc]
             take = min(keep.size, n - filled)
             out[filled : filled + take] = keep[:take]

@@ -88,6 +88,15 @@ class TestConfig:
         with pytest.warns(UserWarning, match="hydrodynamic"):
             ChainConfig(N=8, sigma=16.0, t_end=0.01)
 
+    def test_extreme_sigma_named(self):
+        # sigma**2 overflows at 1e308 and underflows at 1e-300, and at 1e308
+        # dt = theta/(N sigma) underflows to 0
+        with pytest.raises(ValueError, match="sigma"):
+            ChainConfig(N=32, sigma=1e308, t_end=0.01)
+        with pytest.warns(UserWarning, match="hydrodynamic"):
+            cfg = ChainConfig(N=32, sigma=1e-300, t_end=0.01)
+        assert cfg.n_coarse == 1 and math.isfinite(cfg.dt)
+
     def test_non_integral_n_rejected(self):
         for bad in (32.5, 32.0, "32"):
             with pytest.raises(ValueError, match="N must be an integer"):
@@ -227,6 +236,37 @@ class TestStep:
             assert np.array_equal(state.r, first_state.r)
             assert np.array_equal(state.p, first_state.p)
             assert np.array_equal(row, first_row)
+
+    def test_chunk_byte_bound_changes_no_bit(self, model, monkeypatch):
+        # a byte budget below one coarse row forces 1-row noise chunks
+        t_end = 20 * 0.1 / (32 * 14)
+        cfg = ChainConfig(
+            N=32,
+            t_end=t_end,
+            seed=31,
+            refine_level=2,
+            tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
+            record_times=np.linspace(0.0, t_end, 6),
+        )
+        runs = []
+        for budget in (microchain._CHUNK_BYTES, 1):
+            monkeypatch.setattr(microchain, "_CHUNK_BYTES", budget)
+            runs.append(run_trajectory(cfg, 0.1, model))
+        assert microchain._chunk_rows(32, 2) == 1
+        a, b = runs
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
+        for col in ("E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
+            assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
+
+    def test_chunk_rows_bounded_by_bytes(self):
+        # N = 16384 at level 2: a coarse row is 4 fine rows of (dw, dwt) over
+        # 16383 bonds, about 1 MiB, so 8 rows fit, not _CHUNK_COARSE
+        rows = microchain._chunk_rows(16384, 2)
+        assert rows == 8
+        assert rows * 4 * 2 * 16383 * 8 <= microchain._CHUNK_BYTES
+        # small chains keep the row cap
+        assert microchain._chunk_rows(32, 0) == microchain._CHUNK_COARSE
 
     def test_carried_derivatives_change_no_bit(self, model):
         # run_trajectory passes V', V'' from one step to the next; step and

@@ -3,6 +3,7 @@ quadrature oracle for the anharmonic case, and the convexity/conjugacy
 invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from hydrochain import GibbsSample, PotentialParams, ThermoError, ThermoModel, eval_potential
+from hydrochain import thermo
 
 
 def simpson_oracle(model, tau, what="G"):
@@ -287,6 +289,62 @@ class TestInternalEnergy:
         )
 
 
+def band_spanning_tensions(model):
+    """Tensions across the table range, dense in and around the band, with
+    the band edges of the maximiser and their neighbours."""
+    k, h = model.potential.kappa, model.potential.moll_width
+    edges = np.array([h, -h, -(1.0 - k) * h, 0.0, -0.0])
+    return np.concatenate(
+        (
+            np.linspace(-9.0, 9.0, 241),
+            np.linspace(-2.0 * h, 2.0 * h, 61),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+        )
+    )
+
+
+class TestQuadratureBlocks:
+    @pytest.fixture(
+        scope="class",
+        params=[{}, {"beta": 2.0, "potential": PotentialParams(kappa=0.0)}],
+        ids=["default", "beta2-harmonic"],
+    )
+    def blocked(self, request):
+        model = ThermoModel(**request.param)
+        return model, band_spanning_tensions(model)
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_block_size_changes_no_bit(self, blocked, block, monkeypatch):
+        # each tension's sums run over its own row, whatever block holds it
+        model, taus = blocked
+        assert taus.size > thermo._BLOCK
+        reference = model._moments(taus)
+        monkeypatch.setattr(thermo, "_BLOCK", block)
+        for got, want in zip(model._moments(taus), reference):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.0])
+    def test_array_maximiser_is_the_scalar_one(self, kappa):
+        model = ThermoModel(potential=PotentialParams(kappa=kappa))
+        taus = band_spanning_tensions(model)
+        got = model._argmax_exponents(taus)
+        want = np.array([model._argmax_exponent(t) for t in taus])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_table_build_traced_peak(self):
+        # whole (3600, n_quad) panels would take about 27 MiB, 256-tension blocks about 2
+        model = ThermoModel()
+        tracemalloc.start()
+        try:
+            model.table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
 class TestSampler:
     def test_tension_moment(self, anharmonic):
         s = anharmonic.sample_canonical(0.0, 0.5, 10**6, seed=123)
@@ -312,6 +370,20 @@ class TestSampler:
         s = anharmonic.sample_canonical(0.0, 0.8, n, seed=99)
         se = s.r.std() / math.sqrt(n)
         assert abs(s.r.mean() - anharmonic.mean_strain(0.8)) <= 4 * se
+
+    @pytest.mark.parametrize("name", ["tau", "pbar"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_named(self, anharmonic, name, bad):
+        args = {"pbar": 0.0, "tau": 0.5, "n": 4, "seed": 1}
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            anharmonic.sample_canonical(**args)
+
+    def test_overflowing_tension_raises(self, anharmonic):
+        # V overflows at tau = 1e308: the acceptance ratio is NaN for every candidate
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ThermoError, match="tau=1e\\+308"):
+                anharmonic.sample_canonical(0.0, 1e308, 4, 1)
 
     def test_deterministic(self, anharmonic):
         a = anharmonic.sample_canonical(0.1, 0.3, 5000, seed=5)
@@ -359,6 +431,11 @@ class TestTable:
     def test_too_few_quadrature_nodes_fail_certification(self):
         with pytest.raises(ThermoError, match="certification"):
             ThermoModel(n_quad=16).table
+
+    @pytest.mark.parametrize("bad", [1, 0, 2.5, True])
+    def test_quadrature_node_count_validated(self, bad):
+        with pytest.raises(ValueError, match="n_quad"):
+            ThermoModel(n_quad=bad)
 
     def test_strain_nodes_span_the_table_range(self, anharmonic):
         rho = anharmonic.table["rho"]
