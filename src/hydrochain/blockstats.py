@@ -61,23 +61,27 @@ def triangular_kernel(l: int) -> np.ndarray:
     return _kernels(l)[0]
 
 
+def _check_window(l) -> None:
+    """BlockSpec's rule for the window: an integer >= 1."""
+    if not (isinstance(l, (int, np.integer)) and l >= 1):
+        raise ConfigurationError(f"l must be an integer >= 1, got {l!r}")
+
+
 def hat_profile(u: np.ndarray, l: int) -> np.ndarray:
     """Triangular block averages for i = l..N-l+1 (length N-2l+2)."""
+    _check_window(l)
     u = np.asarray(u, dtype=float)
     if 2 * l > u.size:
         raise ConfigurationError(f"l={l} too large for N={u.size}")
-    if l == 1:
-        return u.copy()
     return np.convolve(u, triangular_kernel(l), mode="valid")
 
 
 def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
     """Flat left-window means for i = l..N (length N-l+1)."""
+    _check_window(l)
     u = np.asarray(u, dtype=float)
     if l > u.size:
         raise ConfigurationError(f"l={l} too large for N={u.size}")
-    if l == 1:
-        return u.copy()
     return np.convolve(u, _kernels(l)[1], mode="valid")
 
 
@@ -114,41 +118,6 @@ class EmpiricalField:
     @property
     def x_coverage(self) -> tuple[float, float]:
         return (self.l - 0.5) / self.N, (self.N - self.l + 1.5) / self.N
-
-    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(r_hat, p_hat) at positions x; zero outside the covered range."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        i = np.floor(x * self.N + 0.5).astype(int)
-        ok = (i >= self.l) & (i <= self.N - self.l + 1)
-        idx = np.clip(i - self.l, 0, self.r_hat.size - 1)
-        r = np.where(ok, self.r_hat[idx], 0.0)
-        p = np.where(ok, self.p_hat[idx], 0.0)
-        return r, p
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    raw: float
-    field: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.raw - self.field)
-
-
-def empirical_pairing(state: ChainState, spec: BlockSpec, J, selector: str = "r") -> PairingResult:
-    """Raw lattice pairing (1/N) sum J(i/N) u_i against the field pairing
-    int J(x) u_hat(x) dx (midpoint-exact on the piecewise-constant field)."""
-    if selector not in ("r", "p"):
-        raise ConfigurationError("pairing applies to the conserved fields r, p")
-    u = state.r if selector == "r" else state.p
-    n = spec.N
-    sites = np.arange(1, n + 1)
-    raw = float(np.sum(np.vectorize(J)(sites / n) * u) / n)
-    field = EmpiricalField.from_state(state, spec)
-    vals = field.r_hat if selector == "r" else field.p_hat
-    field_pair = float(np.sum(np.vectorize(J)(field.x) * vals) / n)
-    return PairingResult(raw=raw, field=field_pair)
 
 
 def _check_support(fields, phi, label: str):

@@ -17,10 +17,10 @@ free energy, boundary work and dissipation every step so the energy balance
 can be checked against the discretization error, and the Clausius gap
 W - (F(rho1) - F(rho0)) evaluated after relaxation. The ghost padding, the
 stencil and the balance rates exist once, in _pad, _stencil and _balance,
-vectorized over the tabulated tension/free-energy splines; apply_bcs,
-viscous_rhs and balance_integrands are thin wrappers over them, and advance
-steps with them directly. advance calls the tension schedule once, on the
-array of every stage time of the run, and solves every face strain
+vectorized over the tabulated tension/free-energy splines; viscous_rhs and
+balance_integrands are thin wrappers over them for a single state, and
+advance steps with them directly. advance calls the tension schedule once, on
+the array of every stage time of the run, and solves every face strain
 tau(r*) = taubar with one array call to ThermoModel.invert_tau_table; it
 evaluates tau(r) once per step-end state.
 """
@@ -125,15 +125,6 @@ def _padded_state(r, p, r_face, model: ThermoModel):
     return r_pad, p_pad, np.asarray(model.tau_of_rho(r_pad))
 
 
-def apply_bcs(state: MacroState, tau_bar: float, model: ThermoModel):
-    """(r_pad, p_pad) of length M+2 with the inner ghost cells enforcing
-    p(0)=0, dr/dx(0)=0, tau(r(1))=tau_bar, dp/dx(1)=0. The second ghost
-    layer, which the fourth-order stencil also reads, is built by the same
-    reflections."""
-    r_pad, p_pad = _pad(state.r, state.p, model.invert_tau_table(tau_bar))
-    return r_pad[1:-1], p_pad[1:-1]
-
-
 def _stencil(r_pad, p_pad, tau_pad, config: MacroConfig):
     """(dr/dt, dp/dt) from the padded strain, momentum and tension."""
     dx = config.dx
@@ -205,7 +196,8 @@ def advance(
 
     t_target and record_times are absolute times. The run takes the fewest
     equal steps of at most config.dt that end on t_target; record times snap
-    to the nearest step, and one before state.t raises ValueError.
+    to the nearest step, and one before state.t raises ValueError, as does a
+    state whose r or p is not of shape (M,).
 
     The three stages of a step from t to t + dt read the tension at t,
     t + dt and t + dt/2. config.tension_schedule is called once, on the array
@@ -215,6 +207,10 @@ def advance(
     outside the thermo table raises ValueError before the first step. tau(r)
     is evaluated once per step-end state, on its ghost-padded array, and
     serves both the balance rates and the next step's first stage."""
+    m = config.M
+    for name, x in (("r", state.r), ("p", state.p)):
+        if np.shape(x) != (m,):
+            raise ValueError(f"state {name} has shape {np.shape(x)}, need ({m},) for M={m}")
     if not math.isfinite(state.t):
         raise ValueError(f"state t must be finite, got {state.t}")
     t_target = config.t_end if t_target is None else t_target
@@ -334,19 +330,6 @@ def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> flo
     qv = -traj.p * np.asarray(model.tau_of_rho(traj.r))
     vals = np.mean(eta * phi.dt(t, x) + qv * phi.dx(t, x), axis=1)
     return float(np.trapezoid(vals, traj.times))
-
-
-def write_fields_csv(path, traj: MacroTrajectory, model: ThermoModel) -> None:
-    from .csvio import write_csv
-
-    x = traj.config.x.tolist()
-    tau = np.asarray(model.tau_of_rho(traj.r))
-    rows = (
-        (t, *row)
-        for t, r, p, tk in zip(traj.times.tolist(), traj.r.tolist(), traj.p.tolist(), tau.tolist())
-        for row in zip(x, r, p, tk)
-    )
-    write_csv(path, ["t", "x", "r", "p", "tau"], rows)
 
 
 def write_balance_csv(path, traj: MacroTrajectory) -> None:

@@ -284,13 +284,6 @@ def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> 
     return ChainState(r=sample.r, p=sample.p, t=0.0)
 
 
-def drift(state: ChainState, tau_bar: float, config: ChainConfig, model: ThermoModel):
-    """Deterministic part of the SDE: rates (dr/dt, dp/dt)."""
-    n, sigma = config.N, config.sigma
-    dp_left, da_right, lap_a, lap_p = _gradients(model.dV(state.r), state.p, tau_bar)
-    return n * dp_left + n * sigma * lap_a, n * da_right + n * sigma * lap_p
-
-
 def draw_increments(rng: np.random.Generator, n: int, dt: float):
     """(dw, dwt): one step of the 2(N-1) independent Brownian increments."""
     z = rng.standard_normal((2, n - 1)) * math.sqrt(dt)
@@ -360,9 +353,10 @@ def run_trajectory(
 
     The run starts at the state's t = t0, and step k ends at t0 + k dt_fine:
     snapshot and ledger times and the tension schedule use that time, while
-    record_times and n_steps count from the start of the run. A non-finite t0
-    raises ValueError, and so does a non-finite tension, before the chunk of
-    steps that would read it."""
+    record_times and n_steps count from the start of the run. A start state
+    whose r or p is not of shape (N,) raises ValueError, and so does a
+    non-finite t0, or a non-finite tension before the chunk of steps that
+    would read it."""
     n = config.N
     dt = config.dt_fine
     n_steps = config.n_steps
@@ -372,6 +366,9 @@ def run_trajectory(
         config, tau0, model
     )
     r, p, t0 = state.r, state.p, state.t
+    for name, x in (("r", r), ("p", p)):
+        if np.shape(x) != (n,):
+            raise ValueError(f"start state {name} has shape {np.shape(x)}, need ({n},) for N={n}")
     if not math.isfinite(t0):
         raise ValueError(f"state t must be finite, got {t0}")
     pot = None  # (V, V', V'') at r, carried from one step to the next

@@ -86,13 +86,3 @@ class StepSchedule:
     def to_dict(self):
         return {"kind": "step", "tau0": self.tau0, "tau1": self.tau1, "t_step": self.t_step}
 
-
-def schedule_from_dict(d) -> ConstantSchedule | RampSchedule | StepSchedule:
-    kind = d["kind"]
-    if kind == "constant":
-        return ConstantSchedule(tau0=d["tau0"])
-    if kind == "ramp":
-        return RampSchedule(tau0=d["tau0"], tau1=d["tau1"], t1=d["t1"])
-    if kind == "step":
-        return StepSchedule(tau0=d["tau0"], tau1=d["tau1"], t_step=d["t_step"])
-    raise ValueError(f"unknown schedule kind {kind!r}")

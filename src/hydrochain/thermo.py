@@ -132,10 +132,11 @@ class GibbsSample:
 class ThermoModel:
     """Canonical thermodynamics at inverse temperature beta.
 
-    Exposes the exact quadrature path (log_partition, mean_strain,
-    tension_of_strain, free_energy, internal_energy, sample_canonical) plus a
-    lazily built, certified spline table for hot loops (tau_of_rho,
-    tau_prime_of_rho, free_energy_of_rho, rho_of_tau, invert_tau_table).
+    Exposes the potential shorthands V and dV, the exact quadrature path
+    (log_partition, mean_strain, tension_of_strain, free_energy,
+    internal_energy, sample_canonical) and a lazily built, certified spline
+    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho,
+    rho_of_tau, invert_tau_table).
     The slope tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
     derivative of the tau_of_rho spline.
     """
@@ -170,12 +171,9 @@ class ThermoModel:
     def dV(self, r):
         return eval_potential(self.potential, r)[1]
 
-    def d2V(self, r):
-        return eval_potential(self.potential, r)[2]
-
     def _verify_curvature_bounds(self) -> None:
         grid = np.linspace(-8.0, 8.0, 4001)
-        d2 = self.d2V(grid)
+        d2 = eval_potential(self.potential, grid)[2]
         if d2.min() < self.c1 - 1e-12 or d2.max() > self.c2 + 1e-12:
             raise ThermoError(
                 f"V'' escapes [{self.c1}, {self.c2}]: range "
@@ -184,26 +182,20 @@ class ThermoModel:
 
     # -- exact quadrature core ----------------------------------------------
 
-    def _argmax_exponent(self, tau: float) -> float:
-        # maximizer of tau*r - V(r), i.e. V'(r*) = tau (V' strictly increasing)
-        k, h = self.potential.kappa, self.potential.moll_width
-        if tau >= h:
-            return float(tau)
-        if tau <= -(1.0 - k) * h:
-            return float(tau / (1.0 - k))
-        if k == 0.0:
-            return float(tau)
-        return brentq(lambda r: self.dV(r) - tau, -h, h, xtol=1e-15, rtol=8.9e-16)
-
     def _argmax_exponents(self, taus: np.ndarray) -> np.ndarray:
-        """_argmax_exponent of each entry of a 1-d taus, to the bit: the closed
-        forms off the band as array operations, brentq only inside it."""
+        """Maximiser r* of tau r - V(r), i.e. V'(r*) = tau (V' strictly
+        increasing), for each entry of a 1-d taus: the closed forms off the
+        band as array operations, brentq only inside it, where kappa > 0."""
         k, h = self.potential.kappa, self.potential.moll_width
         rstar = taus / (1.0 - k)
         ext = taus >= h
         rstar[ext] = taus[ext]
+        if k == 0.0:  # V' = r on the band too
+            return rstar
         for i in np.flatnonzero(~ext & (taus > -(1.0 - k) * h)):
-            rstar[i] = self._argmax_exponent(taus[i])
+            rstar[i] = brentq(
+                lambda r, tau: self.dV(r) - tau, -h, h, args=(taus[i],), xtol=1e-15, rtol=8.9e-16
+            )
         return rstar
 
     def _moments(self, tau_values):
@@ -328,7 +320,10 @@ class ThermoModel:
         Momenta are exactly Gaussian(pbar, 1/beta). Strains come from rejection
         against the Gaussian envelope N(r*, 1/(beta c1)), valid because
         V'' >= c1 makes the target log-concave under that envelope. A tension
-        so large that the acceptance ratio overflows raises ThermoError.
+        so large that fewer than 1024 representable strains fit in one
+        envelope standard deviation about r*, where the draws would collapse
+        onto a few values, raises ThermoError, as does an acceptance ratio
+        that is not finite.
         """
         if n < 1:
             raise ValueError(f"need n >= 1 samples, got {n}")
@@ -338,9 +333,14 @@ class ThermoModel:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         beta = self.beta
         p = pbar + rng.standard_normal(n) / math.sqrt(beta)
-        rstar = self._argmax_exponent(tau)
-        vstar = self.V(rstar)
+        rstar = float(self._argmax_exponents(np.array([float(tau)]))[0])
         sd = 1.0 / math.sqrt(beta * self.c1)
+        if math.ulp(rstar) > sd / 1024.0:
+            raise ThermoError(
+                f"canonical sampler at tau={tau}: fewer than 1024 doubles lie within "
+                f"one envelope sd = {sd:.6g} of r* = {rstar:.6g}; the draws would collapse"
+            )
+        vstar = self.V(rstar)
         out = np.empty(n)
         filled = 0
         while filled < n:

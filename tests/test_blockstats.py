@@ -16,7 +16,6 @@ from hydrochain.blockstats import (
     EmpiricalField,
     bar_profile,
     default_block_width,
-    empirical_pairing,
     hat_profile,
     statistics_row,
     triangular_kernel,
@@ -82,6 +81,10 @@ class TestKernels:
     def test_hat_degenerate(self):
         u = np.array([5.0, -1.0, 2.0])
         assert hat_profile(u, 1)[2 - 1] == -1.0
+        # at l = 1 both kernels are [1.0]: the profiles are u to the bit
+        u = np.random.default_rng(11).normal(size=1000)
+        assert np.array_equal(hat_profile(u, 1), u)
+        assert np.array_equal(bar_profile(u, 1), u)
 
     def test_bar_hand_value(self):
         u = np.arange(1.0, 11.0) ** 2  # u_j = j^2
@@ -101,6 +104,16 @@ class TestKernels:
             hat_profile(u, 6)
         with pytest.raises(ConfigurationError):
             bar_profile(u, 11)
+
+    def test_window_must_be_a_positive_integer(self):
+        # l = 0 used to raise ZeroDivisionError, l = -2 numpy's negative
+        # dimensions error and l = 2.5 a TypeError
+        u = np.arange(10.0)
+        for profile in (hat_profile, bar_profile):
+            for bad in (0, -2, 2.5, 2.0):
+                with pytest.raises(ConfigurationError, match="l must be an integer >= 1"):
+                    profile(u, bad)
+            assert np.array_equal(profile(u, np.int64(2)), profile(u, 2))
 
     def test_block_spec_sizes_must_be_integers(self):
         # l = 2.5 used to pass, and EmpiricalField.from_state then raised a
@@ -213,21 +226,23 @@ class TestHatBarGap:
         assert got == pytest.approx(expected, rel=1e-10)
 
 
-class TestEmpiricalField:
-    def test_coverage_and_zero_outside(self):
-        st = ChainState(r=np.full(64, 1.5), p=np.zeros(64), t=0.0)
-        f = EmpiricalField.from_state(st, BlockSpec(l=8, N=64))
-        r_in, _ = f.evaluate(0.5)
-        assert r_in[0] == pytest.approx(1.5, abs=1e-13)
-        r_out, _ = f.evaluate(0.01)
-        assert r_out[0] == 0.0
+def pairings(state, spec, J):
+    """(lattice, field): the raw lattice pairing (1/N) sum J(i/N) r_i, and the
+    pairing of J with the piecewise-constant hat field, midpoint-exact on its
+    cells of width 1/N."""
+    n = spec.N
+    field = EmpiricalField.from_state(state, spec)
+    lattice = float(np.sum(np.vectorize(J)(np.arange(1, n + 1) / n) * state.r) / n)
+    return lattice, float(np.sum(np.vectorize(J)(field.x) * field.r_hat) / n)
 
+
+class TestEmpiricalField:
     def test_pairing_constant_state(self, model):
         n, l, rho = 64, 8, 0.7
         st = ChainState(r=np.full(n, rho), p=np.zeros(n), t=0.0)
-        res = empirical_pairing(st, BlockSpec(l=l, N=n), lambda x: 1.0, "r")
-        assert res.raw == pytest.approx(rho, abs=1e-13)
-        assert res.field == pytest.approx(rho * (n - 2 * l + 2) / n, abs=1e-13)
+        lattice, field = pairings(st, BlockSpec(l=l, N=n), lambda x: 1.0)
+        assert lattice == pytest.approx(rho, abs=1e-13)
+        assert field == pytest.approx(rho * (n - 2 * l + 2) / n, abs=1e-13)
 
     def test_pairing_gap_shrinks_with_n(self):
         J = lambda x: math.sin(math.pi * x)
@@ -235,7 +250,8 @@ class TestEmpiricalField:
         for n in (100, 400):
             st = ChainState(r=np.arange(1, n + 1) / n, p=np.zeros(n), t=0.0)
             spec = BlockSpec(l=default_block_width(n), N=n)
-            gaps.append(empirical_pairing(st, spec, J, "r").gap)
+            lattice, field = pairings(st, spec, J)
+            gaps.append(abs(lattice - field))
         assert gaps[1] < 0.5 * gaps[0]
 
 

@@ -10,8 +10,8 @@ import pytest
 from hydrochain.macropde import (
     MacroConfig,
     MacroState,
+    _pad,
     advance,
-    apply_bcs,
     balance_integrands,
     clausius_gap,
     entropy_pair_residual,
@@ -76,29 +76,31 @@ class TestConfig:
 
 
 class TestBoundaryConditions:
+    # the two-layer ghost padding advance builds: the inner ghosts sit at
+    # index 1 and -2, the outer ones at 0 and -1
     def test_matched_equilibrium_ghosts(self, model):
         rho = 0.45
         taub = float(model.tau_of_rho(rho))
         cfg = MacroConfig(M=50, t_end=0.1, tension_schedule=ConstantSchedule(taub))
-        r_pad, p_pad = apply_bcs(uniform_state(cfg, rho), taub, model)
-        assert r_pad[0] == pytest.approx(rho, abs=1e-13)
-        assert r_pad[-1] == pytest.approx(rho, abs=1e-12)
-        assert p_pad[0] == p_pad[1] == 0.0
+        st = uniform_state(cfg, rho)
+        r_pad, p_pad = _pad(st.r, st.p, model.invert_tau_table(taub))
+        assert r_pad[1] == pytest.approx(rho, abs=1e-13)
+        assert r_pad[-2] == pytest.approx(rho, abs=1e-12)
+        assert p_pad[1] == p_pad[2] == 0.0
 
     def test_stepped_tension_round_trip(self, model):
         cfg = MacroConfig(M=50, t_end=0.1)
         st = uniform_state(cfg, 0.0)
         taub = 0.62
-        r_pad, _ = apply_bcs(st, taub, model)
-        r_face = 0.5 * (r_pad[-1] + st.r[-1])
+        r_pad, _ = _pad(st.r, st.p, model.invert_tau_table(taub))
+        r_face = 0.5 * (r_pad[-2] + st.r[-1])
         assert model.tension_of_strain(r_face) == pytest.approx(taub, abs=1e-8)
 
     def test_left_momentum_reflection(self, model):
-        cfg = MacroConfig(M=50, t_end=0.1)
         st = MacroState(r=np.zeros(50), p=np.linspace(0.3, 0.5, 50), t=0.0)
-        _, p_pad = apply_bcs(st, 0.0, model)
-        assert p_pad[0] == -st.p[0]
-        assert p_pad[-1] == st.p[-1]
+        _, p_pad = _pad(st.r, st.p, model.invert_tau_table(0.0))
+        assert p_pad[1] == -st.p[0]
+        assert p_pad[-2] == st.p[-1]
 
 
 class TestRHS:
@@ -224,6 +226,14 @@ class TestAdvance:
         cfg = MacroConfig(M=16, t_end=0.1)
         with pytest.raises(ValueError, match="state t must be finite"):
             advance(self.state_at(cfg, t), cfg, model)
+
+    def test_start_state_shape_checked(self, model):
+        # a length-12 state at M = 16 used to raise numpy's broadcast error
+        cfg = MacroConfig(M=16, t_end=0.1)
+        good = np.zeros(16)
+        for name, r, p in (("r", np.zeros(12), good), ("p", good, np.zeros(12))):
+            with pytest.raises(ValueError, match=f"state {name} has shape .* M=16"):
+                advance(MacroState(r=r, p=p, t=0.0), cfg, model)
 
     def test_nonfinite_tension_named(self, model):
         cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=ConstantSchedule(math.nan))

@@ -14,7 +14,6 @@ from hydrochain.microchain import (
     ChainState,
     accumulate_ledger,
     draw_increments,
-    drift,
     energy_per_particle,
     make_initial_state,
     run_trajectory,
@@ -124,31 +123,39 @@ class TestInitialState:
         assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
 
 
+def zero_noise_step(st, taub, cfg, model):
+    """The drift leg alone: one step with zero noise increments moves the
+    state by dt_fine times the drift rates."""
+    zero = (np.zeros(cfg.N - 1), np.zeros(cfg.N - 1))
+    return step(st, cfg, zero, model, tau_bar=taub)
+
+
 class TestDrift:
+    # where a rate is exactly 0 the state does not move by a single bit
     def test_equilibrium_fixed_point(self, model):
         cfg = ChainConfig(N=32, t_end=0.01)
         st, taub = fixed_point_state(model, 32)
-        dr, dp = drift(st, taub, cfg, model)
-        assert np.allclose(dr, 0.0, atol=1e-13)
-        assert np.allclose(dp, 0.0, atol=1e-13)
+        st2 = zero_noise_step(st, taub, cfg, model)
+        assert np.array_equal(st2.r, st.r)
+        assert np.array_equal(st2.p, st.p)
 
     def test_boundary_forcing_only(self, model):
         cfg = ChainConfig(N=32, t_end=0.01)
         st, taub = fixed_point_state(model, 32)
-        dr, dp = drift(st, taub + 1.0, cfg, model)
-        assert np.allclose(dr, 0.0, atol=1e-13)
-        assert np.allclose(dp[:-1], 0.0, atol=1e-13)
-        assert dp[-1] == pytest.approx(32.0)
+        st2 = zero_noise_step(st, taub + 1.0, cfg, model)
+        assert np.array_equal(st2.r, st.r)
+        assert np.array_equal(st2.p[:-1], st.p[:-1])
+        assert (st2.p[-1] - st.p[-1]) / cfg.dt_fine == pytest.approx(32.0)
 
     def test_constant_field_laplacians_vanish(self, model):
         cfg = ChainConfig(N=16, t_end=0.01, sigma=8.0)
         st = ChainState(r=np.full(16, -1.3), p=np.full(16, 0.4), t=0.0)
         taub = float(model.dV(-1.3))
-        dr, dp = drift(st, taub, cfg, model)
+        st2 = zero_noise_step(st, taub, cfg, model)
         # r-drift reduces to the wall gradient term, p-drift to boundary forcing
-        assert dr[0] == pytest.approx(16 * 0.4)
-        assert np.allclose(dr[1:], 0.0, atol=1e-13)
-        assert np.allclose(dp, 0.0, atol=1e-12)
+        assert (st2.r[0] - st.r[0]) / cfg.dt_fine == pytest.approx(16 * 0.4)
+        assert np.array_equal(st2.r[1:], st.r[1:])
+        assert np.array_equal(st2.p, st.p)
 
 
 class TestStep:
@@ -322,6 +329,19 @@ class TestStep:
         assert np.array_equal(a.ledger.W, b.ledger.W)
         assert np.array_equal(a.ledger.Q_r, b.ledger.Q_r)
         assert a.ledger.W[-1] != 0.0
+
+    def test_start_state_shape_checked(self, model):
+        # a length-1 state used to broadcast over the whole chain
+        cfg = ChainConfig(N=32, t_end=0.01, seed=1)
+        good = np.zeros(32)
+        for name, r, p in (
+            ("r", np.array([0.1]), np.array([0.0])),
+            ("r", np.zeros(31), good),
+            ("p", good, np.zeros((1, 32))),
+        ):
+            st = ChainState(r=r, p=p, t=0.0)
+            with pytest.raises(ValueError, match=f"start state {name} has shape .* N=32"):
+                run_trajectory(cfg, 0.0, model, initial_state=st)
 
     def test_nonfinite_start_time_rejected(self, model):
         cfg = ChainConfig(N=16, t_end=0.01, seed=1)

@@ -3,6 +3,7 @@ quadrature oracle for the anharmonic case, and the convexity/conjugacy
 invariants."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ def simpson_oracle(model, tau, what="G"):
     count, independent of the Gauss-Legendre path."""
     beta = model.beta
     width = 14.0 / math.sqrt(beta * model.c1)
-    rstar = model._argmax_exponent(tau)
+    rstar = float(model._argmax_exponents(np.array([tau], dtype=float))[0])
     r = np.linspace(rstar - width, rstar + width, 6401)
     v = model.V(r)
     shift = beta * (tau * rstar - model.V(rstar))
@@ -325,14 +326,6 @@ class TestQuadratureBlocks:
         for got, want in zip(model._moments(taus), reference):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("kappa", [0.25, 0.0])
-    def test_array_maximiser_is_the_scalar_one(self, kappa):
-        model = ThermoModel(potential=PotentialParams(kappa=kappa))
-        taus = band_spanning_tensions(model)
-        got = model._argmax_exponents(taus)
-        want = np.array([model._argmax_exponent(t) for t in taus])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
     def test_table_build_traced_peak(self):
         # whole (3600, n_quad) panels would take about 27 MiB, 256-tension blocks about 2
         model = ThermoModel()
@@ -380,10 +373,20 @@ class TestSampler:
             anharmonic.sample_canonical(**args)
 
     def test_overflowing_tension_raises(self, anharmonic):
-        # V overflows at tau = 1e308: the acceptance ratio is NaN for every candidate
+        # rejected as a collapsing tension before V could overflow at r* = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ThermoError, match="tau=1e\\+308"):
                 anharmonic.sample_canonical(0.0, 1e308, 4, 1)
+
+    def test_huge_finite_tension_keeps_distinct_draws(self, anharmonic):
+        s = anharmonic.sample_canonical(0.0, 1e10, 1000, seed=3)
+        assert np.unique(s.r).size == 1000
+
+    @pytest.mark.parametrize("tau", [1e13, 1e16, 1e100, -1e16])
+    def test_collapsing_tension_raises(self, anharmonic, tau):
+        # at |r*| >= 2**43 fewer than 1024 doubles fit in one envelope sd
+        with pytest.raises(ThermoError, match=re.escape(f"tau={tau}:")):
+            anharmonic.sample_canonical(0.0, tau, 1000, seed=3)
 
     def test_deterministic(self, anharmonic):
         a = anharmonic.sample_canonical(0.1, 0.3, 5000, seed=5)
