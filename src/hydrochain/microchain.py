@@ -16,13 +16,14 @@ generator computation, while martingale_p/martingale_r carry the zero-mean
 remainder. The first-law residual is then exactly the energy the explicit
 Hamiltonian leg fails to conserve, which vanishes linearly in dt.
 
-The step exists once, as the numpy function _chain_step: it computes the
-three legs over all sites in place and returns the new state with the step's
-ledger increments and (V, V', V'') there. run_trajectory loops over it, with
-the noise couplings of a whole BridgedNoise chunk (at most _CHUNK_BYTES of
-increments) built in one operation and (V, V', V'') carried to the next step
-and to the record's energy; step and accumulate_ledger are thin wrappers
-around it.
+The step exists once, in the loop of _chain_block: each step writes its
+three legs over all sites into the block's leg arrays and evaluates only
+(V', V'') at its end state, all that the next drift reads. Once per block of
+at most _BLOCK_BYTES of legs (below glibc's mmap threshold), V is evaluated
+on all legs and every step's ledger increments are formed with row
+reductions, so no bit depends on the block length. run_trajectory runs each
+BridgedNoise chunk (at most _CHUNK_BYTES of increments) in blocks; step and
+accumulate_ledger run a block of one step.
 """
 
 from __future__ import annotations
@@ -36,13 +37,16 @@ import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import ConstantSchedule, checked_record_times
-from .thermo import ThermoModel, eval_potential
+from .thermo import ThermoModel, _potential_derivatives, _potential_value
 
 log = logging.getLogger(__name__)
 
 THETA_MAX = 0.25
 _CHUNK_COARSE = 1024
 _CHUNK_BYTES = 8 << 20  # bound on one chunk's (dw, dwt) increments
+# bound on one ledger block's (3 steps, N) leg arrays: below glibc's 128 KiB
+# mmap threshold, so each block array comes from the heap, not a fresh mmap
+_BLOCK_BYTES = 96 << 10
 
 
 class BlowUpError(RuntimeError):
@@ -193,8 +197,8 @@ def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
 
 def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     """The noise-coupling kicks c (w_i - w_{i-1}), with w_0 = w_N = 0, that
-    _chain_step subtracts from p and from r: for one step's increments
-    (dw, dwt), or row by row for a whole chunk of them."""
+    a step subtracts from p and from r, row by row for a block of steps'
+    increments (dw, dwt)."""
     coeff = math.sqrt(2.0 * config.N * config.sigma / model.beta)
     kicks = []
     for w in map(np.asarray, (dw, dwt)):
@@ -206,63 +210,89 @@ def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     return kicks
 
 
-def _chain_step(
-    r, p, couplings, tau_bar: float, config: ChainConfig, model: ThermoModel, pot=None
-):
-    """One Euler-Maruyama step of size config.dt_fine from (r, p).
+def _block_steps(n: int) -> int:
+    """Steps per ledger block: few enough that one block's (3 steps, n) leg
+    arrays fit in _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // (3 * n * 8))
 
-    The displacement is taken in three legs: Hamiltonian drift, noise drift
-    and noise coupling; couplings is the pair (kick_p, kick_r) of _couplings,
-    which telescope exactly. Returns (r_new, p_new, incr, pot_new), where
-    incr holds the step's ledger increments [W, Q_p, Q_r, M_p, M_r]:
+
+def _finite(r, p) -> bool:
+    return bool(np.isfinite(r).all() and np.isfinite(p).all())
+
+
+def _chain_block(
+    r, p, deriv, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
+):
+    """Steps k0 + 1, k0 + 2, ... of a run that started at t0: Euler-Maruyama
+    steps of size config.dt_fine from the finite state (r, p), one per row of
+    the noise increments (dw, dwt) and entry of taubars. deriv is (V', V'')
+    at r.
+
+    A step takes its displacement in three legs: Hamiltonian drift, noise
+    drift and noise coupling, whose kicks (_couplings, built for the whole
+    block at once) telescope exactly. It writes the state after each leg
+    into the block's leg arrays and computes (V', V'') at its end state, all
+    that the next step's drift reads. Once the steps are done, V is
+    evaluated on all legs and the ledger increments
+    [W, Q_p, Q_r, M_p, M_r] of every step are formed with row reductions:
     W = tau_bar * Delta(mean strain), and the Q/M columns are the exact
     energy changes along the two noise legs, with the quadratic-variation
-    counterterms shifted into Q_p/Q_r. incr is NaN, and pot_new None, when
-    the new state is not finite; the caller raises.
+    counterterms shifted into Q_p/Q_r.
 
-    pot is (V, V', V'') at r, or None to evaluate it here; pot_new is the same
-    triple at the new state, taken from the V call on the stacked legs, so
-    passing it on changes no bit of the next step.
+    Returns (rl, pl, v, incr, deriv): rl and pl hold the legs of the block's
+    step j in rows 3j..3j+2, the last of them its end state; v is V on rl;
+    incr has a row per step; deriv is (V', V'') at the last end state. The
+    first step whose increments are not finite raises BlowUpError naming it.
     """
     n, sigma, beta = config.N, config.sigma, model.beta
     dt = config.dt_fine
     ndt = n * dt
     nsdt = n * sigma * dt
-    if pot is None:
-        if not np.isfinite(r).all():  # eval_potential rejects non-finite strains
-            return r, p, np.full(5, np.nan), None
-        pot = eval_potential(model.potential, r)
-    _, a, d2 = pot
-    dp_left, da_right, lap_a, lap_p = _gradients(a, p, tau_bar)
-    kick_p, kick_r = couplings
-    # rows: the state after each leg, so one call evaluates V on all three
-    rl = np.empty((3, n))
-    pl = np.empty((3, n))
-    (r1, r2, r3), (p1, p2, p3) = rl, pl
-    np.add(r, np.multiply(ndt, dp_left, out=r1), out=r1)
-    np.add(r1, np.multiply(nsdt, lap_a, out=r2), out=r2)
-    np.subtract(r2, kick_r, out=r3)
-    np.add(p, np.multiply(ndt, da_right, out=p1), out=p1)
-    np.add(p1, np.multiply(nsdt, lap_p, out=p2), out=p2)
-    np.subtract(p2, kick_p, out=p3)
-    dr_tot = float((rl[2] - r).sum())
-    if not math.isfinite(dr_tot):  # some leg is not finite
-        return rl[2], pl[2], np.full(5, np.nan), None
-    v, d1l, d2l = eval_potential(model.potential, rl)
-    v1, v2, v3 = v.sum(axis=1)
-    k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
-    ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
-    ct_r = sigma * dt * (2.0 * d2.sum() - d2[0] - d2[-1]) / (beta * n)
-    incr = np.array(
-        [
-            tau_bar * dr_tot / n,
-            (k2 - k1) / (2.0 * n) + ct_p,
-            (v2 - v1) / n + ct_r,
-            (k3 - k2) / (2.0 * n) - ct_p,
-            (v3 - v2) / n - ct_r,
-        ]
-    )
-    return rl[2], pl[2], incr, (v[2], d1l[2], d2l[2])
+    m = len(taubars)
+    r0 = r
+    d1, d2 = deriv
+    kicks_p, kicks_r = _couplings(dw, dwt, config, model)
+    rl = np.empty((m, 3, n))
+    pl = np.empty((m, 3, n))
+    d2s = np.empty((m, n))  # V'' at each step's start state, for ct_r
+    # an overflow or a NaN in a step makes its increments non-finite, and
+    # that raises below; the steps after it run on and are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (r1, r2, r3), (p1, p2, p3), d2_start, kick_p, kick_r, taub in zip(
+            rl, pl, d2s, kicks_p, kicks_r, taubars
+        ):
+            d2_start[:] = d2
+            dp_left, da_right, lap_a, lap_p = _gradients(d1, p, taub)
+            np.add(r, np.multiply(ndt, dp_left, out=r1), out=r1)
+            np.add(r1, np.multiply(nsdt, lap_a, out=r2), out=r2)
+            np.subtract(r2, kick_r, out=r3)
+            np.add(p, np.multiply(ndt, da_right, out=p1), out=p1)
+            np.add(p1, np.multiply(nsdt, lap_p, out=p2), out=p2)
+            np.subtract(p2, kick_p, out=p3)
+            d1, d2 = _potential_derivatives(model.potential, r3)
+            r, p = r3, p3
+        rl = rl.reshape(3 * m, n)
+        pl = pl.reshape(3 * m, n)
+        v = _potential_value(model.potential, rl)
+        v1, v2, v3 = v.sum(axis=-1).reshape(m, 3).T
+        k1, k2, k3 = np.einsum("ij,ij->i", pl, pl).reshape(m, 3).T
+        ends = rl[2::3]
+        dr = np.empty((m, n))
+        np.subtract(ends[0], r0, out=dr[0])
+        np.subtract(ends[1:], ends[:-1], out=dr[1:])
+        ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
+        ct_r = sigma * dt * (2.0 * d2s.sum(axis=-1) - d2s[:, 0] - d2s[:, -1]) / (beta * n)
+        incr = np.empty((m, 5))
+        incr[:, 0] = np.asarray(taubars) * dr.sum(axis=-1) / n
+        incr[:, 1] = (k2 - k1) / (2.0 * n) + ct_p
+        incr[:, 2] = (v2 - v1) / n + ct_r
+        incr[:, 3] = (k3 - k2) / (2.0 * n) - ct_p
+        incr[:, 4] = (v3 - v2) / n - ct_r
+    finite = np.isfinite(incr).all(axis=1)
+    if not finite.all():
+        k = k0 + 1 + int(np.argmin(finite))
+        raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
+    return rl, pl, v, incr, (d1, d2)
 
 
 # -- public operations ---------------------------------------------------------
@@ -290,6 +320,19 @@ def draw_increments(rng: np.random.Generator, n: int, dt: float):
     return z[0], z[1]
 
 
+def _one_step(state: ChainState, config: ChainConfig, increments, model: ThermoModel, tau_bar):
+    """_chain_block on a block of one step: (end state, ledger increments)."""
+    if not math.isfinite(tau_bar):
+        raise ValueError(f"non-finite boundary tension {tau_bar} for the step at t={state.t:.6g}")
+    r, p, t = state.r, state.p, state.t
+    if not _finite(r, p):
+        raise BlowUpError(f"non-finite state at step 1, t={t + config.dt_fine:.6g}")
+    dw, dwt = increments
+    deriv = _potential_derivatives(model.potential, r)
+    rl, pl, _, incr, _ = _chain_block(r, p, deriv, [dw], [dwt], [tau_bar], 0, t, config, model)
+    return ChainState(r=rl[2], p=pl[2], t=t + config.dt_fine), incr[0]
+
+
 def step(
     state: ChainState,
     config: ChainConfig,
@@ -298,15 +341,9 @@ def step(
     tau_bar: float,
 ) -> ChainState:
     """One Euler-Maruyama step of size config.dt_fine under the boundary
-    tension tau_bar; a non-finite tau_bar raises ValueError."""
-    if not math.isfinite(tau_bar):
-        raise ValueError(f"non-finite boundary tension {tau_bar} for the step at t={state.t:.6g}")
-    couplings = _couplings(*increments, config, model)
-    r, p, incr, _ = _chain_step(state.r, state.p, couplings, tau_bar, config, model)
-    t2 = state.t + config.dt_fine
-    if not np.isfinite(incr).all():
-        raise BlowUpError(f"non-finite state after step at t={t2:.6g}")
-    return ChainState(r=r, p=p, t=t2)
+    tension tau_bar; a non-finite tau_bar raises ValueError, and a state that
+    is or turns non-finite BlowUpError."""
+    return _one_step(state, config, increments, model, tau_bar)[0]
 
 
 def accumulate_ledger(
@@ -317,12 +354,10 @@ def accumulate_ledger(
     increments,
     model: ThermoModel,
 ) -> Ledger:
-    """Ledger increments for one step (see _chain_step), with E the energy
+    """Ledger increments for one step (see _chain_block), with E the energy
     per particle of state_after."""
-    r, p = state_before.r, state_before.p
-    couplings = _couplings(*increments, config, model)
-    _, _, incr, _ = _chain_step(r, p, couplings, tau_bar, config, model)
-    w, q_p, q_r, m_p, m_r = (float(x) for x in incr)
+    _, incr = _one_step(state_before, config, increments, model, tau_bar)
+    w, q_p, q_r, m_p, m_r = incr.tolist()
     return Ledger(
         E=energy_per_particle(state_after, model),
         W=w,
@@ -356,12 +391,17 @@ def run_trajectory(
     record_times and n_steps count from the start of the run. A start state
     whose r or p is not of shape (N,) raises ValueError, and so does a
     non-finite t0, or a non-finite tension before the chunk of steps that
-    would read it."""
+    would read it. A start state that is not finite raises the BlowUpError
+    of step 1, whatever the record times.
+
+    The steps run in blocks (see _chain_block); the cumulative ledger is a
+    cumsum seeded with the carried accumulator.
+    """
     n = config.N
     dt = config.dt_fine
     n_steps = config.n_steps
 
-    # _chain_step returns new arrays, so the caller's state is never written
+    # the steps write new arrays, so the caller's state is never written
     state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
@@ -371,47 +411,53 @@ def run_trajectory(
             raise ValueError(f"start state {name} has shape {np.shape(x)}, need ({n},) for N={n}")
     if not math.isfinite(t0):
         raise ValueError(f"state t must be finite, got {t0}")
-    pot = None  # (V, V', V'') at r, carried from one step to the next
+    if not _finite(r, p):
+        raise BlowUpError(f"non-finite state at step 1, t={t0 + dt:.6g}")
+    deriv = _potential_derivatives(model.potential, r)  # (V', V'') at r, carried
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     acc = np.zeros(5)
     rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record
     snapshots = []
 
-    def record(k: int, v: np.ndarray):
+    def record(k: int, r: np.ndarray, p: np.ndarray, v: np.ndarray, acc: np.ndarray):
         st = ChainState(r=r.copy(), p=p.copy(), t=t0 + k * dt)
         snapshots.append(st)
         rows.append((st.t, _energy(p, v), *acc.tolist()))
 
     rec_idx = 0
     while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
-        record(0, model.V(r))
+        record(0, r, p, model.V(r), acc)
         rec_idx += 1
 
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
     chunk = _chunk_rows(n, config.refine_level)
+    block = _block_steps(n)
     k = 0
     for c0 in range(0, config.n_coarse, chunk):
-        dw_chunk, dwt_chunk = noise.next_chunk(min(chunk, config.n_coarse - c0))
-        times = t0 + (k + np.arange(dw_chunk.shape[0])) * dt
+        dw, dwt = noise.next_chunk(min(chunk, config.n_coarse - c0))
+        times = t0 + (k + np.arange(dw.shape[0])) * dt
         taubars = np.broadcast_to(
             np.asarray(config.tension_schedule(times), dtype=float), times.shape
         )
         if not np.isfinite(taubars).all():
             i = int(np.argmin(np.isfinite(taubars)))
             raise ValueError(f"non-finite boundary tension {taubars[i]} for step {k + i + 1}")
-        kicks_p, kicks_r = _couplings(dw_chunk, dwt_chunk, config, model)
-        for kick_p, kick_r, taub in zip(kicks_p, kicks_r, taubars.tolist()):
-            r, p, incr, pot = _chain_step(
-                r, p, (kick_p, kick_r), taub, config, model, pot
+        for b0 in range(0, times.size, block):
+            b1 = b0 + block
+            rl, pl, v, incr, deriv = _chain_block(
+                r, p, deriv, dw[b0:b1], dwt[b0:b1], taubars[b0:b1].tolist(), k, t0, config,
+                model,
             )
-            k += 1
-            if not np.isfinite(incr).all():
-                raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
-            acc += incr
-            while rec_idx < len(rec_steps) and rec_steps[rec_idx] == k:
-                record(k, pot[0])
+            cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
+            m = incr.shape[0]
+            while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + m:
+                j = rec_steps[rec_idx] - k
+                record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
                 rec_idx += 1
+            k += m
+            acc = cum[-1]
+            r, p = rl[-1], pl[-1]
         log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
 
     series = LedgerSeries(*np.ascontiguousarray(np.reshape(rows, (-1, 7)).T))

@@ -54,16 +54,19 @@ class BridgedNoise:
         Returns (dw, dwt), each of shape (n_coarse * 2**level, n_bonds), with
         per-row variance self.dt.
         """
-        cur = self._coarse.standard_normal((n_coarse, 2, self.n_bonds)) * math.sqrt(
-            self.dt_coarse
-        )
+        # in place: no temporary copy of a level's increments
+        cur = self._coarse.standard_normal((n_coarse, 2, self.n_bonds))
+        cur *= math.sqrt(self.dt_coarse)
         h = self.dt_coarse
         for gen in self._bridges:
             m = cur.shape[0]
-            z = gen.standard_normal((m, 2, self.n_bonds)) * (0.5 * math.sqrt(h))
+            z = gen.standard_normal((m, 2, self.n_bonds))
+            z *= 0.5 * math.sqrt(h)
             nxt = np.empty((2 * m, 2, self.n_bonds))
-            nxt[0::2] = 0.5 * cur + z
-            nxt[1::2] = 0.5 * cur - z
+            first, second = nxt[0::2], nxt[1::2]
+            np.multiply(cur, 0.5, out=first)
+            np.subtract(first, z, out=second)  # 0.5 cur - z
+            first += z  # 0.5 cur + z
             cur = nxt
             h /= 2.0
         return cur[:, 0, :], cur[:, 1, :]

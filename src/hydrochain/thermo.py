@@ -62,7 +62,10 @@ class PotentialParams:
 
 
 def eval_potential(params: PotentialParams, r):
-    """Return (V, V', V'') of the mollified potential at r (scalar or array).
+    """Return (V, V', V'') of the mollified potential at r (scalar or array):
+    the two halves _potential_value and _potential_derivatives on the checked
+    strain. A non-finite entry of r raises ValueError, and a scalar r gives
+    floats.
 
     With x = r/h clipped to [-1, 1] and y = x + 1, the blend of V'' is the
     cubic smoothstep s = y^2 (3 - y)/4; its integrals from -1 are
@@ -77,20 +80,61 @@ def eval_potential(params: PotentialParams, r):
     compression quadratic to the bit; for r >= h, V' = r and V'' = 1 up to
     rounding, and V carries the constant kappa*h^2/10 (antiderivative
     continuity).
-
-    The arithmetic follows the operation order of the formulas above, in
-    place on a few buffers for an array r; a scalar r runs the same
-    statements on numpy scalars, where the in-place operators rebind.
     """
+    r = _strain(r)
+    return (_potential_value(params, r), *_potential_derivatives(params, r))
+
+
+def _strain(r):
+    """r as a float array, or a numpy scalar when 0-d; non-finite raises."""
     r = np.asarray(r, dtype=float)
     if not np.isfinite(r).all():
         raise ValueError("potential evaluated at non-finite strain")
-    r = r[()]  # a numpy scalar when r is 0-d
-    k, h = params.kappa, params.moll_width
-    c1 = 1.0 - k
+    return r[()]
+
+
+# The two halves of eval_potential. Each takes r as a float array or numpy
+# scalar, unchecked: callers that know r is finite (the chain's step, the
+# quadrature panels) skip the check. The arithmetic follows the operation
+# order of the formulas in eval_potential, in place on a few buffers for an
+# array r; a scalar r runs the same statements on numpy scalars, where the
+# in-place operators rebind, and returns floats.
+
+
+def _band(params: PotentialParams, r):
+    """(y, ext): y = clip(r/h, -1, 1) + 1 and ext = max(r - h, 0)."""
+    h = params.moll_width
     y = np.minimum(np.maximum(r / h, -1.0), 1.0)
     y += 1.0
-    ext = np.maximum(r - h, 0.0)
+    return y, np.maximum(r - h, 0.0)
+
+
+def _potential_value(params: PotentialParams, r):
+    """V at r."""
+    k, h = params.kappa, params.moll_width
+    y, ext = _band(params, r)
+    power = y * y
+    power *= y
+    power *= y  # y^4
+    scratch = 5.0 - y
+    scratch *= power
+    scratch *= h * h / 80.0
+    y = ext * 0.5
+    y += h
+    y *= ext
+    scratch += y
+    scratch *= k
+    v = r * r
+    v *= 0.5 * (1.0 - k)
+    v += scratch
+    return float(v) if v.ndim == 0 else v
+
+
+def _potential_derivatives(params: PotentialParams, r):
+    """(V', V'') at r."""
+    k, h = params.kappa, params.moll_width
+    c1 = 1.0 - k
+    y, ext = _band(params, r)
     power = y * y
     d2 = 3.0 - y
     d2 *= power
@@ -104,21 +148,9 @@ def eval_potential(params: PotentialParams, r):
     scratch *= k
     d1 = r * c1
     d1 += scratch
-    power *= y  # y^4
-    scratch = 5.0 - y
-    scratch *= power
-    scratch *= h * h / 80.0
-    y = ext * 0.5
-    y += h
-    y *= ext
-    scratch += y
-    scratch *= k
-    v = r * r
-    v *= 0.5 * c1
-    v += scratch
-    if v.ndim == 0:
-        return float(v), float(d1), float(d2)
-    return v, d1, d2
+    if d1.ndim == 0:
+        return float(d1), float(d2)
+    return d1, d2
 
 
 @dataclass(frozen=True)
@@ -166,14 +198,14 @@ class ThermoModel:
     # -- potential shorthands ------------------------------------------------
 
     def V(self, r):
-        return eval_potential(self.potential, r)[0]
+        return _potential_value(self.potential, _strain(r))
 
     def dV(self, r):
-        return eval_potential(self.potential, r)[1]
+        return _potential_derivatives(self.potential, _strain(r))[0]
 
     def _verify_curvature_bounds(self) -> None:
         grid = np.linspace(-8.0, 8.0, 4001)
-        d2 = eval_potential(self.potential, grid)[2]
+        d2 = _potential_derivatives(self.potential, grid)[1]
         if d2.min() < self.c1 - 1e-12 or d2.max() > self.c2 + 1e-12:
             raise ThermoError(
                 f"V'' escapes [{self.c1}, {self.c2}]: range "
@@ -241,7 +273,7 @@ class ThermoModel:
             half = (b - a) / 2.0
             mid = (b + a) / 2.0
             r = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
-            v, _, _ = eval_potential(self.potential, r)
+            v = _potential_value(self.potential, r)
             f = np.exp(beta * (taus[:, None] * (r - rstar[:, None]) - v + vstar[:, None]))
             fw = f * (half[:, None] * self._gl_weights[None, :])
             fwr = fw * r
@@ -346,7 +378,7 @@ class ThermoModel:
         while filled < n:
             m = max(int(1.25 * (n - filled)) + 16, 64)
             cand = rstar + sd * rng.standard_normal(m)
-            v, _, _ = eval_potential(self.potential, cand)
+            v = _potential_value(self.potential, cand)
             log_acc = beta * (
                 tau * (cand - rstar) - v + vstar + self.c1 * (cand - rstar) ** 2 / 2.0
             )

@@ -218,6 +218,48 @@ class TestStep:
                 with pytest.raises(BlowUpError):
                     step(bad, cfg, zero, model, tau_bar=0.0)
 
+    @pytest.mark.parametrize("record_times", [None, [0.0, 0.01], [0.0]])
+    @pytest.mark.parametrize(
+        "site, value", [("r", math.nan), ("r", math.inf), ("p", math.inf), ("p", -math.inf)]
+    )
+    def test_nonfinite_start_with_record_at_zero(self, model, record_times, site, value):
+        # a record at t = 0 used to raise eval_potential's bare ValueError,
+        # and inf momenta a RuntimeWarning from the drift; Tier-1 turns any
+        # RuntimeWarning into an error, so none may be emitted here
+        if record_times is not None:
+            record_times = np.array(record_times)
+        cfg = ChainConfig(N=16, t_end=0.01, seed=1, record_times=record_times)
+        state = {"r": np.zeros(16), "p": np.zeros(16)}
+        state[site][3] = value
+        bad = ChainState(r=state["r"], p=state["p"], t=0.0)
+        with pytest.raises(BlowUpError, match=f"step 1, t={cfg.dt:.6g}$"):
+            run_trajectory(cfg, 0.0, model, initial_state=bad)
+        with pytest.raises(BlowUpError, match="step 1,"):
+            step(bad, cfg, (np.zeros(15), np.zeros(15)), model, tau_bar=0.0)
+
+    def test_mid_block_blow_up_names_its_step(self, model, monkeypatch):
+        # from step 11 on the tension kicks p_N to ~1e304, so p^2 overflows
+        # in the step's kinetic-energy increment while the state stays
+        # finite: the default block finds it among the block's rows after the
+        # later steps have run, a one-step block at once
+        dt = 0.1 / (32 * 14)
+        cfg = ChainConfig(
+            N=32,
+            t_end=40 * dt,
+            seed=3,
+            tension_schedule=lambda t: np.where(np.asarray(t) < 9.5 * dt, 0.1, 1e306),
+            record_times=np.array([0.0, 40 * dt]),
+        )
+        assert microchain._block_steps(32) > 11
+        messages = []
+        for budget in (microchain._BLOCK_BYTES, 1):
+            monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
+            with pytest.raises(BlowUpError) as err:
+                run_trajectory(cfg, 0.1, model)
+            messages.append(str(err.value))
+        assert microchain._block_steps(32) == 1
+        assert messages == [f"non-finite state at step 11, t={11 * cfg.dt:.6g}"] * 2
+
     def test_chunking_invariance(self, model, monkeypatch):
         # the noise is drawn row by row and the step is one function, so
         # neither the record times nor the chunk length may change the result
@@ -265,6 +307,38 @@ class TestStep:
             assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
         for col in ("E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
             assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
+
+    def test_block_byte_bound_changes_no_bit(self, model, monkeypatch):
+        # blocks of the default length, of 7 steps and of one step; 7 divides
+        # neither the 25-row noise chunk nor the level-2 chunk of 100 rows.
+        # The records fall on block edges (step 7, 14 and the chunk ends) and
+        # inside blocks, at both levels.
+        monkeypatch.setattr(microchain, "_CHUNK_COARSE", 25)
+        budgets = ((microchain._BLOCK_BYTES, 128), (7 * 3 * 32 * 8, 7), (1, 1))
+        for level in (0, 2):
+            t_end = 60 * 0.1 / (32 * 14)
+            cfg = ChainConfig(
+                N=32,
+                t_end=t_end,
+                seed=37,
+                refine_level=level,
+                tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
+                record_times=np.array([0, 7, 10, 14, 25, 31, 49, 50, 60]) * (t_end / 60),
+            )
+            runs = []
+            for budget, steps in budgets:
+                monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
+                assert microchain._block_steps(32) == steps
+                runs.append(run_trajectory(cfg, 0.1, model))
+            first = runs[0]
+            assert len(first.snapshots) == 9
+            for res in runs[1:]:
+                assert res.n_steps == first.n_steps == cfg.n_steps
+                for sa, sb in zip(first.snapshots, res.snapshots):
+                    assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
+                    assert sa.t == sb.t
+                for col in ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
+                    assert np.array_equal(getattr(first.ledger, col), getattr(res.ledger, col))
 
     def test_chunk_rows_bounded_by_bytes(self):
         # N = 16384 at level 2: a coarse row is 4 fine rows of (dw, dwt) over

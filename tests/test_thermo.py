@@ -159,12 +159,29 @@ class TestPotentialProperties:
         for i, x in enumerate(r.tolist()):
             assert eval_potential(params, x) == tuple(a[i, 0] for a in arrays)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(params_st, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40))
+    def test_model_halves_equal_eval_potential(self, params, rs):
+        # V and dV each evaluate one half of the potential; their bits are
+        # those of eval_potential's columns, for arrays and for scalars
+        model = ThermoModel(potential=params)
+        r = np.concatenate((rs, np.linspace(-1.5, 1.5, 61) * params.moll_width))
+        v, d1, _ = eval_potential(params, r)
+        assert np.array_equal(model.V(r), v) and np.array_equal(model.dV(r), d1)
+        for i, x in enumerate(r.tolist()):
+            assert type(model.V(x)) is float and model.V(x) == v[i]
+            assert type(model.dV(x)) is float and model.dV(x) == d1[i]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             eval_potential(PotentialParams(), bad)
         with pytest.raises(ValueError, match="non-finite"):
             eval_potential(PotentialParams(), np.array([[0.0, 1.0], [bad, 2.0]]))
+        model = ThermoModel()
+        for half in (model.V, model.dV):
+            with pytest.raises(ValueError, match="non-finite"):
+                half(np.array([0.0, bad]))
 
 
 class TestLogPartition:
