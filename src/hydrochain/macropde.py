@@ -9,20 +9,23 @@ conditions, fourth-order central first derivatives for the advective terms,
 three-point Laplacians for the viscous ones, and SSP-RK3 (Shu-Osher) time
 stepping at the fixed Courant number _CFL = 0.4 of both the advective and the
 diffusive bound; smooth inviscid solutions converge at fourth order in space.
-The inverse temperature beta is the ThermoModel's. The solver accumulates the
-free energy, boundary work and dissipation every step so the energy balance
+Both equations read r only through tau(r), so each stage evaluates tau on the
+M cells and pads tau and p: the applied tension is imposed on tau itself, by
+ghosts odd about taubar at x=1, and the table is read only at strains the
+state holds. The inverse temperature beta is the ThermoModel's. The solver
+accumulates the free energy, boundary work and dissipation every step so the
+energy balance
 
     F(t) - F(0) = W(t) - D(t)
 
 can be checked against the discretization error, and the Clausius gap
-W - (F(rho1) - F(rho0)) evaluated after relaxation. The ghost padding, the
-stencil and the balance rates exist once, in _pad, _stencil and _balance,
-vectorized over the tabulated tension/free-energy splines; viscous_rhs and
-balance_integrands are thin wrappers over them for a single state, and
-advance steps with them directly. advance calls the tension schedule once, on
-the array of every stage time of the run, and solves every face strain
-tau(r*) = taubar with one array call to ThermoModel.invert_tau_table; it
-evaluates tau(r) once per step-end state.
+W - (F(rho1) - F(rho0)) evaluated after relaxation. The work and dissipation
+rates are the exact energy flux of the semi-discrete right-hand side, so the
+balance misses only the time integration and the spline's own F-tau
+consistency. The ghost padding, the stencil and the balance rates exist once,
+in _pad, _stencil and _balance; viscous_rhs and balance_integrands run them on
+a single state, as one stage and one step end of advance do. advance calls
+the tension schedule once, on the array of every stage time of the run.
 """
 
 from __future__ import annotations
@@ -109,24 +112,20 @@ def uniform_state(config: MacroConfig, rho: float) -> MacroState:
     return MacroState(r=np.full(config.M, float(rho)), p=np.zeros(config.M), t=0.0)
 
 
-def _pad(r, p, r_face):
-    """(r_pad, p_pad) of length M+4: two ghost cells on each side.
+def _pad(tau, p, tau_bar):
+    """(tau_pad, p_pad) of length M+4: two ghost cells on each side.
 
-    At x=0 r is reflected evenly (dr/dx = 0) and p oddly (p = 0); at x=1 r is
-    reflected oddly about the face strain r_face, and p evenly (dp/dx = 0)."""
-    r_pad = np.concatenate((r[1::-1], r, 2.0 * r_face - r[:-3:-1]))
+    At x=0 tau is reflected evenly (dr/dx = 0) and p oddly (p = 0); at x=1 tau
+    is reflected oddly about tau_bar, so the face tension (tau_ghost +
+    tau[M-1])/2 is tau_bar, and p evenly (dp/dx = 0). The tension is imposed
+    on tau itself: the table is read only at the M interior strains."""
+    tau_pad = np.concatenate((tau[1::-1], tau, 2.0 * tau_bar - tau[:-3:-1]))
     p_pad = np.concatenate((-p[1::-1], p, p[:-3:-1]))
-    return r_pad, p_pad
+    return tau_pad, p_pad
 
 
-def _padded_state(r, p, r_face, model: ThermoModel):
-    """(r_pad, p_pad, tau_pad): the padded state and its tension."""
-    r_pad, p_pad = _pad(r, p, r_face)
-    return r_pad, p_pad, np.asarray(model.tau_of_rho(r_pad))
-
-
-def _stencil(r_pad, p_pad, tau_pad, config: MacroConfig):
-    """(dr/dt, dp/dt) from the padded strain, momentum and tension."""
+def _stencil(tau_pad, p_pad, config: MacroConfig):
+    """(dr/dt, dp/dt) from the padded tension and momentum."""
     dx = config.dx
 
     def d1(f):
@@ -139,11 +138,11 @@ def _stencil(r_pad, p_pad, tau_pad, config: MacroConfig):
 
 
 def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: ThermoModel):
-    """(dr/dt, dp/dt) on the two-layer ghost-padded arrays: fourth-order
-    central first derivatives for the advective terms, three-point Laplacians
-    for the viscous ones."""
-    r_face = model.invert_tau_table(tau_bar)
-    return _stencil(*_padded_state(state.r, state.p, r_face, model), config)
+    """(dr/dt, dp/dt): tau(r) on the M cells, padded by _pad with the
+    boundary tension tau_bar, then fourth-order central first derivatives for
+    the advective terms and three-point Laplacians for the viscous ones. This
+    is what one stage of advance computes."""
+    return _stencil(*_pad(model.tau_of_rho(state.r), state.p, tau_bar), config)
 
 
 def free_energy_functional(state: MacroState, model: ThermoModel) -> float:
@@ -152,8 +151,8 @@ def free_energy_functional(state: MacroState, model: ThermoModel) -> float:
     return float(np.mean(state.p**2 / 2.0 + f_vals))
 
 
-def _balance(r, p, tau, tau_bar: float, config: MacroConfig):
-    """(work rate, dissipation rate) of the state (r, p) with tension tau."""
+def _balance(p, tau, tau_bar: float, config: MacroConfig):
+    """(work rate, dissipation rate) of the state with momentum p and tension tau."""
     dx = config.dx
     # tau gradients at the M+1 faces: Neumann r at x=0 zeroes the first one,
     # the Dirichlet tension at x=1 gives a half-cell one-sided difference
@@ -173,52 +172,47 @@ def _balance(r, p, tau, tau_bar: float, config: MacroConfig):
 
 
 def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, model):
-    """(work rate, dissipation rate) at one instant, face-based.
+    """(work rate, dissipation rate) at one instant, face-based: what advance
+    computes at each step end.
 
-    The work rate is the boundary energy flux of viscous_rhs itself: summing
-    its fourth-order advective stencil by parts against the ghost cells leaves
-    tau_bar (7 p[M-1] - p[M-2]) / 6 at x=1 (nothing at x=0), and the viscous
-    Laplacian leaves delta1 tau_bar g_tau at the last face."""
-    tau = np.asarray(model.tau_of_rho(state.r))
-    return _balance(state.r, state.p, tau, tau_bar, config)
+    The rates are the exact energy flux of viscous_rhs: for any state,
+    sum dx (p dp/dt + tau(r) dr/dt) = work - dissipation to rounding. Summing
+    the fourth-order advective stencil by parts against _pad's ghosts (tau
+    odd about tau_bar, p even) leaves tau_bar (7 p[M-1] - p[M-2]) / 6 at x=1
+    and nothing at x=0; the viscous Laplacians leave delta1 tau_bar g_tau at
+    the last face and minus the face-weighted sum of delta1 g_tau^2 +
+    delta2 g_p^2."""
+    return _balance(state.p, model.tau_of_rho(state.r), tau_bar, config)
 
 
-def advance(
-    state: MacroState,
-    config: MacroConfig,
-    model: ThermoModel,
-    t_target: float | None = None,
-) -> MacroTrajectory:
-    """SSP-RK3 (Shu-Osher) integration from state.t to t_target (default
-    config.t_end), recording snapshots at config.record_times and the balance
-    ledger every step; W and D integrate the step-end rates by the
-    trapezoidal rule.
+def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> MacroTrajectory:
+    """SSP-RK3 (Shu-Osher) integration from state.t to config.t_end, recording
+    snapshots at config.record_times and the balance ledger every step; W and
+    D integrate the step-end rates by the trapezoidal rule.
 
-    t_target and record_times are absolute times. The run takes the fewest
-    equal steps of at most config.dt that end on t_target; record times snap
-    to the nearest step, and one before state.t raises ValueError, as does a
-    state whose r or p is not of shape (M,).
+    record_times are absolute times. The run takes the fewest equal steps of
+    at most config.dt that end on config.t_end; record times snap to the
+    nearest step, and one before state.t raises ValueError, as does a state
+    whose r or p is not of shape (M,) or whose t is not finite.
 
     The three stages of a step from t to t + dt read the tension at t,
     t + dt and t + dt/2. config.tension_schedule is called once, on the array
     of every stage time of the run, so it must accept an array of times (as
-    run_trajectory requires). The face strains are solved once per run, by
-    one call to model.invert_tau_table on all those tensions, so a tension
-    outside the thermo table raises ValueError before the first step. tau(r)
-    is evaluated once per step-end state, on its ghost-padded array, and
-    serves both the balance rates and the next step's first stage."""
+    run_trajectory requires); a non-finite tension raises ValueError before
+    the first step. The boundary tension enters only _pad's ghosts and the
+    balance rates: it is never looked up in the thermo table, so a strain that
+    leaves the table raises ValueError at the stage that reads it. tau(r) is
+    evaluated once per stage on the M cells; the step-end one serves both the
+    balance rates and the next step's first stage."""
     m = config.M
     for name, x in (("r", state.r), ("p", state.p)):
         if np.shape(x) != (m,):
             raise ValueError(f"state {name} has shape {np.shape(x)}, need ({m},) for M={m}")
     if not math.isfinite(state.t):
         raise ValueError(f"state t must be finite, got {state.t}")
-    t_target = config.t_end if t_target is None else t_target
-    if not math.isfinite(t_target):
-        raise ValueError(f"t_target must be finite, got {t_target}")
-    span = t_target - state.t
+    span = config.t_end - state.t
     if span < 0.0:
-        raise ValueError(f"t_target={t_target} lies before the state's t={state.t}")
+        raise ValueError(f"t_end={config.t_end} lies before the state's t={state.t}")
     n_steps = int(math.ceil(span / config.dt - 1e-9))
     dt = span / n_steps if n_steps else config.dt
     rec_steps = np.round((config.record_times - state.t) / dt).astype(int)
@@ -227,22 +221,18 @@ def advance(
     rec_steps = np.minimum(rec_steps, n_steps)
     step_times = state.t + dt * np.arange(n_steps + 1)
 
-    # tensions and face strains at the step times t_k, then at t_k + dt/2
+    # tensions at the step times t_k, then at t_k + dt/2
     stage_times = np.concatenate((step_times, step_times[:-1] + 0.5 * dt))
     tensions = np.broadcast_to(
         np.asarray(config.tension_schedule(stage_times), dtype=float), stage_times.shape
     )
-    faces = model.invert_tau_table(tensions)
-    tau_bar = tensions[: n_steps + 1].tolist()
-    face, face_mid = faces[: n_steps + 1].tolist(), faces[n_steps + 1 :].tolist()
-
-    def step_end(r, p, k):
-        """The padded state at step k and its interior tension. The last
-        state starts no step, so its ghosts are neither built nor read."""
-        if k == n_steps:
-            return None, np.asarray(model.tau_of_rho(r))
-        padded = _padded_state(r, p, face[k], model)
-        return padded, padded[2][2:-2]
+    bad = ~np.isfinite(tensions)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"tension schedule gives non-finite tau = {tensions[i]} at t = {stage_times[i]:.6g}"
+        )
+    tau_bar, tau_mid = tensions[: n_steps + 1].tolist(), tensions[n_steps + 1 :].tolist()
 
     r = state.r.copy()
     p = state.p.copy()
@@ -250,8 +240,8 @@ def advance(
     w_hist = np.zeros(n_steps + 1)
     d_hist = np.zeros(n_steps + 1)
     f_hist[0] = free_energy_functional(MacroState(r, p, state.t), model)
-    padded, tau = step_end(r, p, 0)
-    w_rate, d_rate = _balance(r, p, tau, tau_bar[0], config)
+    tau = model.tau_of_rho(r)
+    w_rate, d_rate = _balance(p, tau, tau_bar[0], config)
     snapshots_t, snaps_r, snaps_p = [], [], []
 
     def record(k):
@@ -263,19 +253,19 @@ def advance(
 
     record(0)
     for k in range(1, n_steps + 1):
-        dr, dp = _stencil(*padded, config)
+        dr, dp = _stencil(*_pad(tau, p, tau_bar[k - 1]), config)
         r1, p1 = r + dt * dr, p + dt * dp
-        dr, dp = _stencil(*_padded_state(r1, p1, face[k], model), config)
+        dr, dp = _stencil(*_pad(model.tau_of_rho(r1), p1, tau_bar[k]), config)
         r2 = 0.75 * r + 0.25 * (r1 + dt * dr)
         p2 = 0.75 * p + 0.25 * (p1 + dt * dp)
-        dr, dp = _stencil(*_padded_state(r2, p2, face_mid[k - 1], model), config)
+        dr, dp = _stencil(*_pad(model.tau_of_rho(r2), p2, tau_mid[k - 1]), config)
         r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
         p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
         if not math.isfinite(float(np.sum(r) + np.sum(p))):
             raise BlowUpError(f"macro solver blew up at step {k}, t={step_times[k]:.6g}")
         f_hist[k] = free_energy_functional(MacroState(r, p, float(step_times[k])), model)
-        padded, tau = step_end(r, p, k)
-        w_next, d_next = _balance(r, p, tau, tau_bar[k], config)
+        tau = model.tau_of_rho(r)
+        w_next, d_next = _balance(p, tau, tau_bar[k], config)
         w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
         d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
         w_rate, d_rate = w_next, d_next

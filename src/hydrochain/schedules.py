@@ -10,9 +10,11 @@ import numpy as np
 
 
 def checked_record_times(times, t_max: float) -> np.ndarray:
-    """times as a float array, checked to be finite, sorted and inside
-    [0, t_max] (up to rounding)."""
+    """times as a float array, checked to be non-empty, finite, sorted and
+    inside [0, t_max] (up to rounding)."""
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("record_times must hold at least one time")
     if not np.isfinite(times).all():
         raise ValueError(f"record_times must be finite, got {times[~np.isfinite(times)][0]}")
     if np.any(times < 0.0) or np.any(times > t_max * (1.0 + 1e-9) + 1e-12):

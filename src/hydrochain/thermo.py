@@ -10,8 +10,9 @@ panel forms its weighted integrand once for all four moments; every tension's
 sums run along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
-needs no inversion; tension_of_strain is the one inversion of rho(tau). Table
-lookups outside the tabulated range raise instead of extrapolating.
+needs no inversion; tension_of_strain is the one inversion of rho(tau). The
+table holds tau(rho), its slope and F(rho), all read at a strain; a strain
+outside the tabulated range raises instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -167,10 +168,11 @@ class ThermoModel:
     Exposes the potential shorthands V and dV, the exact quadrature path
     (log_partition, mean_strain, tension_of_strain, free_energy,
     internal_energy, sample_canonical) and a lazily built, certified spline
-    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho,
-    rho_of_tau, invert_tau_table).
-    The slope tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
-    derivative of the tau_of_rho spline.
+    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho).
+    Every table lookup takes a strain: the PDE imposes its boundary tension
+    on tau directly, so no caller inverts the table. The slope
+    tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the derivative of
+    the tau_of_rho spline.
     """
 
     def __init__(
@@ -395,12 +397,11 @@ class ThermoModel:
     # -- tabulated fast path ----------------------------------------------------
 
     def _build_table(self):
-        """Splines of tau(rho), rho(tau) and F(rho) on _TABLE_NODES nodes uniform
-        in tau, from the exact tension of _TABLE_RHO_MIN to that of
-        _TABLE_RHO_MAX. One batched quadrature
-        gives (G, rho) at every node; the slope bounds keep the strain spacing
-        within c2/c1 of uniform. Certified against exact values midway between
-        nodes and against the slope bounds."""
+        """Splines of tau(rho) and F(rho) on _TABLE_NODES nodes uniform in tau,
+        from the exact tension of _TABLE_RHO_MIN to that of _TABLE_RHO_MAX.
+        One batched quadrature gives (G, rho) at every node; the slope bounds
+        keep the strain spacing within c2/c1 of uniform. Certified against
+        exact tensions midway between nodes and against the slope bounds."""
         taus = np.linspace(
             self.tension_of_strain(_TABLE_RHO_MIN),
             self.tension_of_strain(_TABLE_RHO_MAX),
@@ -414,15 +415,13 @@ class ThermoModel:
             "tau": taus,
             "rho": rho,
             "tau_of_rho": tau_of_rho,
-            # built once: tau_prime_of_rho, invert_tau_table and the certificate read it
+            # built once: tau_prime_of_rho and the certificate read it
             "tau_of_rho_slope": tau_of_rho.derivative(),
-            "rho_of_tau": CubicSpline(taus, rho),
             "F_of_rho": CubicSpline(rho, taus * rho - g / self.beta),
         }
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
         _, rho_p, _, _ = self._moments(probe)
         err_tau = np.max(np.abs(table["tau_of_rho"](rho_p) - probe))
-        err_rho = np.max(np.abs(table["rho_of_tau"](probe) - rho_p))
         dense = np.linspace(rho[0], rho[-1], 20001)
         slope_dense = table["tau_of_rho_slope"](dense)
         mono_ok = (
@@ -430,11 +429,10 @@ class ThermoModel:
         )
         table["certificate"] = {
             "max_tau_error": float(err_tau),
-            "max_rho_error": float(err_rho),
             "slope_range": (float(slope_dense.min()), float(slope_dense.max())),
             "monotone_within_bounds": bool(mono_ok),
         }
-        if err_tau > 5e-8 or err_rho > 5e-8 or not mono_ok:
+        if err_tau > 5e-8 or not mono_ok:
             raise ThermoError(f"thermo table failed certification: {table['certificate']}")
         return table
 
@@ -444,50 +442,23 @@ class ThermoModel:
             self._table = self._build_table()
         return self._table
 
-    def _in_table(self, values, key: str) -> np.ndarray:
-        """values as a float array, checked to lie within the table's nodes."""
-        nodes = self.table[key]
+    def _in_table(self, rho) -> np.ndarray:
+        """rho as a float array, checked to lie within the table's strain nodes."""
+        nodes = self.table["rho"]
         lo, hi = nodes[0], nodes[-1]
-        v = np.asarray(values, dtype=float)
+        v = np.asarray(rho, dtype=float)
         if v.size and not (lo <= v.min() and v.max() <= hi):
             bad = v.max() if lo <= v.min() else v.min()
-            raise ValueError(f"{key} = {bad} lies outside the thermo table [{lo}, {hi}]")
+            raise ValueError(f"rho = {bad} lies outside the thermo table [{lo}, {hi}]")
         return v
 
     def tau_of_rho(self, rho):
         """Spline tension, vectorized; certified against the exact inversion."""
-        return self.table["tau_of_rho"](self._in_table(rho, "rho"))
-
-    def rho_of_tau(self, tau):
-        return self.table["rho_of_tau"](self._in_table(tau, "tau"))
+        return self.table["tau_of_rho"](self._in_table(rho))
 
     def free_energy_of_rho(self, rho):
-        return self.table["F_of_rho"](self._in_table(rho, "rho"))
+        return self.table["F_of_rho"](self._in_table(rho))
 
     def tau_prime_of_rho(self, rho):
         """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""
-        return self.table["tau_of_rho_slope"](self._in_table(rho, "rho"))
-
-    def invert_tau_table(self, tau):
-        """Invert the tabulated tau_of_rho spline itself (Newton), so callers
-        needing tau(r*) = tau to hold in the *spline* sense get it to
-        rounding rather than to table accuracy.
-
-        Vectorized over tau: each entry takes its own Newton steps and is
-        frozen once it converges, so it equals the call on that tension alone
-        to the bit. A scalar tau returns a float."""
-        spline = self.table["tau_of_rho"]
-        deriv = self.table["tau_of_rho_slope"]
-        tau = np.asarray(tau, dtype=float)
-        taus = tau.ravel()
-        rho = self.rho_of_tau(taus)
-        tol = 1e-14 * np.maximum(1.0, np.abs(taus))
-        live = np.arange(rho.size)
-        for _ in range(8):
-            f = spline(rho[live]) - taus[live]
-            moving = ~(np.abs(f) <= tol[live])
-            if not np.count_nonzero(moving):
-                break
-            live, f = live[moving], f[moving]
-            rho[live] -= f / deriv(rho[live])
-        return float(rho[0]) if tau.ndim == 0 else rho.reshape(tau.shape)
+        return self.table["tau_of_rho_slope"](self._in_table(rho))

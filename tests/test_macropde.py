@@ -68,6 +68,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="record_times must be finite"):
                 MacroConfig(M=16, t_end=0.1, record_times=np.array(times))
 
+    def test_empty_record_times_rejected(self):
+        # an empty record left MacroTrajectory.r of shape (0,)
+        with pytest.raises(ValueError, match="record_times must hold at least one time"):
+            MacroConfig(M=16, t_end=0.1, record_times=np.array([]))
+
     def test_dt_respects_both_bounds(self):
         cfg = MacroConfig(M=100, delta1=0.0, delta2=0.0, t_end=1.0)
         assert cfg.dt <= 0.4 * cfg.dx * (1 + 1e-12)
@@ -83,24 +88,24 @@ class TestBoundaryConditions:
         taub = float(model.tau_of_rho(rho))
         cfg = MacroConfig(M=50, t_end=0.1, tension_schedule=ConstantSchedule(taub))
         st = uniform_state(cfg, rho)
-        r_pad, p_pad = _pad(st.r, st.p, model.invert_tau_table(taub))
-        assert r_pad[1] == pytest.approx(rho, abs=1e-13)
-        assert r_pad[-2] == pytest.approx(rho, abs=1e-12)
-        assert p_pad[1] == p_pad[2] == 0.0
+        tau_pad, p_pad = _pad(model.tau_of_rho(st.r), st.p, taub)
+        assert np.all(tau_pad == taub)
+        assert np.all(p_pad == 0.0)
 
     def test_stepped_tension_round_trip(self, model):
         cfg = MacroConfig(M=50, t_end=0.1)
-        st = uniform_state(cfg, 0.0)
+        tau = model.tau_of_rho(uniform_state(cfg, 0.0).r)
         taub = 0.62
-        r_pad, _ = _pad(st.r, st.p, model.invert_tau_table(taub))
-        r_face = 0.5 * (r_pad[-2] + st.r[-1])
-        assert model.tension_of_strain(r_face) == pytest.approx(taub, abs=1e-8)
+        tau_pad, _ = _pad(tau, np.zeros(50), taub)
+        assert 0.5 * (tau_pad[-2] + tau[-1]) == pytest.approx(taub, abs=1e-15)
+        assert 0.5 * (tau_pad[-1] + tau[-2]) == pytest.approx(taub, abs=1e-15)
+        assert tau_pad[1] == tau[0] and tau_pad[0] == tau[1]
 
     def test_left_momentum_reflection(self, model):
         st = MacroState(r=np.zeros(50), p=np.linspace(0.3, 0.5, 50), t=0.0)
-        _, p_pad = _pad(st.r, st.p, model.invert_tau_table(0.0))
-        assert p_pad[1] == -st.p[0]
-        assert p_pad[-2] == st.p[-1]
+        _, p_pad = _pad(model.tau_of_rho(st.r), st.p, 0.0)
+        assert p_pad[1] == -st.p[0] and p_pad[0] == -st.p[1]
+        assert p_pad[-2] == st.p[-1] and p_pad[-1] == st.p[-2]
 
 
 class TestRHS:
@@ -207,19 +212,10 @@ class TestAdvance:
         assert np.all(np.diff(traj.t_hist) <= cfg.dt * (1 + 1e-12))
         assert traj.times == pytest.approx([0.2, 0.3], abs=cfg.dt / 2)
 
-    def test_t_target_is_absolute(self, model):
-        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.15, 0.2]))
-        traj = advance(self.state_at(cfg, 0.1), cfg, model, t_target=0.2)
-        assert traj.t_hist[-1] == pytest.approx(0.2, abs=1e-12)
-        assert traj.times == pytest.approx([0.15, 0.2], abs=cfg.dt / 2)
-        with pytest.raises(ValueError, match="t_target"):
-            advance(self.state_at(cfg, 0.1), cfg, model, t_target=0.05)
-
-    @pytest.mark.parametrize("t_target", [math.nan, math.inf])
-    def test_nonfinite_t_target_rejected(self, model, t_target):
-        cfg = MacroConfig(M=16, t_end=0.1)
-        with pytest.raises(ValueError, match="t_target must be finite"):
-            advance(uniform_state(cfg, 0.2), cfg, model, t_target=t_target)
+    def test_start_after_t_end_rejected(self, model):
+        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.3]))
+        with pytest.raises(ValueError, match="t_end=0.3 lies before"):
+            advance(self.state_at(cfg, 0.35), cfg, model)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nonfinite_start_time_rejected(self, model, t):
@@ -236,8 +232,25 @@ class TestAdvance:
                 advance(MacroState(r=r, p=p, t=0.0), cfg, model)
 
     def test_nonfinite_tension_named(self, model):
-        cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=ConstantSchedule(math.nan))
-        with pytest.raises(ValueError, match="tau = nan"):
+        def later_inf(t):  # turns non-finite at a stage time after step 1
+            return np.where(np.asarray(t) < 0.05, 0.1, math.inf)
+
+        for schedule, message in (
+            (ConstantSchedule(math.nan), "tau = nan at t = 0$"),
+            (ConstantSchedule(math.inf), "tau = inf at t = 0$"),
+            (ConstantSchedule(-math.inf), "tau = -inf at t = 0$"),
+            (later_inf, "tau = inf at t = 0.05$"),
+        ):
+            cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=schedule)
+            with pytest.raises(ValueError, match=f"non-finite {message}"):
+                advance(uniform_state(cfg, 0.2), cfg, model)
+
+    def test_tension_is_not_looked_up_in_the_table(self, model):
+        # tau_bar far above the table's tension range: the run starts, and the
+        # strain that leaves the table raises at the stage that reads it
+        big = 2.0 * float(model.table["tau"][-1])
+        cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=ConstantSchedule(big))
+        with pytest.raises(ValueError, match="rho = .* lies outside the thermo table"):
             advance(uniform_state(cfg, 0.2), cfg, model)
 
     def test_record_time_before_state_rejected(self, model):
@@ -248,7 +261,7 @@ class TestAdvance:
 
 def reference_advance(state, config, model):
     """The SSP-RK3 loop through the public functions, one scalar schedule call
-    and one face-strain inversion per stage: (snapshot r, snapshot p, t_hist,
+    and one tau(r) evaluation per stage: (snapshot r, snapshot p, t_hist,
     F_hist, W_hist, D_hist)."""
     span = config.t_end - state.t
     n_steps = int(math.ceil(span / config.dt - 1e-9))
@@ -291,8 +304,8 @@ def reference_advance(state, config, model):
 
 class TestAdvanceBitwise:
     """advance equals the stage-by-stage loop through the public functions to
-    the bit: its schedule and face strains are evaluated in one array call
-    each, and tau(r) of a step-end state once."""
+    the bit: its schedule is evaluated in one array call, and tau(r) of a
+    step-end state once."""
 
     @staticmethod
     def check(state, config, model):
@@ -359,6 +372,19 @@ class TestBalance:
             assert np.all(np.diff(D) >= -1e-15)
             res_max[m] = res.max()
         assert res_max[200] <= res_max[100] / 2.5
+
+    @pytest.mark.parametrize("m", [64, 400, 1600])
+    @pytest.mark.parametrize("delta", [(0.0, 0.0), (3e-3, 2e-3)])
+    def test_semidiscrete_energy_identity(self, model, m, delta):
+        # the rates are the exact energy flux of viscous_rhs, also for a state
+        # whose boundary tension is not the one applied
+        cfg = MacroConfig(M=m, delta1=delta[0], delta2=delta[1], t_end=0.1)
+        x = cfg.x
+        st = MacroState(r=0.3 * np.sin(3 * x), p=0.2 * np.cos(2 * x) + 0.05, t=0.0)
+        dr, dp = viscous_rhs(st, 0.37, cfg, model)
+        tau = model.tau_of_rho(st.r)
+        w, d = balance_integrands(st, 0.37, cfg, model)
+        assert abs(np.sum(st.p * dp + tau * dr) * cfg.dx - (w - d)) <= 1e-14
 
     def test_dissipation_rate_nonnegative(self, model):
         cfg = MacroConfig(M=64, t_end=0.1)

@@ -75,6 +75,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="record_times must be finite"):
                 ChainConfig(N=32, t_end=0.01, record_times=np.array(times))
 
+    def test_empty_record_times_rejected(self):
+        # an empty record left the ledger's first-law residual and Clausius
+        # gap to raise IndexError
+        with pytest.raises(ValueError, match="record_times must hold at least one time"):
+            ChainConfig(N=32, t_end=0.01, record_times=np.array([]))
+
     @pytest.mark.parametrize(
         "name, bad",
         [("t_end", math.nan), ("t_end", math.inf), ("sigma", math.nan), ("sigma", math.inf)],
