@@ -85,6 +85,13 @@ def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
     return np.convolve(u, _kernels(l)[1], mode="valid")
 
 
+def _check_size(state: ChainState, spec: BlockSpec) -> None:
+    """A state of spec.N sites: r and p of shape (N,)."""
+    for name, x in (("r", state.r), ("p", state.p)):
+        if np.shape(x) != (spec.N,):
+            raise ConfigurationError(f"state {name} has shape {np.shape(x)}, need ({spec.N},)")
+
+
 @dataclass
 class EmpiricalField:
     """Piecewise-constant (r_hat, p_hat)(x) built from triangular averages,
@@ -98,6 +105,7 @@ class EmpiricalField:
 
     @classmethod
     def from_state(cls, state: ChainState, spec: BlockSpec) -> "EmpiricalField":
+        _check_size(state, spec)
         return cls(
             r_hat=hat_profile(state.r, spec.l),
             p_hat=hat_profile(state.p, spec.l),
@@ -170,6 +178,7 @@ def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: Ther
     with f = r, p, Vp = V'(r) and, for two_block only, tau = tau(hat r).
     V'(r), each hat profile and tau(hat r) are computed once; the differences
     are stacked by window length, so two reductions give all eight sums."""
+    _check_size(state, spec)
     l, n = spec.l, spec.N
     sites = (state.r, state.p, model.dV(state.r))
     hats = [hat_profile(u, l) for u in sites]

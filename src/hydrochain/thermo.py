@@ -10,9 +10,10 @@ panel forms its weighted integrand once for all four moments; every tension's
 sums run along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
-needs no inversion; tension_of_strain is the one inversion of rho(tau). The
-table holds tau(rho), its slope and F(rho), all read at a strain; a strain
-outside the tabulated range raises instead of extrapolating.
+needs no inversion; tension_of_strain, one library Newton call from
+tau = rho, is the one inversion of rho(tau). The table holds tau(rho), its
+slope and F(rho), all read at a strain; a strain outside the tabulated range
+raises instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.optimize import brentq, root_scalar
 
 
 _QUAD_TOL = 1e-30
-_STRAIN_TOL = 1e-12  # |rho(tau) - rho| at which tension_of_strain stops
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
 _TABLE_NODES = 3600
 _BLOCK = 256  # tensions per quadrature block: a (256, n_quad) panel stays in cache
@@ -168,11 +168,11 @@ class ThermoModel:
     Exposes the potential shorthands V and dV, the exact quadrature path
     (log_partition, mean_strain, tension_of_strain, free_energy,
     internal_energy, sample_canonical) and a lazily built, certified spline
-    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho).
-    Every table lookup takes a strain: the PDE imposes its boundary tension
-    on tau directly, so no caller inverts the table. The slope
-    tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the derivative of
-    the tau_of_rho spline.
+    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho),
+    each read at a strain. The slope tau' = 1/(beta Var r) exists once, as
+    tau_prime_of_rho, the derivative of the tau_of_rho spline. Construction
+    runs no quadrature and no check of V'': its formula (eval_potential)
+    keeps it in [c1, c2] for every kappa that PotentialParams admits.
     """
 
     def __init__(
@@ -194,8 +194,6 @@ class ThermoModel:
         self._halfwidth = math.sqrt(2.0 * math.log(1.0 / _QUAD_TOL) / (self.beta * self.c1))
         self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(n_quad)
         self._table = None
-        self._rho0 = None  # rho(beta, 0), centre of tension_of_strain's bracket
-        self._verify_curvature_bounds()
 
     # -- potential shorthands ------------------------------------------------
 
@@ -204,15 +202,6 @@ class ThermoModel:
 
     def dV(self, r):
         return _potential_derivatives(self.potential, _strain(r))[0]
-
-    def _verify_curvature_bounds(self) -> None:
-        grid = np.linspace(-8.0, 8.0, 4001)
-        d2 = _potential_derivatives(self.potential, grid)[1]
-        if d2.min() < self.c1 - 1e-12 or d2.max() > self.c2 + 1e-12:
-            raise ThermoError(
-                f"V'' escapes [{self.c1}, {self.c2}]: range "
-                f"[{d2.min()}, {d2.max()}]"
-            )
 
     # -- exact quadrature core ----------------------------------------------
 
@@ -304,42 +293,26 @@ class ThermoModel:
         return 0.5 / self.beta + float(self._moments(tau)[3][0])
 
     def tension_of_strain(self, rho: float) -> float:
-        """Invert rho(tau) = rho by safeguarded Newton with bisection fallback.
+        """Invert rho(tau) = rho by Newton's method from tau = rho, one
+        quadrature giving the residual and its slope beta Var r per step.
 
-        The slope d rho/d tau = beta Var(r) lies in [1/c2, 1/c1], so a bracket
-        built from the c1/c2 secants always contains the root.
+        No bracket is needed: beta Var r lies in [1/c2, 1/c1], so each step
+        multiplies the error by at most kappa/(1 - kappa) < 1/2 (as
+        PotentialParams requires kappa < 1/3), and a last step below
+        1e-12 (1 + |tau|) bounds it. A tighter stop can cycle between two
+        tensions: the quadrature's rounding in rho is ~1e-12 at |rho| = 100.
         """
         if not math.isfinite(rho):
             raise ValueError(f"non-finite strain {rho}")
-        if self._rho0 is None:
-            self._rho0 = float(self._moments(0.0)[1][0])
-        d = rho - self._rho0
-        lo = min(self.c1 * d, self.c2 * d) - 1e-9
-        hi = max(self.c1 * d, self.c2 * d) + 1e-9
-        tau = min(max(self.c2 * d, lo), hi)
-        flo = None
-        fhi = None
-        for it in range(200):
+
+        def residual(tau):
             _, rh, var, _ = self._moments(tau)
-            f = float(rh[0]) - rho
-            if abs(f) <= _STRAIN_TOL:
-                return float(tau)
-            if f > 0.0:
-                hi, fhi = tau, f
-            else:
-                lo, flo = tau, f
-            if it < 50:
-                slope = self.beta * float(var[0])
-                cand = tau - f / slope
-            else:
-                cand = 0.5 * (lo + hi)
-            if not (lo < cand < hi):
-                cand = 0.5 * (lo + hi)
-            tau = cand
-        raise ThermoError(
-            f"tension inversion failed for rho={rho}: bracket [{lo},{hi}], "
-            f"residuals ({flo}, {fhi})"
-        )
+            return float(rh[0]) - rho, self.beta * float(var[0])
+
+        sol = root_scalar(residual, x0=rho, fprime=True, method="newton", xtol=1e-12, rtol=1e-12)
+        if not sol.converged:
+            raise ThermoError(f"tension inversion failed for rho={rho}: {sol.flag}")
+        return float(sol.root)
 
     def free_energy(self, rho: float) -> float:
         """F(beta, rho) = tau rho - G(beta,tau)/beta at the conjugate tau."""
@@ -424,9 +397,7 @@ class ThermoModel:
         err_tau = np.max(np.abs(table["tau_of_rho"](rho_p) - probe))
         dense = np.linspace(rho[0], rho[-1], 20001)
         slope_dense = table["tau_of_rho_slope"](dense)
-        mono_ok = (
-            slope_dense.min() >= self.c1 - 1e-6 and slope_dense.max() <= self.c2 + 1e-6
-        )
+        mono_ok = slope_dense.min() >= self.c1 - 1e-6 and slope_dense.max() <= self.c2 + 1e-6
         table["certificate"] = {
             "max_tau_error": float(err_tau),
             "slope_range": (float(slope_dense.min()), float(slope_dense.max())),

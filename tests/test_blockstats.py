@@ -163,6 +163,21 @@ class TestStatisticsRow:
         assert row[:4] == (0.25, 40, 4, 7.0)
         assert all(type(v) is float and v >= 0.0 for v in row[4:])
 
+    def test_state_of_the_wrong_size_rejected(self, model):
+        # a 512-site state under N = 256 would give 494 r_hat values on 238
+        # positions, and sums divided by the wrong N
+        spec = BlockSpec(l=10, N=256)
+        wrong = [
+            ChainState(r=np.zeros(512), p=np.zeros(512), t=0.0),
+            ChainState(r=np.zeros(256), p=np.zeros(512), t=0.0),
+            ChainState(r=np.zeros((2, 128)), p=np.zeros(256), t=0.0),
+        ]
+        for st in wrong:
+            with pytest.raises(ConfigurationError, match=r"need \(256,\)"):
+                statistics_row(st, spec, 7.0, model)
+            with pytest.raises(ConfigurationError, match=r"need \(256,\)"):
+                EmpiricalField.from_state(st, spec)
+
 
 class TestOneBlock:
     def test_uniform_state_value(self, model):

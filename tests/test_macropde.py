@@ -409,6 +409,15 @@ class TestClausius:
         with pytest.warns(UserWarning, match="stationary"):
             clausius_gap(traj, model, 0.0, 0.5)
 
+    def test_end_of_run_must_be_recorded(self, model):
+        # the last snapshot, ||p|| = 0.214 at t = 0.3, is not the end state
+        # at t = 3 (||p|| = 0.454) whose W the gap reads
+        cfg = MacroConfig(M=64, t_end=3.0, tension_schedule=RampSchedule(0.0, 0.5, t1=0.2),
+                          record_times=np.array([0.0, 0.3]))
+        traj = advance(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
+        with pytest.raises(ValueError, match="t_end=3"):
+            clausius_gap(traj, model, 0.0, 0.5)
+
 
 class TestEntropyPair:
     def test_smooth_residual_small_and_refines(self, model):
