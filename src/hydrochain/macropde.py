@@ -324,8 +324,9 @@ def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> flo
 
 
 def write_balance_csv(path, traj: MacroTrajectory) -> None:
-    from .csvio import write_csv
+    """(t, F, W, D, residual) at every step, formatted by csvio's float kernel."""
+    from .csvio import write_columns
 
     _, _, residual = work_and_dissipation(traj)
     columns = (traj.t_hist, traj.F_hist, traj.W_hist, traj.D_hist, residual)
-    write_csv(path, ["t", "F", "W", "D", "residual"], zip(*(c.tolist() for c in columns)))
+    write_columns(path, ["t", "F", "W", "D", "residual"], columns)

@@ -465,26 +465,19 @@ def run_trajectory(
 
 
 def write_snapshot_csv(path, snapshots) -> None:
-    """Long-format (t, i, r, p) dump of the recorded states."""
-    from .csvio import write_text
+    """Long-format (t, i, r, p) dump of the recorded states. csvio's float
+    kernel formats t once per snapshot and r, p once per site; the index
+    texts are built once per call."""
+    from .csvio import write_long_csv
 
-    templates = {}  # per N: the rows with the site index baked in, "T" for t
-
-    def blocks():
-        for st in snapshots:
-            n = st.r.size
-            if n not in templates:
-                templates[n] = "".join("T,%d,%%.17g,%%.17g\n" % i for i in range(1, n + 1))
-            values = np.column_stack((st.r, st.p)).ravel().tolist()
-            yield templates[n].replace("T", "%.17g" % st.t) % tuple(values)
-
-    write_text(path, ["t", "i", "r", "p"], blocks())
+    write_long_csv(path, ["t", "i", "r", "p"], ((st.t, (st.r, st.p)) for st in snapshots))
 
 
 def write_ledger_csv(path, series: LedgerSeries) -> None:
-    from .csvio import write_csv
+    """The ledger's columns, one line per record, formatted by csvio's float
+    kernel."""
+    from .csvio import write_columns
 
     names = ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r", "first_law_residual")
-    columns = [getattr(series, name).tolist() for name in names]
     header = ["t", "E", "W", "Q_p", "Q_r", "M_p", "M_r", "first_law_residual"]
-    write_csv(path, header, zip(*columns))
+    write_columns(path, header, [getattr(series, name) for name in names])
