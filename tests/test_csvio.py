@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from hydrochain import csvio
 from hydrochain.csvio import _float_fields, write_csv
-from hydrochain.macropde import MacroConfig, advance, uniform_state, write_balance_csv
+from hydrochain.macropde import (
+    MacroConfig,
+    advance,
+    uniform_state,
+    work_and_dissipation,
+    write_balance_csv,
+)
 from hydrochain.microchain import (
     ChainConfig,
     ChainState,
@@ -194,7 +200,7 @@ def small_pipeline():
     )
     result = run_trajectory(config, 0.0, model)
     pde = MacroConfig(
-        M=40, t_end=horizon, tension_schedule=RampSchedule(0.0, 0.4, horizon), record_times=times
+        M=400, t_end=horizon, tension_schedule=RampSchedule(0.0, 0.4, horizon), record_times=times
     )
     traj = advance(uniform_state(pde, model.mean_strain(0.0)), pde, model)
     return result, traj
@@ -233,8 +239,6 @@ class TestPipelineFiles:
 
     @pytest.mark.parametrize("budget", [csvio._BLOCK_BYTES, 1])
     def test_balance_file(self, tmp_path, monkeypatch, small_pipeline, budget):
-        from hydrochain.macropde import work_and_dissipation
-
         monkeypatch.setattr(csvio, "_BLOCK_BYTES", budget)
         traj = small_pipeline[1]
         path = tmp_path / "balance.csv"
