@@ -23,9 +23,9 @@ W - (F(rho1) - F(rho0)) evaluated after relaxation. The work and dissipation
 rates are the exact energy flux of the semi-discrete right-hand side, so the
 balance misses only the time integration and the spline's own F-tau
 consistency. The ghost padding, the stencil and the balance rates exist once,
-in _pad, _stencil and _balance; viscous_rhs and balance_integrands run them on
-a single state, as one stage and one step end of advance do. advance calls
-the tension schedule once, on the array of every stage time of the run.
+in _pad, _stencil and _balance, on one padded (2, M+4) array of tau and p, and
+advance runs them on its (2, M) state (r, p), reading tau and F in one spline
+call a step end and the tension schedule once, at every stage time of the run.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,28 +114,42 @@ def uniform_state(config: MacroConfig, rho: float) -> MacroState:
 
 
 def _pad(tau, p, tau_bar):
-    """(tau_pad, p_pad) of length M+4: two ghost cells on each side.
+    """(2, M+4) array of the rows tau and p with two ghost cells on each side.
 
     At x=0 tau is reflected evenly (dr/dx = 0) and p oddly (p = 0); at x=1 tau
     is reflected oddly about tau_bar, so the face tension (tau_ghost +
     tau[M-1])/2 is tau_bar, and p evenly (dp/dx = 0). The tension is imposed
     on tau itself: the table is read only at the M interior strains."""
-    tau_pad = np.concatenate((tau[1::-1], tau, 2.0 * tau_bar - tau[:-3:-1]))
-    p_pad = np.concatenate((-p[1::-1], p, p[:-3:-1]))
-    return tau_pad, p_pad
+    pad = np.empty((2, p.size + 4))
+    pad[0, 2:-2], pad[1, 2:-2] = tau, p
+    pad[0, :2], pad[0, -2:] = tau[1::-1], 2.0 * tau_bar - tau[:-3:-1]
+    pad[1, :2], pad[1, -2:] = np.negative(p[1::-1]), p[:-3:-1]
+    return pad
 
 
-def _stencil(tau_pad, p_pad, config: MacroConfig):
-    """(dr/dt, dp/dt) from the padded tension and momentum."""
-    dx = config.dx
+def _scratch(config: MacroConfig):
+    """What _stencil and _balance reuse, built once per run: the viscosity
+    column, the face weights and buffers for the stencils and face gradients."""
+    w_face = np.full(config.M + 1, config.dx)
+    w_face[0] = w_face[-1] = config.dx / 2.0
+    visc = np.array([[config.delta1], [config.delta2]])
+    d1, lap, grad = (np.empty((2, config.M + n)) for n in (0, 0, 1))
+    return SimpleNamespace(visc=visc, w_face=w_face, d1=d1, lap=lap, grad=grad)
 
-    def d1(f):
-        return (8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])) / (12.0 * dx)
 
-    def lap(f):
-        return (f[3:-1] - 2.0 * f[2:-2] + f[1:-3]) / dx**2
-
-    return d1(p_pad) + config.delta1 * lap(tau_pad), d1(tau_pad) + config.delta2 * lap(p_pad)
+def _stencil(pad, config: MacroConfig, s):
+    """(2, M) array (dr/dt, dp/dt) from the padded (tau, p): the rows' fourth-
+    order first differences, swapped, plus the viscosities times their
+    Laplacians. It is one of s's buffers, so the next call with s overwrites it."""
+    d1 = np.subtract(pad[:, 3:-1], pad[:, 1:-3], out=s.d1)
+    d1 *= 8.0
+    d1 -= np.subtract(pad[:, 4:], pad[:, :-4], out=s.lap)
+    d1 /= 12.0 * config.dx
+    lap = np.subtract(pad[:, 3:-1], np.multiply(pad[:, 2:-2], 2.0, out=s.lap), out=s.lap)
+    lap += pad[:, 1:-3]
+    lap /= config.dx**2
+    lap *= s.visc
+    return np.add(d1[::-1], lap, out=lap)
 
 
 def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: ThermoModel):
@@ -142,33 +157,26 @@ def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: T
     boundary tension tau_bar, then fourth-order central first derivatives for
     the advective terms and three-point Laplacians for the viscous ones. This
     is what one stage of advance computes."""
-    return _stencil(*_pad(model.tau_of_rho(state.r), state.p, tau_bar), config)
+    return _stencil(_pad(model.tau_of_rho(state.r), state.p, tau_bar), config, _scratch(config))
 
 
-def free_energy_functional(state: MacroState, model: ThermoModel) -> float:
-    """int_0^1 (p^2/2 + F(beta, r)) dx by midpoint quadrature."""
-    f_vals = np.asarray(model.free_energy_of_rho(state.r))
-    return float(np.mean(state.p**2 / 2.0 + f_vals))
+def _free_energy(p, f) -> float:
+    """int_0^1 (p^2/2 + F(beta, r)) dx by midpoint quadrature, f = F(beta, r)."""
+    return float(np.mean(p**2 / 2.0 + f))
 
 
-def _balance(p, tau, tau_bar: float, config: MacroConfig):
-    """(work rate, dissipation rate) of the state with momentum p and tension tau."""
+def _balance(pad, tau_bar: float, config: MacroConfig, s):
+    """(work rate, dissipation rate) of the padded state."""
     dx = config.dx
-    # tau gradients at the M+1 faces: Neumann r at x=0 zeroes the first one,
-    # the Dirichlet tension at x=1 gives a half-cell one-sided difference
-    g_tau = np.empty(config.M + 1)
-    g_tau[0] = 0.0
-    g_tau[1:-1] = np.diff(tau) / dx
-    g_tau[-1] = (tau_bar - tau[-1]) / (0.5 * dx)
-    g_p = np.empty(config.M + 1)
-    g_p[0] = p[0] / (0.5 * dx)  # p(0) = 0
-    g_p[1:-1] = np.diff(p) / dx
-    g_p[-1] = 0.0  # Neumann p at x=1
-    w_face = np.full(config.M + 1, dx)
-    w_face[0] = w_face[-1] = dx / 2.0
-    diss = float(np.sum(w_face * (config.delta1 * g_tau**2 + config.delta2 * g_p**2)))
-    work = tau_bar * ((7.0 * p[-1] - p[-2]) / 6.0 + config.delta1 * g_tau[-1])
-    return work, diss
+    # tau and p gradients at the M+1 faces, from the ghosts but for tau at x=1,
+    # where the Dirichlet tension gives a half-cell one-sided difference
+    g = np.subtract(pad[:, 2:-1], pad[:, 1:-2], out=s.grad)
+    g /= dx
+    g[0, -1] = (tau_bar - pad[0, -3]) / (0.5 * dx)
+    work = tau_bar * ((7.0 * pad[1, -3] - pad[1, -4]) / 6.0 + config.delta1 * g[0, -1])
+    np.square(g, out=g)
+    g *= s.visc
+    return work, float(np.sum(s.w_face * (g[0] + g[1])))
 
 
 def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, model):
@@ -182,7 +190,8 @@ def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, m
     and nothing at x=0; the viscous Laplacians leave delta1 tau_bar g_tau at
     the last face and minus the face-weighted sum of delta1 g_tau^2 +
     delta2 g_p^2."""
-    return _balance(state.p, model.tau_of_rho(state.r), tau_bar, config)
+    pad = _pad(model.tau_of_rho(state.r), state.p, tau_bar)
+    return _balance(pad, tau_bar, config, _scratch(config))
 
 
 def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> MacroTrajectory:
@@ -202,8 +211,8 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     the first step. The boundary tension enters only _pad's ghosts and the
     balance rates: it is never looked up in the thermo table, so a strain that
     leaves the table raises ValueError at the stage that reads it. tau(r) is
-    evaluated once per stage on the M cells; the step-end one serves both the
-    balance rates and the next step's first stage."""
+    evaluated once per stage on the M cells, with F(r) at step ends, where one
+    pad serves both the balance rates and the next step's first stage."""
     m = config.M
     for name, x in (("r", state.r), ("p", state.p)):
         if np.shape(x) != (m,):
@@ -233,43 +242,37 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
             f"tension schedule gives non-finite tau = {tensions[i]} at t = {stage_times[i]:.6g}"
         )
     tau_bar, tau_mid = tensions[: n_steps + 1].tolist(), tensions[n_steps + 1 :].tolist()
+    rec_count = np.bincount(rec_steps, minlength=n_steps + 1).tolist()
 
-    r = state.r.copy()
-    p = state.p.copy()
-    f_hist = np.empty(n_steps + 1)
-    w_hist = np.zeros(n_steps + 1)
-    d_hist = np.zeros(n_steps + 1)
-    f_hist[0] = free_energy_functional(MacroState(r, p, state.t), model)
-    tau = model.tau_of_rho(r)
-    w_rate, d_rate = _balance(p, tau, tau_bar[0], config)
+    s = _scratch(config)
+    f_hist, w_hist, d_hist = np.empty(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     snapshots_t, snaps_r, snaps_p = [], [], []
 
-    def record(k):
-        for _ in range(int(np.count_nonzero(rec_steps == k))):
+    def step_end(k, u):  # records u (never written in place); its pad serves the next stage
+        tau, f = model.tau_and_free_energy_of_rho(u[0])
+        f_hist[k] = _free_energy(u[1], f)
+        for _ in range(rec_count[k]):
             snapshots_t.append(float(step_times[k]))
-            snaps_r.append(r.copy())
-            snaps_p.append(p.copy())
+            snaps_r.append(u[0])
+            snaps_p.append(u[1])
             log.debug("macro M=%d t=%.4g (%d/%d steps)", config.M, step_times[k], k, n_steps)
+        pad = _pad(tau, u[1], tau_bar[k])
+        return pad, _balance(pad, tau_bar[k], config, s)
 
-    record(0)
+    u = np.stack((state.r, state.p))
+    pad, (w_rate, d_rate) = step_end(0, u)
     for k in range(1, n_steps + 1):
-        dr, dp = _stencil(*_pad(tau, p, tau_bar[k - 1]), config)
-        r1, p1 = r + dt * dr, p + dt * dp
-        dr, dp = _stencil(*_pad(model.tau_of_rho(r1), p1, tau_bar[k]), config)
-        r2 = 0.75 * r + 0.25 * (r1 + dt * dr)
-        p2 = 0.75 * p + 0.25 * (p1 + dt * dp)
-        dr, dp = _stencil(*_pad(model.tau_of_rho(r2), p2, tau_mid[k - 1]), config)
-        r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
-        p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
-        if not math.isfinite(float(np.sum(r) + np.sum(p))):
+        u1 = u + dt * _stencil(pad, config, s)
+        rhs = _stencil(_pad(model.tau_of_rho(u1[0]), u1[1], tau_bar[k]), config, s)
+        u2 = 0.75 * u + 0.25 * (u1 + dt * rhs)
+        rhs = _stencil(_pad(model.tau_of_rho(u2[0]), u2[1], tau_mid[k - 1]), config, s)
+        u = u / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs)
+        if not math.isfinite(float(np.sum(u))):
             raise BlowUpError(f"macro solver blew up at step {k}, t={step_times[k]:.6g}")
-        f_hist[k] = free_energy_functional(MacroState(r, p, float(step_times[k])), model)
-        tau = model.tau_of_rho(r)
-        w_next, d_next = _balance(p, tau, tau_bar[k], config)
+        pad, (w_next, d_next) = step_end(k, u)
         w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
         d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
         w_rate, d_rate = w_next, d_next
-        record(k)
 
     return MacroTrajectory(
         config=config,

@@ -12,8 +12,8 @@ sums run along its own row, so the result does not depend on the blocking.
 The spline table is built on nodes uniform in tension, where the quadrature
 needs no inversion; tension_of_strain, one library Newton call from
 tau = rho, is the one inversion of rho(tau). The table holds tau(rho), its
-slope and F(rho), all read at a strain; a strain outside the tabulated range
-raises instead of extrapolating.
+slope and a two-column spline of (tau, F)(rho), all read at a strain; a strain
+outside the tabulated range raises instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq, root_scalar
 
 
@@ -168,11 +168,12 @@ class ThermoModel:
     Exposes the potential shorthands V and dV, the exact quadrature path
     (log_partition, mean_strain, tension_of_strain, free_energy,
     internal_energy, sample_canonical) and a lazily built, certified spline
-    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho),
-    each read at a strain. The slope tau' = 1/(beta Var r) exists once, as
-    tau_prime_of_rho, the derivative of the tau_of_rho spline. Construction
-    runs no quadrature and no check of V'': its formula (eval_potential)
-    keeps it in [c1, c2] for every kappa that PotentialParams admits.
+    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho and
+    tau_and_free_energy_of_rho, one spline call for both), each read at a
+    strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
+    derivative of the tau_of_rho spline. Construction runs no quadrature and
+    no check of V'': its formula (eval_potential) keeps it in [c1, c2] for
+    every kappa that PotentialParams admits.
     """
 
     def __init__(
@@ -371,10 +372,11 @@ class ThermoModel:
 
     def _build_table(self):
         """Splines of tau(rho) and F(rho) on _TABLE_NODES nodes uniform in tau,
-        from the exact tension of _TABLE_RHO_MIN to that of _TABLE_RHO_MAX.
-        One batched quadrature gives (G, rho) at every node; the slope bounds
-        keep the strain spacing within c2/c1 of uniform. Certified against
-        exact tensions midway between nodes and against the slope bounds."""
+        from the exact tension of _TABLE_RHO_MIN to that of _TABLE_RHO_MAX, with
+        tau_F_of_rho stacking their coefficients, so its columns equal them to
+        the bit. One batched quadrature gives (G, rho) at every node; the slope
+        bounds keep the strain spacing within c2/c1 of uniform. Certified
+        against exact tensions midway between nodes and the slope bounds."""
         taus = np.linspace(
             self.tension_of_strain(_TABLE_RHO_MIN),
             self.tension_of_strain(_TABLE_RHO_MAX),
@@ -384,13 +386,14 @@ class ThermoModel:
         if np.any(np.diff(rho) <= 0.0):
             raise ThermoError("tabulated strain is not strictly increasing")
         tau_of_rho = CubicSpline(rho, taus)
+        f_of_rho = CubicSpline(rho, taus * rho - g / self.beta)
         table = {
             "tau": taus,
             "rho": rho,
             "tau_of_rho": tau_of_rho,
             # built once: tau_prime_of_rho and the certificate read it
             "tau_of_rho_slope": tau_of_rho.derivative(),
-            "F_of_rho": CubicSpline(rho, taus * rho - g / self.beta),
+            "tau_F_of_rho": PPoly(np.stack((tau_of_rho.c, f_of_rho.c), axis=-1), tau_of_rho.x),
         }
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
         _, rho_p, _, _ = self._moments(probe)
@@ -427,8 +430,12 @@ class ThermoModel:
         """Spline tension, vectorized; certified against the exact inversion."""
         return self.table["tau_of_rho"](self._in_table(rho))
 
+    def tau_and_free_energy_of_rho(self, rho):
+        """(tau(rho), F(rho)) from one range check and one spline evaluation."""
+        return tuple(np.moveaxis(self.table["tau_F_of_rho"](self._in_table(rho)), -1, 0))
+
     def free_energy_of_rho(self, rho):
-        return self.table["F_of_rho"](self._in_table(rho))
+        return self.tau_and_free_energy_of_rho(rho)[1]
 
     def tau_prime_of_rho(self, rho):
         """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""

@@ -15,11 +15,11 @@ from hydrochain.macropde import (
     balance_integrands,
     clausius_gap,
     entropy_pair_residual,
-    free_energy_functional,
     uniform_state,
     viscous_rhs,
     work_and_dissipation,
 )
+from hydrochain.microchain import ChainConfig
 from hydrochain.schedules import ConstantSchedule, RampSchedule, StepSchedule
 from hydrochain.testfunctions import SpaceTimeTestFunction
 from hydrochain.thermo import PotentialParams, ThermoModel
@@ -275,9 +275,12 @@ def reference_advance(state, config, model):
     def rhs(r, p, t):
         return viscous_rhs(MacroState(r, p, t), tension(t), config, model)
 
+    def free_energy(r, p):
+        return float(np.mean(p**2 / 2.0 + model.free_energy_of_rho(r)))
+
     r, p = state.r.copy(), state.p.copy()
     f_hist, w_hist, d_hist = np.empty(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1)
-    f_hist[0] = free_energy_functional(MacroState(r, p, state.t), model)
+    f_hist[0] = free_energy(r, p)
     w_rate, d_rate = balance_integrands(MacroState(r, p, state.t), tension(state.t), config, model)
     snaps = {0: (r, p)}
     for k in range(1, n_steps + 1):
@@ -291,7 +294,7 @@ def reference_advance(state, config, model):
         r = r / 3.0 + (2.0 / 3.0) * (r2 + dt * dr)
         p = p / 3.0 + (2.0 / 3.0) * (p2 + dt * dp)
         now = MacroState(r, p, t1)
-        f_hist[k] = free_energy_functional(now, model)
+        f_hist[k] = free_energy(r, p)
         w_next, d_next = balance_integrands(now, tension(t1), config, model)
         w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
         d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
@@ -314,6 +317,7 @@ class TestAdvanceBitwise:
         got = (traj.r, traj.p, traj.t_hist, traj.F_hist, traj.W_hist, traj.D_hist)
         for name, a, b in zip(("r", "p", "t_hist", "F_hist", "W_hist", "D_hist"), got, ref):
             assert np.array_equal(a, b), name
+        return traj
 
     def test_ramp_from_nonzero_time(self, model):
         cfg = MacroConfig(M=64, delta1=2e-3, delta2=1e-3, t_end=0.4,
@@ -334,20 +338,40 @@ class TestAdvanceBitwise:
         assert float(cfg.tension_schedule(4.0 * cfg.dt)) == 0.6
         self.check(uniform_state(cfg, model.mean_strain(0.1)), cfg, model)
 
+    def test_pde_fine_shape(self, model):
+        # the benchmark's pde_fine job: M = 1600 under a ramp 0 -> 0.4 over
+        # the whole run, from a uniform state at rho(0), recorded at both ends
+        cfg = MacroConfig(M=1600, t_end=0.004, tension_schedule=RampSchedule(0.0, 0.4, 0.004),
+                          record_times=np.array([0.0, 0.004]))
+        self.check(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
+
+    def test_compare_pipeline_shape(self, model):
+        # the benchmark's compare_pipeline PDE: M = 400 over the horizon of 125
+        # chain steps at N = 256, one PDE step, with 100 record times that snap
+        # to the start and the end, so records repeat
+        t_end = 125 * ChainConfig(N=256).dt
+        cfg = MacroConfig(M=400, t_end=t_end, tension_schedule=RampSchedule(0.0, 0.4, t_end),
+                          record_times=np.linspace(0.0, t_end, 100))
+        assert cfg.n_steps == 1
+        traj = self.check(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
+        assert traj.times.tolist() == [0.0] * 50 + [t_end] * 50
+
 
 class TestFreeEnergy:
+    """F_hist[0], advance's free energy of its start state; each run takes one step."""
+
     def test_equilibrium_value(self, model):
-        cfg = MacroConfig(M=80, t_end=0.1)
+        cfg = MacroConfig(M=80, t_end=1e-4)
         rho = 0.37
-        got = free_energy_functional(uniform_state(cfg, rho), model)
+        got = advance(uniform_state(cfg, rho), cfg, model).F_hist[0]
         assert got == pytest.approx(model.free_energy(rho), abs=1e-7)
 
     def test_harmonic_closed_form(self, harmonic):
-        cfg = MacroConfig(M=4000, t_end=0.1)
+        cfg = MacroConfig(M=4000, t_end=1e-6)
         x = cfg.x
         r = 0.3 * np.sin(2 * math.pi * x)
         p = 0.2 * np.cos(2 * math.pi * x)
-        got = free_energy_functional(MacroState(r, p, 0.0), harmonic)
+        got = advance(MacroState(r, p, 0.0), cfg, harmonic).F_hist[0]
         exact = 0.25 * (0.2**2 + 0.3**2) - 0.5 * math.log(2 * math.pi)
         assert got == pytest.approx(exact, abs=1e-5)
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
@@ -451,6 +452,15 @@ class TestConjugacyInvariants:
         assert np.array_equal(anharmonic.table["tau_of_rho_slope"](grid), fresh(grid))
 
 
+@pytest.fixture(scope="module")
+def f_spline(anharmonic):
+    """F(rho) as _build_table built it alone: a cubic spline of tau rho - G/beta
+    on the table's strain nodes."""
+    table = anharmonic.table
+    g = anharmonic._moments(table["tau"])[0]
+    return CubicSpline(table["rho"], table["tau"] * table["rho"] - g / anharmonic.beta)
+
+
 class TestTable:
     def test_too_few_quadrature_nodes_fail_certification(self):
         with pytest.raises(ThermoError, match="certification"):
@@ -489,6 +499,28 @@ class TestTable:
             fd_tau = (tau(r + eps) - tau(r - eps)) / (2 * eps)
             assert float(fd_f) == pytest.approx(float(tau(r)), abs=1e-6)
             assert float(fd_tau) == pytest.approx(float(anharmonic.tau_prime_of_rho(r)), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_tau_f_columns_equal_the_two_splines(self, anharmonic, f_spline, fractions):
+        # column 0 is the tau spline and column 1 the F spline, both to the bit
+        table = anharmonic.table
+        rho_nodes = table["rho"]
+        rho = rho_nodes[0] + np.asarray(fractions) * (rho_nodes[-1] - rho_nodes[0])
+        rho = np.clip(np.concatenate((rho, rho_nodes[[0, 1, -2, -1]])), rho_nodes[0], rho_nodes[-1])
+        tau_f = table["tau_F_of_rho"](rho)
+        assert np.array_equal(tau_f[:, 0], table["tau_of_rho"](rho))
+        assert np.array_equal(tau_f[:, 1], f_spline(rho))
+        tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
+        assert np.array_equal(tau, tau_f[:, 0]) and np.array_equal(f, tau_f[:, 1])
+        assert np.array_equal(anharmonic.free_energy_of_rho(rho), f)
+
+    def test_tau_and_free_energy_reject_strains_off_the_table(self, anharmonic):
+        lo, hi = (float(v) for v in anharmonic.table["rho"][[0, -1]])
+        for off in (lo - 1e-9, hi + 1e-9, math.nan, np.array([0.0, hi + 0.5])):
+            for lookup in (anharmonic.tau_of_rho, anharmonic.tau_and_free_energy_of_rho):
+                with pytest.raises(ValueError, match="outside the thermo table"):
+                    lookup(off)
 
     @pytest.mark.parametrize(
         "lookup, key",
