@@ -17,13 +17,20 @@ remainder. The first-law residual is then exactly the energy the explicit
 Hamiltonian leg fails to conserve, which vanishes linearly in dt.
 
 The step exists once, in the loop of _chain_block: each step writes its
-three legs over all sites into the block's leg arrays and evaluates only
-(V', V'') at its end state, all that the next drift reads. Once per block of
-at most _BLOCK_BYTES of legs (below glibc's mmap threshold), V is evaluated
-on all legs and every step's ledger increments are formed with row
-reductions, so no bit depends on the block length. run_trajectory runs each
-BridgedNoise chunk (at most _CHUNK_BYTES of increments) in blocks; step and
-accumulate_ledger run a block of one step.
+three legs over all sites into the block's leg arrays and evaluates only V'
+at its end state, all that the next drift reads. Once per block of at most
+_BLOCK_BYTES of legs (below glibc's mmap threshold), V is evaluated on all
+legs and V'' on the steps' start states, and every step's ledger increments
+are formed with row reductions, so no bit depends on the block length. step
+and accumulate_ledger run a block of one step.
+
+run_trajectory runs each BridgedNoise chunk (at most _CHUNK_BYTES of
+increments) in blocks. One worker thread draws the chunks, always one ahead
+of the steps, so the main thread runs only the steps and the ledger. The
+chunks start at 2 coarse rows and double up to the _chunk_rows cap
+(_chunk_sizes), so the steps wait only for a tiny first draw; two chunks are
+alive at once. The noise is drawn row by row and only the worker touches its
+generators, so every output is bit-identical whatever the chunk sizes.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import ConstantSchedule, checked_record_times
-from .thermo import ThermoModel, _potential_derivatives, _potential_value
+from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potential_value
 
 log = logging.getLogger(__name__)
 
@@ -221,28 +229,27 @@ def _finite(r, p) -> bool:
 
 
 def _chain_block(
-    r, p, deriv, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
+    r, p, d1, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
 ):
     """Steps k0 + 1, k0 + 2, ... of a run that started at t0: Euler-Maruyama
     steps of size config.dt_fine from the finite state (r, p), one per row of
-    the noise increments (dw, dwt) and entry of taubars. deriv is (V', V'')
-    at r.
+    the noise increments (dw, dwt) and entry of taubars. d1 is V' at r.
 
     A step takes its displacement in three legs: Hamiltonian drift, noise
     drift and noise coupling, whose kicks (_couplings, built for the whole
     block at once) telescope exactly. It writes the state after each leg
-    into the block's leg arrays and computes (V', V'') at its end state, all
-    that the next step's drift reads. Once the steps are done, V is
-    evaluated on all legs and the ledger increments
+    into the block's leg arrays and computes V' at its end state, all that
+    the next step's drift reads. Once the steps are done, V is evaluated on
+    all legs and V'' on the steps' start states, and the ledger increments
     [W, Q_p, Q_r, M_p, M_r] of every step are formed with row reductions:
     W = tau_bar * Delta(mean strain), and the Q/M columns are the exact
     energy changes along the two noise legs, with the quadratic-variation
     counterterms shifted into Q_p/Q_r.
 
-    Returns (rl, pl, v, incr, deriv): rl and pl hold the legs of the block's
+    Returns (rl, pl, v, incr, d1): rl and pl hold the legs of the block's
     step j in rows 3j..3j+2, the last of them its end state; v is V on rl;
-    incr has a row per step; deriv is (V', V'') at the last end state. The
-    first step whose increments are not finite raises BlowUpError naming it.
+    incr has a row per step; d1 is V' at the last end state. The first step
+    whose increments are not finite raises BlowUpError naming it.
     """
     n, sigma, beta = config.N, config.sigma, model.beta
     dt = config.dt_fine
@@ -250,18 +257,15 @@ def _chain_block(
     nsdt = n * sigma * dt
     m = len(taubars)
     r0 = r
-    d1, d2 = deriv
     kicks_p, kicks_r = _couplings(dw, dwt, config, model)
     rl = np.empty((m, 3, n))
     pl = np.empty((m, 3, n))
-    d2s = np.empty((m, n))  # V'' at each step's start state, for ct_r
     # an overflow or a NaN in a step makes its increments non-finite, and
     # that raises below; the steps after it run on and are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for (r1, r2, r3), (p1, p2, p3), d2_start, kick_p, kick_r, taub in zip(
-            rl, pl, d2s, kicks_p, kicks_r, taubars
+        for (r1, r2, r3), (p1, p2, p3), kick_p, kick_r, taub in zip(
+            rl, pl, kicks_p, kicks_r, taubars
         ):
-            d2_start[:] = d2
             dp_left, da_right, lap_a, lap_p = _gradients(d1, p, taub)
             np.add(r, np.multiply(ndt, dp_left, out=r1), out=r1)
             np.add(r1, np.multiply(nsdt, lap_a, out=r2), out=r2)
@@ -269,7 +273,7 @@ def _chain_block(
             np.add(p, np.multiply(ndt, da_right, out=p1), out=p1)
             np.add(p1, np.multiply(nsdt, lap_p, out=p2), out=p2)
             np.subtract(p2, kick_p, out=p3)
-            d1, d2 = _potential_derivatives(model.potential, r3)
+            d1 = _potential_slope(model.potential, r3)
             r, p = r3, p3
         rl = rl.reshape(3 * m, n)
         pl = pl.reshape(3 * m, n)
@@ -277,9 +281,11 @@ def _chain_block(
         v1, v2, v3 = v.sum(axis=-1).reshape(m, 3).T
         k1, k2, k3 = np.einsum("ij,ij->i", pl, pl).reshape(m, 3).T
         ends = rl[2::3]
-        dr = np.empty((m, n))
-        np.subtract(ends[0], r0, out=dr[0])
-        np.subtract(ends[1:], ends[:-1], out=dr[1:])
+        starts = np.empty((m, n))
+        starts[0] = r0
+        starts[1:] = ends[:-1]
+        dr = ends - starts
+        d2s = _potential_curvature(model.potential, starts)  # for ct_r
         ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
         ct_r = sigma * dt * (2.0 * d2s.sum(axis=-1) - d2s[:, 0] - d2s[:, -1]) / (beta * n)
         incr = np.empty((m, 5))
@@ -292,7 +298,7 @@ def _chain_block(
     if not finite.all():
         k = k0 + 1 + int(np.argmin(finite))
         raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
-    return rl, pl, v, incr, (d1, d2)
+    return rl, pl, v, incr, d1
 
 
 # -- public operations ---------------------------------------------------------
@@ -328,8 +334,8 @@ def _one_step(state: ChainState, config: ChainConfig, increments, model: ThermoM
     if not _finite(r, p):
         raise BlowUpError(f"non-finite state at step 1, t={t + config.dt_fine:.6g}")
     dw, dwt = increments
-    deriv = _potential_derivatives(model.potential, r)
-    rl, pl, _, incr, _ = _chain_block(r, p, deriv, [dw], [dwt], [tau_bar], 0, t, config, model)
+    d1 = _potential_slope(model.potential, r)
+    rl, pl, _, incr, _ = _chain_block(r, p, d1, [dw], [dwt], [tau_bar], 0, t, config, model)
     return ChainState(r=rl[2], p=pl[2], t=t + config.dt_fine), incr[0]
 
 
@@ -376,6 +382,20 @@ def _chunk_rows(n: int, level: int) -> int:
     return max(1, min(_CHUNK_COARSE, _CHUNK_BYTES // row_bytes))
 
 
+def _chunk_sizes(n_coarse: int, n: int, level: int) -> list[int]:
+    """Coarse rows of each noise chunk of a run of n_coarse coarse steps:
+    2, 4, 8, ..., doubling up to _chunk_rows(n, level), then that cap, with
+    what is left last. The first chunk is tiny, so the steps wait little for
+    the worker's first draw, and the later ones are few."""
+    cap = _chunk_rows(n, level)
+    sizes, size = [], 2
+    while n_coarse > 0:
+        sizes.append(min(size, cap, n_coarse))
+        n_coarse -= sizes[-1]
+        size *= 2
+    return sizes
+
+
 def run_trajectory(
     config: ChainConfig,
     tau0: float,
@@ -395,7 +415,10 @@ def run_trajectory(
     of step 1, whatever the record times.
 
     The steps run in blocks (see _chain_block); the cumulative ledger is a
-    cumsum seeded with the carried accumulator.
+    cumsum seeded with the carried accumulator. One worker thread draws the
+    noise chunks (sizes from _chunk_sizes), each while the steps run the
+    chunk before it; it is joined before the run returns or raises, and an
+    exception it raises reaches the caller unchanged.
     """
     n = config.N
     dt = config.dt_fine
@@ -413,7 +436,7 @@ def run_trajectory(
         raise ValueError(f"state t must be finite, got {t0}")
     if not _finite(r, p):
         raise BlowUpError(f"non-finite state at step 1, t={t0 + dt:.6g}")
-    deriv = _potential_derivatives(model.potential, r)  # (V', V'') at r, carried
+    d1 = _potential_slope(model.potential, r)  # V' at r, carried
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     acc = np.zeros(5)
@@ -425,40 +448,46 @@ def run_trajectory(
         snapshots.append(st)
         rows.append((st.t, _energy(p, v), *acc.tolist()))
 
-    rec_idx = 0
-    while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
-        record(0, r, p, model.V(r), acc)
-        rec_idx += 1
-
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
-    chunk = _chunk_rows(n, config.refine_level)
+    sizes = _chunk_sizes(config.n_coarse, n, config.refine_level)
+    fine = 2**config.refine_level
     block = _block_steps(n)
     k = 0
-    for c0 in range(0, config.n_coarse, chunk):
-        dw, dwt = noise.next_chunk(min(chunk, config.n_coarse - c0))
-        times = t0 + (k + np.arange(dw.shape[0])) * dt
-        taubars = np.broadcast_to(
-            np.asarray(config.tension_schedule(times), dtype=float), times.shape
-        )
-        if not np.isfinite(taubars).all():
-            i = int(np.argmin(np.isfinite(taubars)))
-            raise ValueError(f"non-finite boundary tension {taubars[i]} for step {k + i + 1}")
-        for b0 in range(0, times.size, block):
-            b1 = b0 + block
-            rl, pl, v, incr, deriv = _chain_block(
-                r, p, deriv, dw[b0:b1], dwt[b0:b1], taubars[b0:b1].tolist(), k, t0, config,
-                model,
+    # one chunk in flight: the worker draws chunk i + 1 while the steps run
+    # chunk i, and leaving the with-block joins it on a return or a raise
+    with ThreadPoolExecutor(1, thread_name_prefix="hydrochain-noise") as worker:
+        pending = worker.submit(noise.next_chunk, sizes[0])
+        rec_idx = 0
+        while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
+            record(0, r, p, model.V(r), acc)
+            rec_idx += 1
+        for i, size in enumerate(sizes):
+            times = t0 + (k + np.arange(size * fine)) * dt
+            taubars = np.broadcast_to(
+                np.asarray(config.tension_schedule(times), dtype=float), times.shape
             )
-            cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
-            m = incr.shape[0]
-            while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + m:
-                j = rec_steps[rec_idx] - k
-                record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
-                rec_idx += 1
-            k += m
-            acc = cum[-1]
-            r, p = rl[-1], pl[-1]
-        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
+            if not np.isfinite(taubars).all():
+                j = int(np.argmin(np.isfinite(taubars)))
+                raise ValueError(f"non-finite boundary tension {taubars[j]} for step {k + j + 1}")
+            dw, dwt = pending.result()
+            if i + 1 < len(sizes):
+                pending = worker.submit(noise.next_chunk, sizes[i + 1])
+            for b0 in range(0, times.size, block):
+                b1 = b0 + block
+                rl, pl, v, incr, d1 = _chain_block(
+                    r, p, d1, dw[b0:b1], dwt[b0:b1], taubars[b0:b1].tolist(), k, t0, config,
+                    model,
+                )
+                cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
+                m = incr.shape[0]
+                while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + m:
+                    j = rec_steps[rec_idx] - k
+                    record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
+                    rec_idx += 1
+                k += m
+                acc = cum[-1]
+                r, p = rl[-1], pl[-1]
+            log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
 
     series = LedgerSeries(*np.ascontiguousarray(np.reshape(rows, (-1, 7)).T))
     return TrajectoryResult(snapshots=snapshots, ledger=series, config=config, n_steps=k)

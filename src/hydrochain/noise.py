@@ -5,6 +5,12 @@ families at the coarsest step size; each refinement level has its own bridge
 stream that splits every parent increment into two halves conditioned on
 their sum (Brownian bridge), so runs at different dt share one underlying
 path. Draw order is row-sequential, hence independent of chunking.
+
+run_trajectory calls next_chunk on one worker thread, one chunk ahead of
+the chain's steps, with chunks of 2, 4, 8, ... coarse rows up to a byte cap;
+the generators' fills and the bridge arithmetic run outside the GIL on large
+arrays, so the draws overlap the steps. A BridgedNoise is not shared between
+threads: only that worker draws from it.
 """
 
 from __future__ import annotations

@@ -64,9 +64,9 @@ class PotentialParams:
 
 def eval_potential(params: PotentialParams, r):
     """Return (V, V', V'') of the mollified potential at r (scalar or array):
-    the two halves _potential_value and _potential_derivatives on the checked
-    strain. A non-finite entry of r raises ValueError, and a scalar r gives
-    floats.
+    the parts _potential_value, _potential_slope and _potential_curvature on
+    the checked strain. A non-finite entry of r raises ValueError, and a
+    scalar r gives floats.
 
     With x = r/h clipped to [-1, 1] and y = x + 1, the blend of V'' is the
     cubic smoothstep s = y^2 (3 - y)/4; its integrals from -1 are
@@ -83,7 +83,11 @@ def eval_potential(params: PotentialParams, r):
     continuity).
     """
     r = _strain(r)
-    return (_potential_value(params, r), *_potential_derivatives(params, r))
+    return (
+        _potential_value(params, r),
+        _potential_slope(params, r),
+        _potential_curvature(params, r),
+    )
 
 
 def _strain(r):
@@ -94,26 +98,31 @@ def _strain(r):
     return r[()]
 
 
-# The two halves of eval_potential. Each takes r as a float array or numpy
-# scalar, unchecked: callers that know r is finite (the chain's step, the
-# quadrature panels) skip the check. The arithmetic follows the operation
+# The three parts of eval_potential, V, V' and V'', each formula written once,
+# so a caller computes only the part it reads. Each takes r as a float array
+# or numpy scalar, unchecked: callers that know r is finite (the chain's step,
+# the quadrature panels) skip the check. The arithmetic follows the operation
 # order of the formulas in eval_potential, in place on a few buffers for an
 # array r; a scalar r runs the same statements on numpy scalars, where the
 # in-place operators rebind, and returns floats.
 
 
 def _band(params: PotentialParams, r):
-    """(y, ext): y = clip(r/h, -1, 1) + 1 and ext = max(r - h, 0)."""
-    h = params.moll_width
-    y = np.minimum(np.maximum(r / h, -1.0), 1.0)
+    """y = clip(r/h, -1, 1) + 1."""
+    y = np.minimum(np.maximum(r / params.moll_width, -1.0), 1.0)
     y += 1.0
-    return y, np.maximum(r - h, 0.0)
+    return y
+
+
+def _excess(params: PotentialParams, r):
+    """ext = max(r - h, 0)."""
+    return np.maximum(r - params.moll_width, 0.0)
 
 
 def _potential_value(params: PotentialParams, r):
     """V at r."""
     k, h = params.kappa, params.moll_width
-    y, ext = _band(params, r)
+    y, ext = _band(params, r), _excess(params, r)
     power = y * y
     power *= y
     power *= y  # y^4
@@ -131,27 +140,31 @@ def _potential_value(params: PotentialParams, r):
     return float(v) if v.ndim == 0 else v
 
 
-def _potential_derivatives(params: PotentialParams, r):
-    """(V', V'') at r."""
+def _potential_slope(params: PotentialParams, r):
+    """V' at r."""
     k, h = params.kappa, params.moll_width
-    c1 = 1.0 - k
-    y, ext = _band(params, r)
+    y = _band(params, r)
     power = y * y
-    d2 = 3.0 - y
-    d2 *= power
-    d2 *= 0.25 * k
-    d2 += c1
     power *= y  # y^3
     scratch = 4.0 - y
     scratch *= power
     scratch *= h / 16.0
-    scratch += ext
+    scratch += _excess(params, r)
     scratch *= k
-    d1 = r * c1
+    d1 = r * (1.0 - k)
     d1 += scratch
-    if d1.ndim == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    return float(d1) if d1.ndim == 0 else d1
+
+
+def _potential_curvature(params: PotentialParams, r):
+    """V'' at r."""
+    k = params.kappa
+    y = _band(params, r)
+    d2 = 3.0 - y
+    d2 *= y * y
+    d2 *= 0.25 * k
+    d2 += 1.0 - k
+    return float(d2) if d2.ndim == 0 else d2
 
 
 @dataclass(frozen=True)
@@ -202,7 +215,7 @@ class ThermoModel:
         return _potential_value(self.potential, _strain(r))
 
     def dV(self, r):
-        return _potential_derivatives(self.potential, _strain(r))[0]
+        return _potential_slope(self.potential, _strain(r))
 
     # -- exact quadrature core ----------------------------------------------
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hydrochain import thermo
 from hydrochain.blockstats import (
     STATISTICS_HEADER,
     BlockSpec,
@@ -162,6 +163,18 @@ class TestStatisticsRow:
         assert STATISTICS_HEADER[:4] == ["t", "N", "l", "sigma"]
         assert row[:4] == (0.25, 40, 4, 7.0)
         assert all(type(v) is float and v >= 0.0 for v in row[4:])
+
+    def test_reads_only_the_slope(self, model, monkeypatch):
+        # the row reads V' of the snapshot; V'' is never computed for it
+        rng = np.random.default_rng(2)
+        st = ChainState(r=rng.normal(0.3, 1.0, 40), p=rng.normal(size=40), t=0.25)
+        row = statistics_row(st, BlockSpec(l=4, N=40), 7.0, model)
+
+        def curvature(*args):
+            raise AssertionError("V'' evaluated")
+
+        monkeypatch.setattr(thermo, "_potential_curvature", curvature)
+        assert statistics_row(st, BlockSpec(l=4, N=40), 7.0, model) == row
 
     def test_state_of_the_wrong_size_rejected(self, model):
         # a 512-site state under N = 256 would give 494 r_hat values on 238

@@ -3,6 +3,8 @@ determinism, ledger identities and the dt-refinement behavior of the first
 law."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,20 @@ def model():
 
 def fixed_point_state(model, n, rho=0.7):
     return ChainState(r=np.full(n, rho), p=np.zeros(n), t=0.0), float(model.dV(rho))
+
+
+def blow_up_at_step_11_config():
+    """40 steps at N = 32; from step 11 on the tension kicks p_N to ~1e304,
+    so p^2 overflows in the step's kinetic-energy increment while the state
+    stays finite."""
+    dt = 0.1 / (32 * 14)
+    return ChainConfig(
+        N=32,
+        t_end=40 * dt,
+        seed=3,
+        tension_schedule=lambda t: np.where(np.asarray(t) < 9.5 * dt, 0.1, 1e306),
+        record_times=np.array([0.0, 40 * dt]),
+    )
 
 
 class TestConfig:
@@ -244,18 +260,9 @@ class TestStep:
             step(bad, cfg, (np.zeros(15), np.zeros(15)), model, tau_bar=0.0)
 
     def test_mid_block_blow_up_names_its_step(self, model, monkeypatch):
-        # from step 11 on the tension kicks p_N to ~1e304, so p^2 overflows
-        # in the step's kinetic-energy increment while the state stays
-        # finite: the default block finds it among the block's rows after the
-        # later steps have run, a one-step block at once
-        dt = 0.1 / (32 * 14)
-        cfg = ChainConfig(
-            N=32,
-            t_end=40 * dt,
-            seed=3,
-            tension_schedule=lambda t: np.where(np.asarray(t) < 9.5 * dt, 0.1, 1e306),
-            record_times=np.array([0.0, 40 * dt]),
-        )
+        # the default block finds the overflow of step 11 among the block's
+        # rows after the later steps have run, a one-step block at once
+        cfg = blow_up_at_step_11_config()
         assert microchain._block_steps(32) > 11
         messages = []
         for budget in (microchain._BLOCK_BYTES, 1):
@@ -356,7 +363,7 @@ class TestStep:
         assert microchain._chunk_rows(32, 0) == microchain._CHUNK_COARSE
 
     def test_carried_derivatives_change_no_bit(self, model):
-        # run_trajectory passes V', V'' from one step to the next; step and
+        # run_trajectory passes V' from one step to the next; step and
         # accumulate_ledger evaluate them afresh, and must agree to the bit
         t_end = 12 * 0.1 / (32 * 14)
         cfg = ChainConfig(
@@ -460,6 +467,119 @@ class TestStep:
         res = run_trajectory(cfg, 0.0, model)
         steps = np.round(cfg.record_times / cfg.dt).astype(int)
         assert res.ledger.t.tolist() == [int(k) * cfg.dt for k in steps]
+
+
+class TestNoiseWorker:
+    """run_trajectory draws its noise chunks on one worker thread; the thread
+    never outlives the run, and its exceptions reach the caller."""
+
+    def test_worker_joined_after_return(self, model):
+        before = threading.enumerate()
+        seen = []
+
+        def schedule(t):  # called on the main thread before each chunk's steps
+            seen.append([th.name for th in threading.enumerate()])
+            return np.full(np.shape(t), 0.1)
+
+        cfg = ChainConfig(N=32, t_end=0.02, seed=2, tension_schedule=schedule)
+        assert len(microchain._chunk_sizes(cfg.n_coarse, 32, 0)) > 2
+        run_trajectory(cfg, 0.1, model)
+        assert any(name.startswith("hydrochain-noise") for names in seen for name in names)
+        assert threading.enumerate() == before
+
+    def test_worker_joined_after_blow_up(self, model):
+        before = threading.enumerate()
+        cfg = blow_up_at_step_11_config()
+        with pytest.raises(BlowUpError, match="step 11,"):
+            run_trajectory(cfg, 0.1, model)
+        assert threading.enumerate() == before
+
+    def test_worker_joined_after_late_nonfinite_tension(self, model):
+        # the tension turns NaN in the third chunk, with the next one drawn
+        before = threading.enumerate()
+        dt = 0.1 / (16 * 8)
+        cfg = ChainConfig(N=16, t_end=40 * dt, seed=1, tension_schedule=lambda t: np.where(
+            np.asarray(t) < 9.5 * dt, 0.1, np.nan))
+        assert microchain._chunk_sizes(cfg.n_coarse, 16, 0)[:3] == [2, 4, 8]
+        with pytest.raises(ValueError, match="boundary tension nan for step 11$"):
+            run_trajectory(cfg, 0.1, model)
+        assert threading.enumerate() == before
+
+    def test_worker_exception_reaches_caller(self, model, monkeypatch):
+        before = threading.enumerate()
+        boom = OSError("noise source failed")
+        draw = BridgedNoise.next_chunk
+        calls = []
+
+        def failing(self, n_coarse):
+            calls.append(n_coarse)
+            if len(calls) == 2:
+                raise boom
+            return draw(self, n_coarse)
+
+        monkeypatch.setattr(BridgedNoise, "next_chunk", failing)
+        cfg = ChainConfig(N=32, t_end=0.02, seed=2)
+        with pytest.raises(OSError) as err:
+            run_trajectory(cfg, 0.1, model)
+        assert err.value is boom
+        assert len(calls) == 2
+        assert threading.enumerate() == before
+
+    def test_concurrent_runs_under_fast_switching_change_no_bit(self, model):
+        # four runs at once, each with its own worker, with the interpreter
+        # switching threads every microsecond: a chunk handed over before it
+        # is drawn, or drawn out of order, would change the bits
+        t_end = 30 * 0.1 / (32 * 14)
+        cfgs = [
+            ChainConfig(N=32, t_end=t_end, seed=seed, refine_level=1,
+                        tension_schedule=RampSchedule(0.1, 0.6, t1=t_end))
+            for seed in (41, 42, 43, 44)
+        ]
+        expected = [run_trajectory(cfg, 0.1, model) for cfg in cfgs]
+        results = [None] * len(cfgs)
+
+        def run(i):
+            results[i] = run_trajectory(cfgs[i], 0.1, model)
+
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == before
+        for a, b in zip(expected, results):
+            assert np.array_equal(a.snapshots[-1].r, b.snapshots[-1].r)
+            assert np.array_equal(a.snapshots[-1].p, b.snapshots[-1].p)
+            for col in ("E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
+                assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
+
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("cap_rows", [None, 5])
+    def test_chunk_schedule_draws_one_call_to_the_bit(self, level, cap_rows, monkeypatch):
+        # cap_rows = 5 shrinks the byte budget so that the cap binds
+        n, n_coarse = 32, 37
+        if cap_rows is not None:
+            row_bytes = 2**level * 2 * (n - 1) * 8
+            monkeypatch.setattr(microchain, "_CHUNK_BYTES", cap_rows * row_bytes)
+        cap = microchain._chunk_rows(n, level)
+        assert cap == (cap_rows or microchain._CHUNK_COARSE)
+        sizes = microchain._chunk_sizes(n_coarse, n, level)
+        assert sum(sizes) == n_coarse
+        assert sizes[0] <= 2 and max(sizes) <= cap
+        if cap_rows is not None:
+            assert sizes.count(cap) > 1
+        one = BridgedNoise(17, n - 1, 1e-3, level).next_chunk(n_coarse)
+        noise = BridgedNoise(17, n - 1, 1e-3, level)
+        parts = [noise.next_chunk(size) for size in sizes]
+        for col in (0, 1):
+            assert np.array_equal(one[col], np.concatenate([q[col] for q in parts]))
 
 
 class TestLedger:
