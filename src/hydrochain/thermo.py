@@ -2,12 +2,15 @@
 pair (strain <-> tension), free/internal energy and canonical sampling.
 
 Every other module gets its equilibrium quantities from here. All quadratures
-run over fixed Gauss-Legendre panels split at the mollification band edges, so
+run over Gauss-Legendre panels split at the mollification band edges, so
 evaluation errors vary smoothly with the arguments and finite differences of
-tabulated values stay meaningful down to ~1e-12. A batch of tensions is
-integrated in blocks of _BLOCK, so a panel's arrays stay cache-sized, and each
-panel forms its weighted integrand once for all four moments; every tension's
-sums run along its own row, so the result does not depend on the blocking.
+tabulated values stay meaningful down to ~1e-12. Off the band the spring is
+exactly quadratic, so each outer panel integrates one Gaussian about its
+centre, with no root solve, no V evaluation and no cancellation between
+terms of size r^2; the band panel is the same for every tension, its V
+values computed once per model. A batch of tensions is integrated in blocks
+of _BLOCK, so the panels' buffers stay cache-sized, and every tension's sums
+run along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
 needs no inversion; tension_of_strain, one library Newton call from
@@ -60,6 +63,11 @@ class PotentialParams:
     @property
     def c2(self) -> float:
         return 1.0
+
+    @property
+    def extension_offset(self) -> float:
+        """V(r) - r^2/2 for r >= h: kappa h^2/10."""
+        return self.kappa * self.moll_width**2 / 10.0
 
 
 def eval_potential(params: PotentialParams, r):
@@ -186,7 +194,9 @@ class ThermoModel:
     strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
     derivative of the tau_of_rho spline. Construction runs no quadrature and
     no check of V'': its formula (eval_potential) keeps it in [c1, c2] for
-    every kappa that PotentialParams admits.
+    every kappa that PotentialParams admits. It lays out the quadrature's
+    fixed parts: the n_quad-point Gauss-Legendre rule, the outer panels'
+    scaled nodes, and the band panel's nodes, V values and weights.
     """
 
     def __init__(
@@ -206,7 +216,24 @@ class ThermoModel:
         # integration half-width: Gaussian domination V >= V(r*) + c1 (r-r*)^2/2
         # puts the tail mass below _QUAD_TOL at this distance from the maximizer
         self._halfwidth = math.sqrt(2.0 * math.log(1.0 / _QUAD_TOL) / (self.beta * self.c1))
-        self._gl_nodes, self._gl_weights = np.polynomial.legendre.leggauss(n_quad)
+        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        # the outer panels, left then right, where V = c r^2/2 + offset
+        self._side = np.array([[-1.0], [1.0]])
+        self._curvature = np.array([[self.c1], [self.c2]])
+        self._offset = np.array([[0.0], [self.potential.extension_offset]])
+        self._scale = np.sqrt(0.5 * self.beta * self._curvature)
+        self._outer_nodes = (self._scale * nodes)[:, np.newaxis, :]
+        self._log_weights = np.log(weights)
+        # the band [-h, h], the same for every tension: one panel, or as many
+        # as keep each no wider than an outer window, 2w; their nodes r, V(r),
+        # and the level in the log weighted integrand beta tau r - level
+        h = self.potential.moll_width
+        pieces = math.ceil(h / self._halfwidth)
+        half = h / pieces
+        centres = half * (2.0 * np.arange(pieces) + 1.0) - h
+        self._band_r = (centres[:, np.newaxis] + half * nodes)[:, np.newaxis, :]
+        self._band_v = _potential_value(self.potential, self._band_r)
+        self._band_level = self.beta * self._band_v - np.log(half * weights)
         self._table = None
 
     # -- potential shorthands ------------------------------------------------
@@ -239,59 +266,96 @@ class ThermoModel:
         """Batched canonical moments at each tau.
 
         Returns arrays (G, rho, var, EV): log partition, mean strain, strain
-        variance and mean potential energy under exp(-beta V + beta tau r).
-        The quadrature runs over blocks of _BLOCK tensions, so its panels stay
-        cache-sized however many tensions are asked for; each tension's sums
-        are the same whatever block holds it.
+        variance and mean potential energy under exp(beta (tau r - V(r))).
+        The integral is split at the band edges into Gauss-Legendre panels
+        of n_quad nodes. Off the band V is quadratic, so each outer panel
+        integrates one Gaussian, with no root solve and no V evaluation:
+
+            r <= -h:  beta (tau r - V) = K - beta c1 (r - mu)^2 / 2,
+                      mu = tau/c1, K = beta tau mu/2;
+            r >= h:   beta (tau r - V) = K - beta c2 (r - mu)^2 / 2,
+                      mu = tau, K = beta tau^2/2 - beta extension_offset.
+
+        The left window is [min(mu, -h) - w, min(mu + w, -h)] and the right
+        one [max(mu - w, h), max(mu, h) + w]: the Gaussian's own window cut
+        at the band edge, or a width w out from the edge when mu lies across
+        it. An outer panel runs in u = sqrt(beta c/2) side (r - mu), side
+        being -1 on the left and 1 on the right, so its exponent K - u^2
+        cancels no two terms of size r^2, and its moments of r follow from
+        sum fw, sum fw u and sum fw u^2 about mu. The band [-h, h] is one
+        panel, or ceil(h/w) equal ones when it is wider than a window, with
+        nodes, V values and weights built once per model; there u is r, and
+        E V sums fw V.
+
+        Every tension is shifted by S, the larger of the two quadratics'
+        peaks on their sides of h (the left one bounds the band too, as
+        V >= c1 r^2/2), so G = S + log z; weights enter the exponents as
+        logs, fw = exp(log-integrand + log weight - S). The panels run over
+        blocks of _BLOCK tensions (fewer when the band is split) in buffers
+        made once a call, so they stay cache-sized however many tensions are
+        asked for; every sum runs along one tension's row, so the result does
+        not depend on the blocking.
         """
         taus = np.atleast_1d(np.asarray(tau_values, dtype=float))
         if not np.all(np.isfinite(taus)):
             raise ValueError("non-finite tension in quadrature")
-        blocks = [
-            self._moments_block(taus[i : i + _BLOCK]) for i in range(0, taus.size, _BLOCK)
-        ]
-        return tuple(np.concatenate(cols) for cols in zip(*blocks))
+        beta, h, w = self.beta, self.potential.moll_width, self._halfwidth
+        # outer panels, one row each (left, right): mu, K and the window
+        # [lo, hi] of side (r - mu)
+        mu = np.stack((taus / self.c1, taus))
+        k = (0.5 * beta) * taus * mu - beta * self._offset
+        past = h - self._side * mu
+        lo = np.maximum(past, -w)
+        hi = np.maximum(past, 0.0) + w
+        # S: each quadratic's peak on its side of h, r <= h on the left
+        peak = k - (self._scale * np.maximum(self._side * (h - mu), 0.0)) ** 2
+        shift = np.max(peak, axis=0)
+        half = (hi - lo) / 2.0
+        centre = self._scale * ((hi + lo) / 2.0)  # u at the window's middle
+        level = k - shift + np.log(half)
 
-    def _moments_block(self, taus: np.ndarray):
-        """_moments on one block of finite tensions.
+        # per panel (left, right, band...) and tension: sum fw, sum fw u,
+        # sum fw u^2, and sum fw V on the band; u is r on the band
+        slots = 2 + self._band_r.shape[0]
+        sums = np.empty((3, slots, taus.size))
+        mv = np.empty((slots - 2, taus.size))
+        step = max(1, 3 * _BLOCK // slots)  # _BLOCK tensions' worth of three panels
+        rows = min(taus.size, step)
+        u, f, t = (np.empty((slots, rows, self._log_weights.size)) for _ in range(3))
+        u[2:] = self._band_r
+        for i in range(0, taus.size, step):
+            j = min(i + step, taus.size)
+            ub, fw, tb = u[:, : j - i], f[:, : j - i], t[:, : j - i]
+            np.multiply(half[:, i:j, np.newaxis], self._outer_nodes, out=ub[:2])
+            ub[:2] += centre[:, i:j, np.newaxis]
+            np.square(ub[:2], out=tb[:2])
+            np.add(level[:, i:j, np.newaxis], self._log_weights, out=fw[:2])
+            np.multiply((beta * taus[i:j])[:, np.newaxis], self._band_r, out=fw[2:])
+            np.add(shift[i:j, np.newaxis], self._band_level, out=tb[2:])
+            fw -= tb
+            np.exp(fw, out=fw)
+            np.sum(fw, axis=2, out=sums[0, :, i:j])
+            np.multiply(fw, ub, out=tb)
+            np.sum(tb, axis=2, out=sums[1, :, i:j])
+            tb *= ub
+            np.sum(tb, axis=2, out=sums[2, :, i:j])
+            np.multiply(fw[2:], self._band_v, out=tb[2:])
+            np.sum(tb[2:], axis=2, out=mv[:, i:j])
 
-        Each window [r* - w, r* + w] is split at the band edges into three
-        Gauss-Legendre panels. A panel forms the weighted integrand
-        fw = f (half w_i) once: z = sum fw, the strain moments share the
-        product fw r (m1 = sum fw r, m2 = sum (fw r) r), and mv = sum fw v.
-        """
-        beta = self.beta
-        h = self.potential.moll_width
-        w = self._halfwidth
-        rstar = self._argmax_exponents(taus)
-        vstar = self.V(rstar)
-
-        lo = rstar - w
-        hi = rstar + w
-        # split each window at the band edges that fall inside it
-        cuts = [lo, np.clip(-h, lo, hi), np.clip(h, lo, hi), hi]
-        z = np.zeros_like(taus)
-        m1 = np.zeros_like(taus)
-        m2 = np.zeros_like(taus)
-        mv = np.zeros_like(taus)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            half = (b - a) / 2.0
-            mid = (b + a) / 2.0
-            r = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
-            v = _potential_value(self.potential, r)
-            f = np.exp(beta * (taus[:, None] * (r - rstar[:, None]) - v + vstar[:, None]))
-            fw = f * (half[:, None] * self._gl_weights[None, :])
-            fwr = fw * r
-            z += np.sum(fw, axis=1)
-            m1 += np.sum(fwr, axis=1)
-            m2 += np.sum(fwr * r, axis=1)
-            mv += np.sum(fw * v, axis=1)
-        if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
-            raise ThermoError(f"quadrature non-convergence at tau={taus}, Z={z}")
-        g = beta * (taus * rstar - vstar) + np.log(z)
-        rho = m1 / z
-        var = m2 / z - rho**2
-        ev = mv / z
+        z = np.sum(sums[0], axis=0)
+        bad = ~(np.isfinite(z) & (z > 0.0))
+        if np.any(bad):
+            raise ThermoError(f"quadrature non-convergence at tau={taus[bad]}, Z={z[bad]}")
+        # outer panels: moments of r = mu + side u/scale from those of u
+        z_out = sums[0, :2]
+        p1 = sums[1, :2] * (self._side / self._scale)  # sum fw (r - mu)
+        m1 = mu * z_out + p1
+        m2 = mu * (m1 + p1) + sums[2, :2] / self._scale**2
+        mv_out = 0.5 * self._curvature * m2 + self._offset * z_out
+        g = shift + np.log(z)
+        rho = (np.sum(m1, axis=0) + np.sum(sums[1, 2:], axis=0)) / z
+        var = (np.sum(m2, axis=0) + np.sum(sums[2, 2:], axis=0)) / z - rho**2
+        ev = (np.sum(mv_out, axis=0) + np.sum(mv, axis=0)) / z
         return g, rho, var, ev
 
     def log_partition(self, tau: float) -> float:
@@ -313,8 +377,7 @@ class ThermoModel:
         No bracket is needed: beta Var r lies in [1/c2, 1/c1], so each step
         multiplies the error by at most kappa/(1 - kappa) < 1/2 (as
         PotentialParams requires kappa < 1/3), and a last step below
-        1e-12 (1 + |tau|) bounds it. A tighter stop can cycle between two
-        tensions: the quadrature's rounding in rho is ~1e-12 at |rho| = 100.
+        1e-14 (1 + |tau|) bounds it.
         """
         if not math.isfinite(rho):
             raise ValueError(f"non-finite strain {rho}")
@@ -323,7 +386,7 @@ class ThermoModel:
             _, rh, var, _ = self._moments(tau)
             return float(rh[0]) - rho, self.beta * float(var[0])
 
-        sol = root_scalar(residual, x0=rho, fprime=True, method="newton", xtol=1e-12, rtol=1e-12)
+        sol = root_scalar(residual, x0=rho, fprime=True, method="newton", xtol=1e-14, rtol=1e-14)
         if not sol.converged:
             raise ThermoError(f"tension inversion failed for rho={rho}: {sol.flag}")
         return float(sol.root)
@@ -340,11 +403,13 @@ class ThermoModel:
 
         Momenta are exactly Gaussian(pbar, 1/beta). Strains come from rejection
         against the Gaussian envelope N(r*, 1/(beta c1)), valid because
-        V'' >= c1 makes the target log-concave under that envelope. A tension
-        so large that fewer than 1024 representable strains fit in one
-        envelope standard deviation about r*, where the draws would collapse
-        onto a few values, raises ThermoError, as does an acceptance ratio
-        that is not finite.
+        V'' >= c1 makes the target log-concave under that envelope. When r*
+        lies off the band, a candidate on its piece takes the acceptance
+        ratio's closed form in cand - r*, so a huge tension loses no digits
+        to V(cand) - V(r*). A tension so large that fewer than 1024
+        representable strains fit in one envelope standard deviation about
+        r*, where the draws would collapse onto a few values, raises
+        ThermoError, as does an acceptance ratio that is not finite.
         """
         if n < 1:
             raise ValueError(f"need n >= 1 samples, got {n}")
@@ -362,15 +427,22 @@ class ThermoModel:
                 f"one envelope sd = {sd:.6g} of r* = {rstar:.6g}; the draws would collapse"
             )
         vstar = self.V(rstar)
+        h = self.potential.moll_width
         out = np.empty(n)
         filled = 0
         while filled < n:
             m = max(int(1.25 * (n - filled)) + 16, 64)
             cand = rstar + sd * rng.standard_normal(m)
+            d = cand - rstar
             v = _potential_value(self.potential, cand)
-            log_acc = beta * (
-                tau * (cand - rstar) - v + vstar + self.c1 * (cand - rstar) ** 2 / 2.0
-            )
+            log_acc = beta * (tau * d - v + vstar + self.c1 * d**2 / 2.0)
+            # off the band, on r*'s own piece, the closed form in d needs no
+            # V(cand) - V(r*), which loses ulp(r*^2) at a huge tension
+            if rstar >= h:
+                piece = cand >= h
+                log_acc[piece] = -0.5 * beta * self.potential.kappa * d[piece] ** 2
+            elif rstar <= -h:
+                log_acc[cand <= -h] = 0.0
             if not np.isfinite(log_acc).all():
                 raise ThermoError(
                     f"canonical sampler at tau={tau}: the acceptance ratio is not finite"

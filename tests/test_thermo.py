@@ -141,6 +141,16 @@ class TestPotentialProperties:
             assert v == (1 - k) * (r * r) / 2
             assert d2 == 1 - k
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.25])
+    @pytest.mark.parametrize("h", [0.1, 1.0])
+    def test_extension_offset_matches_the_potential(self, kappa, h):
+        # the quadrature's right panel takes V = r^2/2 + extension_offset on r >= h
+        params = PotentialParams(kappa=kappa, moll_width=h)
+        assert params.extension_offset == kappa * h**2 / 10.0
+        r = np.concatenate((h * np.linspace(1.0, 3.0, 2001), np.geomspace(h, 1e6, 2001)))
+        v = eval_potential(params, r)[0]
+        assert np.all(np.abs(v - (0.5 * r * r + params.extension_offset)) <= np.spacing(v))
+
     @prop_settings
     @given(params_st, strain_st)
     def test_scalar_in_floats_out(self, params, r):
@@ -256,6 +266,19 @@ class TestTensionOfStrain:
             tau = model.tension_of_strain(rho)
             assert abs(model.mean_strain(tau) - rho) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "model",
+        [ThermoModel(), ThermoModel(beta=20.0, potential=PotentialParams(kappa=0.1))],
+        ids=["default", "beta20-kappa0.1"],
+    )
+    def test_newton_converges_far_off_the_table(self, model):
+        # the outer panels carry no rounding of size ulp(r^2), so the stop of
+        # 1e-14 (1 + |tau|) is reached without cycling; tension_of_strain raises
+        # ThermoError on a run that does not converge
+        for rho in np.linspace(-3000.0, 3000.0, 521):
+            tau = model.tension_of_strain(float(rho))
+            assert abs(model.mean_strain(tau) - rho) <= 1e-13 * (1.0 + abs(rho))
+
     def test_inversion_failure_names_the_strain(self, anharmonic, monkeypatch):
         monkeypatch.setattr(anharmonic, "_moments", lambda tau: (0, [np.nan], [1.0], 0))
         with pytest.raises(ThermoError, match="rho=0.5"):
@@ -338,6 +361,48 @@ def band_spanning_tensions(model):
     )
 
 
+class TestMomentPanels:
+    @pytest.mark.parametrize(
+        "beta, kappa, h",
+        [(1.0, 0.25, 0.1), (2.0, 0.0, 0.1), (20.0, 0.1, 0.1), (2000.0, 0.33, 1.0)],
+        # the last band is wider than a window, so it is split into panels
+        ids=["default", "harmonic", "cold", "wide-band"],
+    )
+    def test_against_simpson_oracle(self, beta, kappa, h):
+        # maximisers on both outer pieces, at both band edges and inside the band
+        model = ThermoModel(beta=beta, potential=PotentialParams(kappa=kappa, moll_width=h))
+        taus = [-50.0, -5.0, -model.c1 * h, 0.0, h, 5.0, 50.0]
+        g, rho, _, ev = model._moments(taus)
+        for i, tau in enumerate(taus):
+            assert g[i] == pytest.approx(simpson_oracle(model, tau, "G"), abs=1e-8)
+            assert rho[i] == pytest.approx(simpson_oracle(model, tau, "rho"), abs=1e-6)
+            assert 0.5 / beta + ev[i] == pytest.approx(simpson_oracle(model, tau, "U"), abs=1e-7)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 20.0])
+    def test_harmonic_closed_forms(self, beta):
+        model = ThermoModel(beta=beta, potential=PotentialParams(kappa=0.0))
+        h = model.potential.moll_width
+        taus = np.concatenate((np.linspace(-50.0, 50.0, 41), [-h, h, np.nextafter(h, 0.0)]))
+        g, rho, var, ev = model._moments(taus)
+        expected = (
+            (g, beta * taus**2 / 2.0 + 0.5 * np.log(2.0 * np.pi / beta)),
+            (rho, taus),
+            (ev, (taus**2 + 1.0 / beta) / 2.0),
+        )
+        for got, want in expected:
+            assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+        # var = E r^2 - rho^2 cancels to about an ulp of rho^2
+        assert np.all(np.abs(var - 1.0 / beta) <= 1e-14 * (1.0 + taus**2))
+
+    def test_table_build_runs_no_root_solve(self, monkeypatch):
+        def no_root_solve(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(thermo, "brentq", no_root_solve)
+        table = ThermoModel().table
+        assert table["certificate"]["max_tau_error"] < 5e-8
+
+
 class TestQuadratureBlocks:
     @pytest.fixture(
         scope="class",
@@ -411,8 +476,18 @@ class TestSampler:
                 anharmonic.sample_canonical(0.0, 1e308, 4, 1)
 
     def test_huge_finite_tension_keeps_distinct_draws(self, anharmonic):
+        # N(1e10, 1) on a grid of ulp(1e10) = 1.9e-6: 1000 draws share a double
+        # about 0.27 times on average; a collapse leaves a handful of values
         s = anharmonic.sample_canonical(0.0, 1e10, 1000, seed=3)
-        assert np.unique(s.r).size == 1000
+        assert np.unique(s.r).size >= 990
+
+    @pytest.mark.parametrize("tau", [1e8, 1e10])
+    def test_huge_tension_has_the_exact_variance(self, anharmonic, tau):
+        # far above the band the target is exactly N(tau, 1/beta)
+        n = 200_000
+        s = anharmonic.sample_canonical(0.0, tau, n, seed=1)
+        se = math.sqrt(2.0 / n) / anharmonic.beta
+        assert abs(np.var(s.r - tau) - 1.0 / anharmonic.beta) <= 5 * se
 
     @pytest.mark.parametrize("tau", [1e13, 1e16, 1e100, -1e16])
     def test_collapsing_tension_raises(self, anharmonic, tau):
