@@ -9,8 +9,8 @@ exactly quadratic, so each outer panel integrates one Gaussian about its
 centre, with no root solve, no V evaluation and no cancellation between
 terms of size r^2; the band panel is the same for every tension, its V
 values computed once per model. A batch of tensions is integrated in blocks
-of _BLOCK, so the panels' buffers stay cache-sized, and every tension's sums
-run along its own row, so the result does not depend on the blocking.
+of _BLOCK, which bounds the panels' memory, and every tension's sums run
+along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
 needs no inversion; tension_of_strain, one library Newton call from
@@ -32,7 +32,7 @@ from scipy.optimize import brentq, root_scalar
 _QUAD_TOL = 1e-30
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
 _TABLE_NODES = 3600
-_BLOCK = 256  # tensions per quadrature block: a (256, n_quad) panel stays in cache
+_BLOCK = 256  # tensions per quadrature block: bounds the panels' memory
 
 
 class ThermoError(RuntimeError):
@@ -226,14 +226,15 @@ class ThermoModel:
         self._log_weights = np.log(weights)
         # the band [-h, h], the same for every tension: one panel, or as many
         # as keep each no wider than an outer window, 2w; their nodes r, V(r),
-        # and the level in the log weighted integrand beta tau r - level
+        # beta V(r) and log weights
         h = self.potential.moll_width
         pieces = math.ceil(h / self._halfwidth)
         half = h / pieces
         centres = half * (2.0 * np.arange(pieces) + 1.0) - h
         self._band_r = (centres[:, np.newaxis] + half * nodes)[:, np.newaxis, :]
         self._band_v = _potential_value(self.potential, self._band_r)
-        self._band_level = self.beta * self._band_v - np.log(half * weights)
+        self._band_bv = self.beta * self._band_v
+        self._band_log_weights = np.log(half * weights)
         self._table = None
 
     # -- potential shorthands ------------------------------------------------
@@ -287,60 +288,54 @@ class ThermoModel:
         nodes, V values and weights built once per model; there u is r, and
         E V sums fw V.
 
-        Every tension is shifted by S, the larger of the two quadratics'
-        peaks on their sides of h (the left one bounds the band too, as
-        V >= c1 r^2/2), so G = S + log z; weights enter the exponents as
-        logs, fw = exp(log-integrand + log weight - S). The panels run over
-        blocks of _BLOCK tensions (fewer when the band is split) in buffers
-        made once a call, so they stay cache-sized however many tensions are
-        asked for; every sum runs along one tension's row, so the result does
-        not depend on the blocking.
+        Every tension is shifted by S, the largest log-integrand of its
+        panels: each outer Gaussian's peak on its window, and the band's
+        largest value on its nodes. So G = S + log z, and weights enter the
+        exponents as logs, fw = exp(log-integrand + log weight - S). The
+        panels run over blocks of _BLOCK tensions (fewer when the band is
+        split), which bounds their memory however many tensions are asked
+        for; every sum runs along one tension's row, so the result does not
+        depend on the blocking.
         """
         taus = np.atleast_1d(np.asarray(tau_values, dtype=float))
         if not np.all(np.isfinite(taus)):
             raise ValueError("non-finite tension in quadrature")
         beta, h, w = self.beta, self.potential.moll_width, self._halfwidth
         # outer panels, one row each (left, right): mu, K and the window
-        # [lo, hi] of side (r - mu)
+        # [lo, hi] of side (r - mu), and the Gaussian's peak on it
         mu = np.stack((taus / self.c1, taus))
         k = (0.5 * beta) * taus * mu - beta * self._offset
         past = h - self._side * mu
         lo = np.maximum(past, -w)
         hi = np.maximum(past, 0.0) + w
-        # S: each quadratic's peak on its side of h, r <= h on the left
-        peak = k - (self._scale * np.maximum(self._side * (h - mu), 0.0)) ** 2
-        shift = np.max(peak, axis=0)
+        peak = np.max(k - (self._scale * np.maximum(past, 0.0)) ** 2, axis=0)
         half = (hi - lo) / 2.0
         centre = self._scale * ((hi + lo) / 2.0)  # u at the window's middle
-        level = k - shift + np.log(half)
+        level = k + np.log(half)
 
         # per panel (left, right, band...) and tension: sum fw, sum fw u,
         # sum fw u^2, and sum fw V on the band; u is r on the band
         slots = 2 + self._band_r.shape[0]
+        shift = np.empty(taus.size)
         sums = np.empty((3, slots, taus.size))
         mv = np.empty((slots - 2, taus.size))
         step = max(1, 3 * _BLOCK // slots)  # _BLOCK tensions' worth of three panels
-        rows = min(taus.size, step)
-        u, f, t = (np.empty((slots, rows, self._log_weights.size)) for _ in range(3))
-        u[2:] = self._band_r
         for i in range(0, taus.size, step):
             j = min(i + step, taus.size)
-            ub, fw, tb = u[:, : j - i], f[:, : j - i], t[:, : j - i]
-            np.multiply(half[:, i:j, np.newaxis], self._outer_nodes, out=ub[:2])
-            ub[:2] += centre[:, i:j, np.newaxis]
-            np.square(ub[:2], out=tb[:2])
-            np.add(level[:, i:j, np.newaxis], self._log_weights, out=fw[:2])
-            np.multiply((beta * taus[i:j])[:, np.newaxis], self._band_r, out=fw[2:])
-            np.add(shift[i:j, np.newaxis], self._band_level, out=tb[2:])
-            fw -= tb
-            np.exp(fw, out=fw)
-            np.sum(fw, axis=2, out=sums[0, :, i:j])
-            np.multiply(fw, ub, out=tb)
-            np.sum(tb, axis=2, out=sums[1, :, i:j])
-            tb *= ub
-            np.sum(tb, axis=2, out=sums[2, :, i:j])
-            np.multiply(fw[2:], self._band_v, out=tb[2:])
-            np.sum(tb[2:], axis=2, out=mv[:, i:j])
+            # log-integrands: the band's on its fixed nodes, the outer ones in u
+            band = (beta * taus[i:j, np.newaxis]) * self._band_r - self._band_bv
+            s = np.maximum(peak[i:j], np.max(band, axis=(0, 2)))
+            u = half[:, i:j, np.newaxis] * self._outer_nodes + centre[:, i:j, np.newaxis]
+            outer = (level[:, i:j] - s)[:, :, np.newaxis] + self._log_weights - u * u
+            band += self._band_log_weights - s[:, np.newaxis]
+            fo, fb = np.exp(outer), np.exp(band)
+            for panels, fw, x in ((slice(0, 2), fo, u), (slice(2, None), fb, self._band_r)):
+                fx = fw * x
+                sums[0, panels, i:j] = np.sum(fw, axis=2)
+                sums[1, panels, i:j] = np.sum(fx, axis=2)
+                sums[2, panels, i:j] = np.sum(fx * x, axis=2)
+            mv[:, i:j] = np.sum(fb * self._band_v, axis=2)
+            shift[i:j] = s
 
         z = np.sum(sums[0], axis=0)
         bad = ~(np.isfinite(z) & (z > 0.0))
