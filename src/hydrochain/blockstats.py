@@ -150,13 +150,22 @@ def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
 
     midpoint in x on the piecewise-constant field, trapezoid in t over the
     recorded snapshots. The K fields are stacked into (K, S) arrays, and each
-    derivative is evaluated once on the (K, S) grid of times and sites."""
+    derivative is evaluated once on the (K, S) grid of times and sites.
+    Fields whose times decrease, or whose (N, l) is not the first field's,
+    raise ConfigurationError."""
     if len(fields) < 2:
         raise ConfigurationError("need at least two recorded fields")
+    n, l = fields[0].N, fields[0].l
+    for f in fields:
+        if (f.N, f.l) != (n, l):
+            raise ConfigurationError(f"field at t={f.t} has (N, l) = {(f.N, f.l)}, not {(n, l)}")
+    times = np.array([f.t for f in fields])
+    rising = np.diff(times) >= 0.0  # False at a drop, and at a NaN
+    if not rising.all():
+        i = int(np.argmin(rising))
+        raise ConfigurationError(f"field times must not decrease: {times[i]} then {times[i + 1]}")
     _check_support(fields, phi, "phi")
     _check_support(fields, psi, "psi")
-    times = np.array([f.t for f in fields])
-    n = fields[0].N
     t, x = times[:, None], fields[0].x[None, :]
     r_hat = np.stack([f.r_hat for f in fields])
     p_hat = np.stack([f.p_hat for f in fields])

@@ -1,9 +1,9 @@
 """Deterministic CSV emission (bit-identical output for identical inputs).
 
-Every float is written as '%.17g' % x, ints as digits and bools as 1/0.
-write_csv formats mixed rows value by value. write_columns and write_long_csv
-hold only floats, and format them through one array kernel, _float_fields,
-which yields the exact bytes of '%.17g' for a whole block of values at once:
+Every value is written as '%.17g' % float(x), so an int below 2**53 reads as
+its digits and a bool as 1/0. write_csv, write_columns and write_long_csv all
+format through one array kernel, _float_fields, which yields the exact bytes
+of '%.17g' for a whole block of values at once:
 
 - k = floor(log10|x|) estimates the decimal exponent, and |x| 10^(16-k) is
   formed in double-double arithmetic: a table of 10^j as hi + lo (built with
@@ -182,9 +182,12 @@ def _write_rows(f, cells) -> None:
 
 
 def write_columns(path, header, columns) -> None:
-    """One line per row of the equal-length float columns."""
+    """One line per row of the equal-length float columns, one per header name."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     m = len(columns)
+    lengths = sorted({len(c) for c in columns})
+    if m != len(header) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names over {m} columns of lengths {lengths}")
     rows = max(1, _BLOCK_BYTES // (4 * _CELLS * m))
     with _open(path) as f:
         # each line starts with its newline, so the header has none
@@ -250,19 +253,9 @@ def write_long_csv(path, header, groups) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    def line(row):
-        return ",".join(format(x, ".17g") if type(x) is float else _fmt(x) for x in row) + "\n"
-
-    with _open(path) as f:
-        f.write((",".join(header) + "\n").encode())
-        f.writelines(line(row).encode() for row in rows)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+    """One line per row of numbers (floats, ints or bools) of the header's
+    length, each written as its float."""
+    lengths = sorted({len(row) for row in rows})
+    if lengths and lengths != [len(header)]:
+        raise ValueError(f"{len(header)} header names over rows of lengths {lengths}")
+    write_columns(path, header, np.asarray(rows, dtype=float).reshape(-1, len(header)).T)

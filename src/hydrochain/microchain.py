@@ -50,7 +50,6 @@ from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potent
 log = logging.getLogger(__name__)
 
 THETA_MAX = 0.25
-_CHUNK_COARSE = 1024
 _CHUNK_BYTES = 8 << 20  # bound on one chunk's (dw, dwt) increments
 # bound on one ledger block's (3 steps, N) leg arrays: below glibc's 128 KiB
 # mmap threshold, so each block array comes from the heap, not a fresh mmap
@@ -91,6 +90,8 @@ class ChainConfig:
             raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.dt = self.theta / (self.N * self.sigma)
         # an extreme sigma under- or overflows dt, or the step count t_end / dt
         if not (0.0 < self.dt < math.inf and self.t_end / self.dt < math.inf):
@@ -314,9 +315,9 @@ def energy_per_particle(state: ChainState, model: ThermoModel) -> float:
 
 
 def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> ChainState:
-    """Product Gibbs sample at (beta, pbar=0, tau0): N-uniform entropy bound."""
+    """Product Gibbs sample at (beta, tau0), mean momentum 0: N-uniform entropy bound."""
     rng = initial_state_rng(config.seed)
-    sample = model.sample_canonical(0.0, tau0, config.N, rng)
+    sample = model.sample_canonical(tau0, config.N, rng)
     return ChainState(r=sample.r, p=sample.p, t=0.0)
 
 
@@ -375,11 +376,10 @@ def accumulate_ledger(
 
 
 def _chunk_rows(n: int, level: int) -> int:
-    """Coarse rows per noise chunk: at most _CHUNK_COARSE, and few enough that
-    the chunk's 2**level fine rows of (dw, dwt) over n - 1 bonds fit in
-    _CHUNK_BYTES; at least one."""
+    """Coarse rows per noise chunk: few enough that the chunk's 2**level fine
+    rows of (dw, dwt) over n - 1 bonds fit in _CHUNK_BYTES; at least one."""
     row_bytes = 2**level * 2 * (n - 1) * 8
-    return max(1, min(_CHUNK_COARSE, _CHUNK_BYTES // row_bytes))
+    return max(1, _CHUNK_BYTES // row_bytes)
 
 
 def _chunk_sizes(n_coarse: int, n: int, level: int) -> list[int]:

@@ -25,7 +25,8 @@ _STREAM_BRIDGE = 2
 
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & ((1 << 63) - 1), spawn_key=tuple(key))
+    """Philox stream `key` of a seed; SeedSequence rejects a negative one."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 

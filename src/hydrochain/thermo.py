@@ -14,9 +14,9 @@ along its own row, so the result does not depend on the blocking.
 
 The spline table is built on nodes uniform in tension, where the quadrature
 needs no inversion; tension_of_strain, one library Newton call from
-tau = rho, is the one inversion of rho(tau). The table holds tau(rho), its
-slope and a two-column spline of (tau, F)(rho), all read at a strain; a strain
-outside the tabulated range raises instead of extrapolating.
+tau = rho, is the one inversion of rho(tau). The table holds one two-column
+spline of (tau, F)(rho), its tau column and that column's slope, all read at a
+strain; a strain outside the tabulated range raises instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -247,21 +247,15 @@ class ThermoModel:
 
     # -- exact quadrature core ----------------------------------------------
 
-    def _argmax_exponents(self, taus: np.ndarray) -> np.ndarray:
+    def _argmax_exponent(self, tau: float) -> float:
         """Maximiser r* of tau r - V(r), i.e. V'(r*) = tau (V' strictly
-        increasing), for each entry of a 1-d taus: the closed forms off the
-        band as array operations, brentq only inside it, where kappa > 0."""
+        increasing): the closed forms off the band, brentq on it if kappa > 0."""
         k, h = self.potential.kappa, self.potential.moll_width
-        rstar = taus / (1.0 - k)
-        ext = taus >= h
-        rstar[ext] = taus[ext]
-        if k == 0.0:  # V' = r on the band too
-            return rstar
-        for i in np.flatnonzero(~ext & (taus > -(1.0 - k) * h)):
-            rstar[i] = brentq(
-                lambda r, tau: self.dV(r) - tau, -h, h, args=(taus[i],), xtol=1e-15, rtol=8.9e-16
-            )
-        return rstar
+        if tau >= h:
+            return tau
+        if k == 0.0 or tau <= -(1.0 - k) * h:  # kappa = 0: V' = r on the band too
+            return tau / (1.0 - k)
+        return brentq(lambda r: self.dV(r) - tau, -h, h, xtol=1e-15, rtol=8.9e-16)
 
     def _moments(self, tau_values):
         """Batched canonical moments at each tau.
@@ -393,10 +387,11 @@ class ThermoModel:
 
     # -- sampling -------------------------------------------------------------
 
-    def sample_canonical(self, pbar: float, tau: float, n: int, seed) -> GibbsSample:
+    def sample_canonical(self, tau: float, n: int, seed) -> GibbsSample:
         """n i.i.d. draws from the canonical single-spring measure.
 
-        Momenta are exactly Gaussian(pbar, 1/beta). Strains come from rejection
+        Momenta are exactly Gaussian(0, 1/beta): the chain's wall fixes p_0 = 0,
+        so 0 is its only equilibrium mean momentum. Strains come from rejection
         against the Gaussian envelope N(r*, 1/(beta c1)), valid because
         V'' >= c1 makes the target log-concave under that envelope. When r*
         lies off the band, a candidate on its piece takes the acceptance
@@ -408,13 +403,12 @@ class ThermoModel:
         """
         if n < 1:
             raise ValueError(f"need n >= 1 samples, got {n}")
-        for name, value in (("pbar", pbar), ("tau", tau)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         beta = self.beta
-        p = pbar + rng.standard_normal(n) / math.sqrt(beta)
-        rstar = float(self._argmax_exponents(np.array([float(tau)]))[0])
+        p = rng.standard_normal(n) / math.sqrt(beta)
+        rstar = self._argmax_exponent(float(tau))
         sd = 1.0 / math.sqrt(beta * self.c1)
         if math.ulp(rstar) > sd / 1024.0:
             raise ThermoError(
@@ -451,12 +445,13 @@ class ThermoModel:
     # -- tabulated fast path ----------------------------------------------------
 
     def _build_table(self):
-        """Splines of tau(rho) and F(rho) on _TABLE_NODES nodes uniform in tau,
-        from the exact tension of _TABLE_RHO_MIN to that of _TABLE_RHO_MAX, with
-        tau_F_of_rho stacking their coefficients, so its columns equal them to
-        the bit. One batched quadrature gives (G, rho) at every node; the slope
-        bounds keep the strain spacing within c2/c1 of uniform. Certified
-        against exact tensions midway between nodes and the slope bounds."""
+        """One cubic spline tau_F_of_rho of (tau, F)(rho) on _TABLE_NODES nodes
+        uniform in tau, from the exact tension of _TABLE_RHO_MIN to that of
+        _TABLE_RHO_MAX; tau_of_rho is its tau column and tau_of_rho_slope that
+        column's derivative. One batched quadrature gives (G, rho) at every
+        node; the slope bounds keep the strain spacing within c2/c1 of uniform.
+        Certified against exact tensions midway between nodes and the slope
+        bounds."""
         taus = np.linspace(
             self.tension_of_strain(_TABLE_RHO_MIN),
             self.tension_of_strain(_TABLE_RHO_MAX),
@@ -465,15 +460,15 @@ class ThermoModel:
         g, rho, _, _ = self._moments(taus)
         if np.any(np.diff(rho) <= 0.0):
             raise ThermoError("tabulated strain is not strictly increasing")
-        tau_of_rho = CubicSpline(rho, taus)
-        f_of_rho = CubicSpline(rho, taus * rho - g / self.beta)
+        tau_f = CubicSpline(rho, np.stack((taus, taus * rho - g / self.beta), axis=-1))
+        tau_of_rho = PPoly(np.ascontiguousarray(tau_f.c[..., 0]), tau_f.x)
         table = {
             "tau": taus,
             "rho": rho,
             "tau_of_rho": tau_of_rho,
             # built once: tau_prime_of_rho and the certificate read it
             "tau_of_rho_slope": tau_of_rho.derivative(),
-            "tau_F_of_rho": PPoly(np.stack((tau_of_rho.c, f_of_rho.c), axis=-1), tau_of_rho.x),
+            "tau_F_of_rho": tau_f,
         }
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
         _, rho_p, _, _ = self._moments(probe)

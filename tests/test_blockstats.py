@@ -379,6 +379,41 @@ class TestWeakResidual:
             assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=0.0)
             assert got[1] == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
+    @staticmethod
+    def random_fields(n, l, times, seed=7):
+        rng = np.random.default_rng(seed)
+        spec = BlockSpec(l, n)
+        return [
+            EmpiricalField.from_state(
+                ChainState(rng.uniform(-0.5, 1.0, n), rng.normal(0.0, 1.0, n), t), spec
+            )
+            for t in times
+        ]
+
+    def test_decreasing_times_rejected(self, model):
+        # integrated in the given order, a reversed run of fields moved both
+        # residuals by orders of magnitude without an error
+        fields = self.random_fields(64, 8, np.linspace(0.0, 1.0, 20))
+        phi = SpaceTimeTestFunction(0.05, 0.95, 0.3, 0.7, mode=0)
+        psi = SpaceTimeTestFunction(0.1, 0.8, 0.35, 0.72, mode=1)
+        weak_residual(fields, phi, psi, model)
+        shuffled = fields[:5] + fields[5:15][::-1] + fields[15:]
+        with pytest.raises(ConfigurationError, match="field times must not decrease"):
+            weak_residual(shuffled, phi, psi, model)
+        # repeated times, as records snapped to one step give, are accepted
+        weak_residual(fields[:10] + fields[9:], phi, psi, model)
+
+    def test_field_of_another_size_rejected(self, model):
+        # N = 64, l = 8 and N = 66, l = 9 both give 50 hat values
+        times = np.linspace(0.0, 1.0, 6)
+        fields = self.random_fields(64, 8, times)
+        other = self.random_fields(66, 9, times)[3]
+        assert other.r_hat.size == fields[3].r_hat.size
+        fields[3] = other
+        phi = SpaceTimeTestFunction(0.05, 0.95, 0.3, 0.7, mode=0)
+        with pytest.raises(ConfigurationError, match=r"\(N, l\) = \(66, 9\), not \(64, 8\)"):
+            weak_residual(fields, phi, phi, model)
+
 
 class TestTestFunctions:
     def test_compact_support_and_smoothness(self):

@@ -1,10 +1,11 @@
 """CSV output pinned to literal text: the writers' formatting must not drift.
 
-The float writers format through csvio._float_fields, an array kernel that
-must reproduce '%.17g' % x byte for byte; write_csv's per-value path is the
+Every writer formats through csvio._float_fields, an array kernel that must
+reproduce '%.17g' % x byte for byte; '%.17g' itself, value by value, is the
 reference it is checked against."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrochain import csvio
-from hydrochain.csvio import _float_fields, write_csv
+from hydrochain.blockstats import (
+    STATISTICS_HEADER,
+    BlockSpec,
+    default_block_width,
+    statistics_row,
+)
+from hydrochain.csvio import _float_fields, write_columns, write_csv
 from hydrochain.macropde import (
     MacroConfig,
     advance,
@@ -133,17 +140,54 @@ class TestFloatKernel:
 
 def test_write_csv_mixed_row(tmp_path):
     path = tmp_path / "mixed.csv"
-    row = (True, np.True_, np.bool_(False), 3, np.int64(-7), np.float64(0.1), 1 / 3, -0.0,
-           1e-300, "2.5e-3")
-    write_csv(path, list("abcdefghij"), [row])
+    rows = [
+        (True, np.True_, np.bool_(False), 3, np.int64(-7), np.float64(0.1), 1 / 3, -0.0, 1e-300),
+        (False, np.uint8(255), 2**53, -(2**31), np.int32(12), 2.5, np.float32(0.5), 1e16, -1),
+    ]
+    write_csv(path, list("abcdefghi"), rows)
     assert path.read_text() == (
-        "a,b,c,d,e,f,g,h,i,j\n"
-        "1,1,0,3,-7,0.10000000000000001,0.33333333333333331,-0,1e-300,2.5e-3\n"
+        "a,b,c,d,e,f,g,h,i\n"
+        "1,1,0,3,-7,0.10000000000000001,0.33333333333333331,-0,1e-300\n"
+        "0,255,9007199254740992,-2147483648,12,2.5,0.5,10000000000000000,-1\n"
     )
-    header, rows = read_back(path)
-    assert header == list("abcdefghij")
-    assert rows == [[1.0, 1.0, 0.0, 3.0, -7.0, 0.1, 1 / 3, 0.0, 1e-300, 2.5e-3]]
-    assert math.copysign(1.0, rows[0][7]) == -1.0
+    # ints and bools write the '%.17g' text of their floats
+    assert path.read_text() == reference_csv(list("abcdefghi"), rows)
+    header, back = read_back(path)
+    assert header == list("abcdefghi")
+    assert back[0] == [1.0, 1.0, 0.0, 3.0, -7.0, 0.1, 1 / 3, 0.0, 1e-300]
+    assert math.copysign(1.0, back[0][7]) == -1.0
+
+
+def test_write_csv_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, ["a", "b"], [])
+    assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize(
+    "header, columns, lengths",
+    [
+        (["a", "b"], [np.arange(3.0), 10 + np.arange(5.0)], "[3, 5]"),
+        (["a", "b", "c"], [np.arange(3.0), np.arange(3.0)], "[3]"),
+    ],
+)
+def test_write_columns_rejects_mismatched_lengths(tmp_path, header, columns, lengths):
+    # write_columns used to write 0,11 / 1,12 / 2,13 / 10,14 for the first case
+    path = tmp_path / "out.csv"
+    message = f"{len(header)} header names over {len(columns)} columns of lengths {lengths}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_columns(path, header, columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)] * 2])
+def test_write_csv_rejects_rows_off_the_header(tmp_path, rows):
+    path = tmp_path / "out.csv"
+    lengths = sorted({len(row) for row in rows})
+    message = f"2 header names over rows of lengths {lengths}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_csv(path, ["a", "b"], rows)
+    assert not path.exists()
 
 
 def test_write_snapshot_csv(tmp_path):
@@ -246,6 +290,15 @@ class TestPipelineFiles:
         residual = work_and_dissipation(traj)[2]
         rows = zip(traj.t_hist, traj.F_hist, traj.W_hist, traj.D_hist, residual)
         assert path.read_text() == reference_csv(["t", "F", "W", "D", "residual"], rows)
+
+    def test_statistics_file(self, tmp_path, small_pipeline):
+        result = small_pipeline[0]
+        spec = BlockSpec(default_block_width(32), 32)
+        model = ThermoModel()
+        rows = [statistics_row(s, spec, result.config.sigma, model) for s in result.snapshots]
+        path = tmp_path / "statistics.csv"
+        write_csv(path, STATISTICS_HEADER, rows)
+        assert path.read_text() == reference_csv(STATISTICS_HEADER, rows)
 
     def test_snapshot_sizes_mixed_in_one_file(self, tmp_path, monkeypatch, small_pipeline):
         monkeypatch.setattr(csvio, "_BLOCK_BYTES", 5000)

@@ -125,6 +125,14 @@ class TestConfig:
         for good in (32, np.int64(32), np.int32(32)):
             assert ChainConfig(N=good, t_end=0.01).n_steps == ChainConfig(N=32, t_end=0.01).n_steps
 
+    def test_seed_validated(self):
+        # a masked or truncated seed would run another seed's noise silently
+        for bad in (-1, 1.7, 2.0, "1", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                ChainConfig(N=32, t_end=0.01, seed=bad)
+        for good in (0, np.int64(5), 2**63 - 1, 2**64):
+            assert ChainConfig(N=32, t_end=0.01, seed=good).seed == good
+
 
 class TestInitialState:
     def test_moments(self, model):
@@ -280,7 +288,8 @@ class TestStep:
         runs = []
         for n_records, chunk in ((2, None), (41, None), (2, 7), (41, 7)):
             if chunk is not None:
-                monkeypatch.setattr(microchain, "_CHUNK_COARSE", chunk)
+                # 7 coarse rows of level-1 (dw, dwt) over 31 bonds
+                monkeypatch.setattr(microchain, "_CHUNK_BYTES", chunk * 2 * 2 * 31 * 8)
             cfg = ChainConfig(
                 N=32,
                 t_end=t_end,
@@ -326,9 +335,10 @@ class TestStep:
         # neither the 25-row noise chunk nor the level-2 chunk of 100 rows.
         # The records fall on block edges (step 7, 14 and the chunk ends) and
         # inside blocks, at both levels.
-        monkeypatch.setattr(microchain, "_CHUNK_COARSE", 25)
         budgets = ((microchain._BLOCK_BYTES, 128), (7 * 3 * 32 * 8, 7), (1, 1))
         for level in (0, 2):
+            # noise chunks of at most 25 coarse rows over 31 bonds
+            monkeypatch.setattr(microchain, "_CHUNK_BYTES", 25 * 2**level * 2 * 31 * 8)
             t_end = 60 * 0.1 / (32 * 14)
             cfg = ChainConfig(
                 N=32,
@@ -355,12 +365,10 @@ class TestStep:
 
     def test_chunk_rows_bounded_by_bytes(self):
         # N = 16384 at level 2: a coarse row is 4 fine rows of (dw, dwt) over
-        # 16383 bonds, about 1 MiB, so 8 rows fit, not _CHUNK_COARSE
+        # 16383 bonds, about 1 MiB, so 8 rows fit
         rows = microchain._chunk_rows(16384, 2)
         assert rows == 8
         assert rows * 4 * 2 * 16383 * 8 <= microchain._CHUNK_BYTES
-        # small chains keep the row cap
-        assert microchain._chunk_rows(32, 0) == microchain._CHUNK_COARSE
 
     def test_carried_derivatives_change_no_bit(self, model):
         # run_trajectory passes V' from one step to the next; step and
@@ -565,11 +573,11 @@ class TestNoiseWorker:
     def test_chunk_schedule_draws_one_call_to_the_bit(self, level, cap_rows, monkeypatch):
         # cap_rows = 5 shrinks the byte budget so that the cap binds
         n, n_coarse = 32, 37
+        row_bytes = 2**level * 2 * (n - 1) * 8
         if cap_rows is not None:
-            row_bytes = 2**level * 2 * (n - 1) * 8
             monkeypatch.setattr(microchain, "_CHUNK_BYTES", cap_rows * row_bytes)
         cap = microchain._chunk_rows(n, level)
-        assert cap == (cap_rows or microchain._CHUNK_COARSE)
+        assert cap == (cap_rows or microchain._CHUNK_BYTES // row_bytes)
         sizes = microchain._chunk_sizes(n_coarse, n, level)
         assert sum(sizes) == n_coarse
         assert sizes[0] <= 2 and max(sizes) <= cap
@@ -736,6 +744,15 @@ class TestBridgedNoise:
         dw, dwt = fine.next_chunk(256)
         assert dw.var() == pytest.approx(1e-4 / 8, rel=0.05)
         assert dwt.var() == pytest.approx(1e-4 / 8, rel=0.05)
+
+    def test_seeds_do_not_collide(self):
+        # seed -1 used to be masked to 2**63 - 1, and 2**63 to 0
+        with pytest.raises(ValueError):
+            BridgedNoise(-1, 4, 1e-4, 0)
+        with pytest.raises(TypeError):
+            BridgedNoise(1.7, 4, 1e-4, 0)
+        draws = [BridgedNoise(s, 4, 1e-4, 0).next_chunk(2)[0] for s in (0, 2**63 - 1, 2**63)]
+        assert len({d.tobytes() for d in draws}) == 3
 
     def test_chunking_invariance(self):
         a = BridgedNoise(42, 31, 2e-5, 1)

@@ -23,7 +23,7 @@ def simpson_oracle(model, tau, what="G"):
     count, independent of the Gauss-Legendre path."""
     beta = model.beta
     width = 14.0 / math.sqrt(beta * model.c1)
-    rstar = float(model._argmax_exponents(np.array([tau], dtype=float))[0])
+    rstar = model._argmax_exponent(float(tau))
     r = np.linspace(rstar - width, rstar + width, 6401)
     v = model.V(r)
     shift = beta * (tau * rstar - model.V(rstar))
@@ -443,36 +443,56 @@ class TestQuadratureBlocks:
         assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.25])
+def test_argmax_exponent_closed_forms_off_the_band(kappa):
+    model = ThermoModel(potential=PotentialParams(kappa=kappa, moll_width=0.1))
+    h, c1 = 0.1, 1.0 - kappa
+    # above the band r* = tau, below it r* = tau / c1
+    for tau in (h, 0.5, 7.0, 1e10):
+        assert model._argmax_exponent(tau) == tau
+    for tau in (-c1 * h, -0.5, -7.0, -1e10):
+        assert model._argmax_exponent(tau) == tau / c1
+    # on the band r* solves V'(r*) = tau, which is r* = tau when kappa = 0
+    for tau in (-0.05, 0.0, 0.03, 0.0999):
+        rstar = model._argmax_exponent(tau)
+        assert isinstance(rstar, float) and -h <= rstar <= h
+        if kappa == 0.0:
+            assert rstar == tau
+        else:
+            assert abs(model.dV(rstar) - tau) <= 4e-15
+
+
 class TestSampler:
     def test_tension_moment(self, anharmonic):
-        s = anharmonic.sample_canonical(0.0, 0.5, 10**6, seed=123)
+        s = anharmonic.sample_canonical(0.5, 10**6, seed=123)
         vp = anharmonic.dV(s.r)
         se = vp.std() / 1000.0
         assert abs(vp.mean() - 0.5) <= 3 * se
 
     def test_momentum_temperature(self, anharmonic):
-        s = anharmonic.sample_canonical(0.25, 0.5, 10**6, seed=42)
+        # the wall fixes p_0 = 0: momenta have mean 0 and variance 1/beta
+        s = anharmonic.sample_canonical(0.5, 10**6, seed=42)
         se_mean = s.p.std() / 1000.0
-        assert abs(s.p.mean() - 0.25) <= 3 * se_mean
+        assert abs(s.p.mean()) <= 3 * se_mean
         var = s.p.var()
         se_var = var * math.sqrt(2.0) / 1000.0
         assert abs(var - 1.0) <= 3 * se_var
 
     def test_harmonic_marginal_ks(self, harmonic):
-        s = harmonic.sample_canonical(0.0, 0.7, 10**5, seed=7)
+        s = harmonic.sample_canonical(0.7, 10**5, seed=7)
         stat = kstest(s.r, "norm", args=(0.7, 1.0))
         assert stat.pvalue >= 0.01
 
     def test_sampler_matches_quadrature(self, anharmonic):
         n = 10**6
-        s = anharmonic.sample_canonical(0.0, 0.8, n, seed=99)
+        s = anharmonic.sample_canonical(0.8, n, seed=99)
         se = s.r.std() / math.sqrt(n)
         assert abs(s.r.mean() - anharmonic.mean_strain(0.8)) <= 4 * se
 
-    @pytest.mark.parametrize("name", ["tau", "pbar"])
+    @pytest.mark.parametrize("name", ["tau"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_input_named(self, anharmonic, name, bad):
-        args = {"pbar": 0.0, "tau": 0.5, "n": 4, "seed": 1}
+        args = {"tau": 0.5, "n": 4, "seed": 1}
         args[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             anharmonic.sample_canonical(**args)
@@ -481,7 +501,7 @@ class TestSampler:
         # rejected as a collapsing tension before V could overflow at r* = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ThermoError, match="tau=1e\\+308"):
-                anharmonic.sample_canonical(0.0, 1e308, 4, 1)
+                anharmonic.sample_canonical(1e308, 4, 1)
 
     def test_huge_finite_tension_keeps_distinct_draws(self, anharmonic):
         # the target N(tau, 1/beta) lies on a grid of ulp(tau) = 1.9e-6, so
@@ -490,7 +510,7 @@ class TestSampler:
         # fewest shares that exact draws exceed with probability below 1e-6
         # (5); a collapse leaves a handful of distinct values
         n, tau = 1000, 1e10
-        s = anharmonic.sample_canonical(0.0, tau, n, seed=3)
+        s = anharmonic.sample_canonical(tau, n, seed=3)
         lam = n * (n - 1) / 2 * math.ulp(tau) * math.sqrt(anharmonic.beta / (4.0 * math.pi))
         term = math.exp(-lam)
         tail, allowed = 1.0 - term, 0
@@ -505,7 +525,7 @@ class TestSampler:
     def test_huge_tension_has_the_exact_variance(self, anharmonic, tau):
         # far above the band the target is exactly N(tau, 1/beta)
         n = 200_000
-        s = anharmonic.sample_canonical(0.0, tau, n, seed=1)
+        s = anharmonic.sample_canonical(tau, n, seed=1)
         se = math.sqrt(2.0 / n) / anharmonic.beta
         assert abs(np.var(s.r - tau) - 1.0 / anharmonic.beta) <= 5 * se
 
@@ -513,11 +533,11 @@ class TestSampler:
     def test_collapsing_tension_raises(self, anharmonic, tau):
         # at |r*| >= 2**43 fewer than 1024 doubles fit in one envelope sd
         with pytest.raises(ThermoError, match=re.escape(f"tau={tau}:")):
-            anharmonic.sample_canonical(0.0, tau, 1000, seed=3)
+            anharmonic.sample_canonical(tau, 1000, seed=3)
 
     def test_deterministic(self, anharmonic):
-        a = anharmonic.sample_canonical(0.1, 0.3, 5000, seed=5)
-        b = anharmonic.sample_canonical(0.1, 0.3, 5000, seed=5)
+        a = anharmonic.sample_canonical(0.3, 5000, seed=5)
+        b = anharmonic.sample_canonical(0.3, 5000, seed=5)
         assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
         assert isinstance(a, GibbsSample)
 
@@ -548,9 +568,17 @@ class TestConjugacyInvariants:
 
 
 @pytest.fixture(scope="module")
+def tau_spline(anharmonic):
+    """tau(rho) fitted alone: a cubic spline of the table's tensions on its
+    strain nodes."""
+    table = anharmonic.table
+    return CubicSpline(table["rho"], table["tau"])
+
+
+@pytest.fixture(scope="module")
 def f_spline(anharmonic):
-    """F(rho) as _build_table built it alone: a cubic spline of tau rho - G/beta
-    on the table's strain nodes."""
+    """F(rho) fitted alone: a cubic spline of tau rho - G/beta on the table's
+    strain nodes."""
     table = anharmonic.table
     g = anharmonic._moments(table["tau"])[0]
     return CubicSpline(table["rho"], table["tau"] * table["rho"] - g / anharmonic.beta)
@@ -597,15 +625,22 @@ class TestTable:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
-    def test_tau_f_columns_equal_the_two_splines(self, anharmonic, f_spline, fractions):
-        # column 0 is the tau spline and column 1 the F spline, both to the bit
+    def test_tau_f_columns_equal_the_two_splines(
+        self, anharmonic, tau_spline, f_spline, fractions
+    ):
+        # one two-column fit gives tau_F_of_rho, tau_of_rho (its tau column)
+        # and tau_of_rho_slope; each equals the fits built apart, to the bit,
+        # at random strains, every node and every midpoint between nodes
         table = anharmonic.table
         rho_nodes = table["rho"]
         rho = rho_nodes[0] + np.asarray(fractions) * (rho_nodes[-1] - rho_nodes[0])
-        rho = np.clip(np.concatenate((rho, rho_nodes[[0, 1, -2, -1]])), rho_nodes[0], rho_nodes[-1])
+        midpoints = 0.5 * (rho_nodes[:-1] + rho_nodes[1:])
+        rho = np.clip(np.concatenate((rho, rho_nodes, midpoints)), rho_nodes[0], rho_nodes[-1])
         tau_f = table["tau_F_of_rho"](rho)
-        assert np.array_equal(tau_f[:, 0], table["tau_of_rho"](rho))
+        assert np.array_equal(tau_f[:, 0], tau_spline(rho))
         assert np.array_equal(tau_f[:, 1], f_spline(rho))
+        assert np.array_equal(table["tau_of_rho"](rho), tau_spline(rho))
+        assert np.array_equal(table["tau_of_rho_slope"](rho), tau_spline.derivative()(rho))
         tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
         assert np.array_equal(tau, tau_f[:, 0]) and np.array_equal(f, tau_f[:, 1])
         assert np.array_equal(anharmonic.free_energy_of_rho(rho), f)
