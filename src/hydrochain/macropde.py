@@ -23,9 +23,11 @@ W - (F(rho1) - F(rho0)) evaluated after relaxation. The work and dissipation
 rates are the exact energy flux of the semi-discrete right-hand side, so the
 balance misses only the time integration and the spline's own F-tau
 consistency. The ghost padding, the stencil and the balance rates exist once,
-in _pad, _stencil and _balance, on one padded (2, M+4) array of tau and p, and
-advance runs them on its (2, M) state (r, p), reading tau and F in one spline
-call a step end and the tension schedule once, at every stage time of the run.
+in _pad, _stencil and _balance, as 1-D operations on one flat buffer per run,
+[tau-pad (M+4) | p-pad (M+4)], whose outputs at the seam are never read; the
+rhs and advance's state are [r (M) | 4 zeros | p (M)], written in place by each
+SSP-RK3 combination. advance reads tau and F in one spline call a step end and
+the tension schedule once, at every stage time of the run.
 """
 
 from __future__ import annotations
@@ -113,70 +115,82 @@ def uniform_state(config: MacroConfig, rho: float) -> MacroState:
     return MacroState(r=np.full(config.M, float(rho)), p=np.zeros(config.M), t=0.0)
 
 
-def _pad(tau, p, tau_bar):
-    """(2, M+4) array of the rows tau and p with two ghost cells on each side.
+def _pad(pad, tau, p, tau_bar):
+    """pad, filled as [tau-pad (M+4) | p-pad (M+4)]: tau and p, each with two
+    ghost cells on each side.
 
     At x=0 tau is reflected evenly (dr/dx = 0) and p oddly (p = 0); at x=1 tau
     is reflected oddly about tau_bar, so the face tension (tau_ghost +
     tau[M-1])/2 is tau_bar, and p evenly (dp/dx = 0). The tension is imposed
     on tau itself: the table is read only at the M interior strains."""
-    pad = np.empty((2, p.size + 4))
-    pad[0, 2:-2], pad[1, 2:-2] = tau, p
-    pad[0, :2], pad[0, -2:] = tau[1::-1], 2.0 * tau_bar - tau[:-3:-1]
-    pad[1, :2], pad[1, -2:] = np.negative(p[1::-1]), p[:-3:-1]
+    m = tau.size
+    pad[2 : m + 2], pad[m + 6 : -2] = tau, p
+    pad[:2], pad[-2:] = tau[1::-1], p[:-3:-1]
+    np.subtract(2.0 * tau_bar, tau[:-3:-1], out=pad[m + 2 : m + 4])
+    np.negative(p[1::-1], out=pad[m + 4 : m + 6])
     return pad
 
 
-def _scratch(config: MacroConfig):
-    """What _stencil and _balance reuse, built once per run: the viscosity
-    column, the face weights and buffers for the stencils and face gradients."""
-    w_face = np.full(config.M + 1, config.dx)
+def _scratch(state: MacroState, config: MacroConfig):
+    """The flat buffers _pad, _stencil and _balance reuse, built once per run
+    of a state checked to be of shape (M,), and the face weights; the rhs is
+    [dr/dt (M) | 4 zeros | dp/dt (M)], and its gap slots stay 0."""
+    m = config.M
+    for name, x in (("r", state.r), ("p", state.p)):
+        if np.shape(x) != (m,):
+            raise ValueError(f"state {name} has shape {np.shape(x)}, need ({m},) for M={m}")
+    w_face = np.full(m + 1, config.dx)
     w_face[0] = w_face[-1] = config.dx / 2.0
-    visc = np.array([[config.delta1], [config.delta2]])
-    d1, lap, grad = (np.empty((2, config.M + n)) for n in (0, 0, 1))
-    return SimpleNamespace(visc=visc, w_face=w_face, d1=d1, lap=lap, grad=grad)
+    pad, d1, lap, grad, rhs = (np.zeros(2 * m + n) for n in (8, 4, 4, 5, 4))
+    return SimpleNamespace(pad=pad, d1=d1, lap=lap, grad=grad, rhs=rhs, w_face=w_face)
 
 
 def _stencil(pad, config: MacroConfig, s):
-    """(2, M) array (dr/dt, dp/dt) from the padded (tau, p): the rows' fourth-
-    order first differences, swapped, plus the viscosities times their
-    Laplacians. It is one of s's buffers, so the next call with s overwrites it."""
-    d1 = np.subtract(pad[:, 3:-1], pad[:, 1:-3], out=s.d1)
+    """s.rhs, (dr/dt, dp/dt) from the padded (tau, p): each half's fourth-
+    order first differences, swapped, plus its viscosity times its Laplacian,
+    both over the whole pad; the 4 outputs centred on the seam between the
+    halves are never read. The next call with s overwrites s.rhs."""
+    m = config.M
+    d1 = np.subtract(pad[3:-1], pad[1:-3], out=s.d1)
     d1 *= 8.0
-    d1 -= np.subtract(pad[:, 4:], pad[:, :-4], out=s.lap)
+    d1 -= np.subtract(pad[4:], pad[:-4], out=s.lap)
     d1 /= 12.0 * config.dx
-    lap = np.subtract(pad[:, 3:-1], np.multiply(pad[:, 2:-2], 2.0, out=s.lap), out=s.lap)
-    lap += pad[:, 1:-3]
+    lap = np.subtract(pad[3:-1], np.multiply(pad[2:-2], 2.0, out=s.lap), out=s.lap)
+    lap += pad[1:-3]
     lap /= config.dx**2
-    lap *= s.visc
-    return np.add(d1[::-1], lap, out=lap)
+    lap[:m] *= config.delta1
+    lap[m + 4 :] *= config.delta2
+    np.add(d1[m + 4 :], lap[:m], out=s.rhs[:m])
+    np.add(d1[:m], lap[m + 4 :], out=s.rhs[m + 4 :])
+    return s.rhs
 
 
 def viscous_rhs(state: MacroState, tau_bar: float, config: MacroConfig, model: ThermoModel):
     """(dr/dt, dp/dt): tau(r) on the M cells, padded by _pad with the
     boundary tension tau_bar, then fourth-order central first derivatives for
     the advective terms and three-point Laplacians for the viscous ones. This
-    is what one stage of advance computes."""
-    return _stencil(_pad(model.tau_of_rho(state.r), state.p, tau_bar), config, _scratch(config))
-
-
-def _free_energy(p, f) -> float:
-    """int_0^1 (p^2/2 + F(beta, r)) dx by midpoint quadrature, f = F(beta, r)."""
-    return float(np.mean(p**2 / 2.0 + f))
+    is what one stage of advance computes; each call returns new arrays."""
+    s = _scratch(state, config)
+    rhs = _stencil(_pad(s.pad, model.tau_of_rho(state.r), state.p, tau_bar), config, s)
+    return rhs[: config.M], rhs[config.M + 4 :]
 
 
 def _balance(pad, tau_bar: float, config: MacroConfig, s):
     """(work rate, dissipation rate) of the padded state."""
-    dx = config.dx
-    # tau and p gradients at the M+1 faces, from the ghosts but for tau at x=1,
-    # where the Dirichlet tension gives a half-cell one-sided difference
-    g = np.subtract(pad[:, 2:-1], pad[:, 1:-2], out=s.grad)
+    dx, m = config.dx, config.M
+    # tau and p gradients at the M+1 faces of each half, [tau | 3 seam slots | p],
+    # from the ghosts but for tau at x=1, where the Dirichlet tension gives a
+    # half-cell one-sided difference
+    g = np.subtract(pad[2:-1], pad[1:-2], out=s.grad)
     g /= dx
-    g[0, -1] = (tau_bar - pad[0, -3]) / (0.5 * dx)
-    work = tau_bar * ((7.0 * pad[1, -3] - pad[1, -4]) / 6.0 + config.delta1 * g[0, -1])
+    g[m] = (tau_bar - pad[m + 1]) / (0.5 * dx)
+    work = tau_bar * ((7.0 * pad[-3] - pad[-4]) / 6.0 + config.delta1 * g[m])
     np.square(g, out=g)
-    g *= s.visc
-    return work, float(np.sum(s.w_face * (g[0] + g[1])))
+    g[: m + 1] *= config.delta1
+    g[m + 4 :] *= config.delta2
+    g_sum = np.add(g[: m + 1], g[m + 4 :], out=g[: m + 1])
+    g_sum *= s.w_face
+    return work, float(g_sum.sum())
 
 
 def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, model):
@@ -190,8 +204,8 @@ def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, m
     and nothing at x=0; the viscous Laplacians leave delta1 tau_bar g_tau at
     the last face and minus the face-weighted sum of delta1 g_tau^2 +
     delta2 g_p^2."""
-    pad = _pad(model.tau_of_rho(state.r), state.p, tau_bar)
-    return _balance(pad, tau_bar, config, _scratch(config))
+    s = _scratch(state, config)
+    return _balance(_pad(s.pad, model.tau_of_rho(state.r), state.p, tau_bar), tau_bar, config, s)
 
 
 def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> MacroTrajectory:
@@ -213,10 +227,7 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     leaves the table raises ValueError at the stage that reads it. tau(r) is
     evaluated once per stage on the M cells, with F(r) at step ends, where one
     pad serves both the balance rates and the next step's first stage."""
-    m = config.M
-    for name, x in (("r", state.r), ("p", state.p)):
-        if np.shape(x) != (m,):
-            raise ValueError(f"state {name} has shape {np.shape(x)}, need ({m},) for M={m}")
+    m, s = config.M, _scratch(state, config)
     if not math.isfinite(state.t):
         raise ValueError(f"state t must be finite, got {state.t}")
     span = config.t_end - state.t
@@ -244,41 +255,45 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     tau_bar, tau_mid = tensions[: n_steps + 1].tolist(), tensions[n_steps + 1 :].tolist()
     rec_count = np.bincount(rec_steps, minlength=n_steps + 1).tolist()
 
-    s = _scratch(config)
-    f_hist, w_hist, d_hist = np.empty(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1)
-    snapshots_t, snaps_r, snaps_p = [], [], []
+    f_hist, rates, snaps = np.empty(n_steps + 1), np.empty((2, n_steps + 1)), []
 
-    def step_end(k, u):  # records u (never written in place); its pad serves the next stage
-        tau, f = model.tau_and_free_energy_of_rho(u[0])
-        f_hist[k] = _free_energy(u[1], f)
-        for _ in range(rec_count[k]):
-            snapshots_t.append(float(step_times[k]))
-            snaps_r.append(u[0])
-            snaps_p.append(u[1])
-            log.debug("macro M=%d t=%.4g (%d/%d steps)", config.M, step_times[k], k, n_steps)
-        pad = _pad(tau, u[1], tau_bar[k])
-        return pad, _balance(pad, tau_bar[k], config, s)
+    def step_end(k, u):  # its pad serves the next step's first stage
+        tau, f = model.tau_and_free_energy_of_rho(u[:m])
+        f_hist[k] = (u[m + 4 :] ** 2 / 2.0 + f).mean()  # int_0^1 (p^2/2 + F(r)) dx
+        if rec_count[k]:  # a copy: the next step rewrites u in place
+            snaps.extend([u.copy()] * rec_count[k])
+            log.debug("macro M=%d t=%.4g (%d/%d steps)", m, step_times[k], k, n_steps)
+        rates[:, k] = _balance(_pad(s.pad, tau, u[m + 4 :], tau_bar[k]), tau_bar[k], config, s)
 
-    u = np.stack((state.r, state.p))
-    pad, (w_rate, d_rate) = step_end(0, u)
+    def stage(v, tension):  # the Euler step v + dt * rhs(v), in s.rhs
+        rhs = _stencil(_pad(s.pad, model.tau_of_rho(v[:m]), v[m + 4 :], tension), config, s)
+        return np.add(v, np.multiply(rhs, dt, out=rhs), out=rhs)
+
+    u, v = np.zeros(2 * m + 4), np.zeros(2 * m + 4)
+    u[:m], u[m + 4 :] = state.r, state.p
+    step_end(0, u)
     for k in range(1, n_steps + 1):
-        u1 = u + dt * _stencil(pad, config, s)
-        rhs = _stencil(_pad(model.tau_of_rho(u1[0]), u1[1], tau_bar[k]), config, s)
-        u2 = 0.75 * u + 0.25 * (u1 + dt * rhs)
-        rhs = _stencil(_pad(model.tau_of_rho(u2[0]), u2[1], tau_mid[k - 1]), config, s)
-        u = u / 3.0 + (2.0 / 3.0) * (u2 + dt * rhs)
-        if not math.isfinite(float(np.sum(u))):
+        rhs = _stencil(s.pad, config, s)  # from the pad step_end left
+        np.add(u, np.multiply(rhs, dt, out=rhs), out=v)  # u1 = u + dt rhs
+        euler = stage(v, tau_bar[k])
+        euler *= 0.25
+        np.add(np.multiply(u, 0.75, out=v), euler, out=v)  # u2 = 0.75 u + 0.25 (u1 + dt rhs)
+        euler = stage(v, tau_mid[k - 1])
+        euler *= 2.0 / 3.0
+        np.add(np.divide(u, 3.0, out=u), euler, out=u)  # u = u / 3 + 2/3 (u2 + dt rhs)
+        if not math.isfinite(u.sum()):
             raise BlowUpError(f"macro solver blew up at step {k}, t={step_times[k]:.6g}")
-        pad, (w_next, d_next) = step_end(k, u)
-        w_hist[k] = w_hist[k - 1] + 0.5 * dt * (w_rate + w_next)
-        d_hist[k] = d_hist[k - 1] + 0.5 * dt * (d_rate + d_next)
-        w_rate, d_rate = w_next, d_next
+        step_end(k, u)
 
+    # W and D: the trapezoidal rule on the step-end rates, summed in step order
+    w_hist, d_hist = hist = np.zeros((2, n_steps + 1))
+    np.cumsum(0.5 * dt * (rates[:, :-1] + rates[:, 1:]), axis=1, out=hist[:, 1:])
+    snaps = np.asarray(snaps)
     return MacroTrajectory(
         config=config,
-        times=np.asarray(snapshots_t),
-        r=np.asarray(snaps_r),
-        p=np.asarray(snaps_p),
+        times=np.repeat(step_times, rec_count),
+        r=snaps[:, :m],
+        p=snaps[:, m + 4 :],
         t_hist=step_times,
         F_hist=f_hist,
         W_hist=w_hist,
@@ -320,8 +335,9 @@ def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> flo
     if phi.t0 < traj.times[0] - 1e-12 or phi.t1 > traj.times[-1] + 1e-12:
         raise ValueError("test function time support exceeds the trajectory")
     t, x = traj.times[:, None], traj.config.x[None, :]
-    eta = traj.p**2 / 2.0 + np.asarray(model.free_energy_of_rho(traj.r))
-    qv = -traj.p * np.asarray(model.tau_of_rho(traj.r))
+    tau, f = model.tau_and_free_energy_of_rho(traj.r)
+    eta = traj.p**2 / 2.0 + f
+    qv = -traj.p * tau
     vals = np.mean(eta * phi.dt(t, x) + qv * phi.dx(t, x), axis=1)
     return float(np.trapezoid(vals, traj.times))
 

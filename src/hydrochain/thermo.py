@@ -189,8 +189,8 @@ class ThermoModel:
     Exposes the potential shorthands V and dV, the exact quadrature path
     (log_partition, mean_strain, tension_of_strain, free_energy,
     internal_energy, sample_canonical) and a lazily built, certified spline
-    table for hot loops (tau_of_rho, tau_prime_of_rho, free_energy_of_rho and
-    tau_and_free_energy_of_rho, one spline call for both), each read at a
+    table for hot loops (tau_of_rho, tau_prime_of_rho and
+    tau_and_free_energy_of_rho, one spline call for tau and F), each read at a
     strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
     derivative of the tau_of_rho spline. Construction runs no quadrature and
     no check of V'': its formula (eval_potential) keeps it in [c1, c2] for
@@ -506,11 +506,10 @@ class ThermoModel:
         return self.table["tau_of_rho"](self._in_table(rho))
 
     def tau_and_free_energy_of_rho(self, rho):
-        """(tau(rho), F(rho)) from one range check and one spline evaluation."""
-        return tuple(np.moveaxis(self.table["tau_F_of_rho"](self._in_table(rho)), -1, 0))
-
-    def free_energy_of_rho(self, rho):
-        return self.tau_and_free_energy_of_rho(rho)[1]
+        """(tau(rho), F(rho)) from one range check and one spline evaluation:
+        the two columns of its (..., 2) result, returned as views, not copies."""
+        tau_f = self.table["tau_F_of_rho"](self._in_table(rho))
+        return tau_f[..., 0], tau_f[..., 1]
 
     def tau_prime_of_rho(self, rho):
         """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""

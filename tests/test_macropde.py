@@ -80,6 +80,11 @@ class TestConfig:
         assert cfg2.dt <= 0.4 * cfg2.dx**2 / (2 * 0.05) * (1 + 1e-12)
 
 
+def padded(tau, p, tau_bar):
+    """_pad's flat buffer as its two halves, (tau-pad, p-pad)."""
+    return _pad(np.empty(2 * p.size + 8), tau, p, tau_bar).reshape(2, -1)
+
+
 class TestBoundaryConditions:
     # the two-layer ghost padding advance builds: the inner ghosts sit at
     # index 1 and -2, the outer ones at 0 and -1
@@ -88,7 +93,7 @@ class TestBoundaryConditions:
         taub = float(model.tau_of_rho(rho))
         cfg = MacroConfig(M=50, t_end=0.1, tension_schedule=ConstantSchedule(taub))
         st = uniform_state(cfg, rho)
-        tau_pad, p_pad = _pad(model.tau_of_rho(st.r), st.p, taub)
+        tau_pad, p_pad = padded(model.tau_of_rho(st.r), st.p, taub)
         assert np.all(tau_pad == taub)
         assert np.all(p_pad == 0.0)
 
@@ -96,14 +101,14 @@ class TestBoundaryConditions:
         cfg = MacroConfig(M=50, t_end=0.1)
         tau = model.tau_of_rho(uniform_state(cfg, 0.0).r)
         taub = 0.62
-        tau_pad, _ = _pad(tau, np.zeros(50), taub)
+        tau_pad, _ = padded(tau, np.zeros(50), taub)
         assert 0.5 * (tau_pad[-2] + tau[-1]) == pytest.approx(taub, abs=1e-15)
         assert 0.5 * (tau_pad[-1] + tau[-2]) == pytest.approx(taub, abs=1e-15)
         assert tau_pad[1] == tau[0] and tau_pad[0] == tau[1]
 
     def test_left_momentum_reflection(self, model):
         st = MacroState(r=np.zeros(50), p=np.linspace(0.3, 0.5, 50), t=0.0)
-        _, p_pad = _pad(model.tau_of_rho(st.r), st.p, 0.0)
+        _, p_pad = padded(model.tau_of_rho(st.r), st.p, 0.0)
         assert p_pad[1] == -st.p[0] and p_pad[0] == -st.p[1]
         assert p_pad[-2] == st.p[-1] and p_pad[-1] == st.p[-2]
 
@@ -231,6 +236,44 @@ class TestAdvance:
             with pytest.raises(ValueError, match=f"state {name} has shape .* M=16"):
                 advance(MacroState(r=r, p=p, t=0.0), cfg, model)
 
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_every_entry_point_checks_the_shape(self, model, n):
+        # viscous_rhs and balance_integrands raised numpy's bare broadcast
+        # error on a state of 12 or 20 cells at M = 16
+        cfg = MacroConfig(M=16, t_end=0.1)
+        good = np.zeros(16)
+        for name, r, p in (("r", np.zeros(n), good), ("p", good, np.zeros(n))):
+            state = MacroState(r=r, p=p, t=0.0)
+            for call in (
+                lambda: advance(state, cfg, model),
+                lambda: viscous_rhs(state, 0.1, cfg, model),
+                lambda: balance_integrands(state, 0.1, cfg, model),
+            ):
+                message = rf"state {name} has shape \({n},\), need \(16,\) for M=16"
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_callers_state_is_never_written(self, model):
+        cfg = MacroConfig(M=16, t_end=0.05, record_times=np.array([0.0, 0.05]))
+        x = cfg.x
+        r, p = model.mean_strain(0.1) + 0.1 * np.cos(3.0 * x), 0.05 * np.sin(2.0 * x)
+        state = MacroState(r.copy(), p.copy(), 0.0)
+        state.r.flags.writeable = state.p.flags.writeable = False
+        traj = advance(state, cfg, model)
+        viscous_rhs(state, 0.3, cfg, model)
+        balance_integrands(state, 0.3, cfg, model)
+        assert np.array_equal(state.r, r) and np.array_equal(state.p, p)
+        # the snapshot at t = 0 still holds the start state after the run
+        # rewrote its state buffer in place
+        assert np.array_equal(traj.r[0], r) and not np.shares_memory(traj.r, state.r)
+
+    def test_viscous_rhs_calls_share_no_memory(self, model):
+        cfg = MacroConfig(M=16, t_end=0.1)
+        state = uniform_state(cfg, 0.2)
+        first, second = viscous_rhs(state, 0.3, cfg, model), viscous_rhs(state, 0.4, cfg, model)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert not np.array_equal(first[0], second[0])
+
     def test_nonfinite_tension_named(self, model):
         def later_inf(t):  # turns non-finite at a stage time after step 1
             return np.where(np.asarray(t) < 0.05, 0.1, math.inf)
@@ -276,7 +319,7 @@ def reference_advance(state, config, model):
         return viscous_rhs(MacroState(r, p, t), tension(t), config, model)
 
     def free_energy(r, p):
-        return float(np.mean(p**2 / 2.0 + model.free_energy_of_rho(r)))
+        return float(np.mean(p**2 / 2.0 + model.tau_and_free_energy_of_rho(r)[1]))
 
     r, p = state.r.copy(), state.p.copy()
     f_hist, w_hist, d_hist = np.empty(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1)
@@ -337,6 +380,17 @@ class TestAdvanceBitwise:
         assert float(cfg.tension_schedule(3.5 * cfg.dt)) == 0.1
         assert float(cfg.tension_schedule(4.0 * cfg.dt)) == 0.6
         self.check(uniform_state(cfg, model.mean_strain(0.1)), cfg, model)
+
+    def test_smallest_grid_under_a_step(self, model):
+        # M = 8: the 4 seam slots of the flat buffers sit next to both the
+        # tension ghosts at x=1 and the momentum ghosts at x=0
+        cfg = MacroConfig(M=8, delta1=3e-3, delta2=1e-3, t_end=0.5,
+                          tension_schedule=StepSchedule(0.1, 0.6, 0.2),
+                          record_times=np.array([0.0, 0.2, 0.2, 0.5]))
+        x = cfg.x
+        state = MacroState(model.mean_strain(0.1) + 0.1 * np.cos(3.0 * x), 0.05 * x, 0.0)
+        traj = self.check(state, cfg, model)
+        assert traj.times.tolist() == pytest.approx([0.0, 0.2, 0.2, 0.5], abs=cfg.dt)
 
     def test_pde_fine_shape(self, model):
         # the benchmark's pde_fine job: M = 1600 under a ramp 0 -> 0.4 over

@@ -321,7 +321,7 @@ class TestFreeEnergy:
         # beta^-1 G(beta,tau) = sup_rho { tau rho - F(rho) } on a dense grid;
         # grid-max misses the true sup by ~F'' h^2 / 8, so keep h <= 1.4e-3
         rho_grid = np.linspace(-5.5, 5.5, 8001)
-        f_grid = anharmonic.free_energy_of_rho(rho_grid)
+        f_grid = anharmonic.tau_and_free_energy_of_rho(rho_grid)[1]
         for tau in np.linspace(-3.5, 3.5, 20):
             sup = np.max(tau * rho_grid - f_grid)
             assert sup == pytest.approx(
@@ -615,7 +615,11 @@ class TestTable:
 
     def test_table_conjugacy_by_finite_differences(self, anharmonic):
         # on the table, dF/drho = tau and dtau/drho = tau'
-        F, tau = anharmonic.free_energy_of_rho, anharmonic.tau_of_rho
+        tau = anharmonic.tau_of_rho
+
+        def F(rho):
+            return anharmonic.tau_and_free_energy_of_rho(rho)[1]
+
         eps = 1e-5
         for r in (0.3, -1.2):
             fd_f = (F(r + eps) - F(r - eps)) / (2 * eps)
@@ -643,7 +647,6 @@ class TestTable:
         assert np.array_equal(table["tau_of_rho_slope"](rho), tau_spline.derivative()(rho))
         tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
         assert np.array_equal(tau, tau_f[:, 0]) and np.array_equal(f, tau_f[:, 1])
-        assert np.array_equal(anharmonic.free_energy_of_rho(rho), f)
 
     def test_tau_and_free_energy_reject_strains_off_the_table(self, anharmonic):
         lo, hi = (float(v) for v in anharmonic.table["rho"][[0, -1]])
@@ -656,7 +659,6 @@ class TestTable:
         "lookup, key",
         [
             ("tau_of_rho", "rho"),
-            ("free_energy_of_rho", "rho"),
             ("tau_prime_of_rho", "rho"),
         ],
     )
