@@ -226,7 +226,8 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     balance rates: it is never looked up in the thermo table, so a strain that
     leaves the table raises ValueError at the stage that reads it. tau(r) is
     evaluated once per stage on the M cells, with F(r) at step ends, where one
-    pad serves both the balance rates and the next step's first stage."""
+    pad serves both the balance rates and the next step's first stage. The
+    stages rewrite the flat state in place, so each record is a copy of it."""
     m, s = config.M, _scratch(state, config)
     if not math.isfinite(state.t):
         raise ValueError(f"state t must be finite, got {state.t}")
