@@ -21,13 +21,14 @@ energy balance
 can be checked against the discretization error, and the Clausius gap
 W - (F(rho1) - F(rho0)) evaluated after relaxation. The work and dissipation
 rates are the exact energy flux of the semi-discrete right-hand side, so the
-balance misses only the time integration and the spline's own F-tau
-consistency. The ghost padding, the stencil and the balance rates exist once,
-in _pad, _stencil and _balance, as 1-D operations on one flat buffer per run,
+balance misses only the time integration and the table's own F-tau
+consistency (its F pieces take the slope tau at every node). The ghost
+padding, the stencil and the balance rates exist once, in _pad, _stencil and
+_balance, as 1-D operations on one flat buffer per run,
 [tau-pad (M+4) | p-pad (M+4)], whose outputs at the seam are never read; the
 rhs and advance's state are [r (M) | 4 zeros | p (M)], written in place by each
-SSP-RK3 combination. advance reads tau and F in one spline call a step end and
-the tension schedule once, at every stage time of the run.
+SSP-RK3 combination. advance reads tau and F in one table lookup a step end
+and the tension schedule once, at every stage time of the run.
 """
 
 from __future__ import annotations

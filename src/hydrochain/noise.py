@@ -19,18 +19,22 @@ import math
 
 import numpy as np
 
+# numpy 2 loads numpy.random on first use: imported here, the first draw in a
+# timed set-up does not pay for the load
+from numpy.random import Generator, Philox, SeedSequence
+
 _STREAM_INIT = 0
 _STREAM_COARSE = 1
 _STREAM_BRIDGE = 2
 
 
-def _generator(seed: int, *key: int) -> np.random.Generator:
+def _generator(seed: int, *key: int) -> Generator:
     """Philox stream `key` of a seed; SeedSequence rejects a negative one."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    ss = SeedSequence(entropy=seed, spawn_key=tuple(key))
+    return Generator(Philox(seed=ss))
 
 
-def initial_state_rng(seed: int) -> np.random.Generator:
+def initial_state_rng(seed: int) -> Generator:
     """Stream reserved for drawing the initial condition."""
     return _generator(seed, _STREAM_INIT)
 

@@ -12,11 +12,13 @@ values computed once per model. A batch of tensions is integrated in blocks
 of _BLOCK, which bounds the panels' memory, and every tension's sums run
 along its own row, so the result does not depend on the blocking.
 
-The spline table is built on nodes uniform in tension, where the quadrature
-needs no inversion; tension_of_strain, one library Newton call from
-tau = rho, is the one inversion of rho(tau). The table holds one two-column
-spline of (tau, F)(rho), its tau column and that column's slope, all read at a
-strain; a strain outside the tabulated range raises instead of extrapolating.
+The table is built on nodes uniform in tension, where the quadrature needs no
+inversion; tension_of_strain, a Newton loop from tau = rho, is the one
+inversion of rho(tau). The quadrature also gives each node's exact slopes,
+dtau/drho = 1/(beta Var r) and dF/drho = tau, so tau(rho) and F(rho) are cubic
+Hermite pieces with no linear solve, found through uniform strain buckets and
+read at a strain; a strain outside the tabulated range raises instead of
+extrapolating. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.optimize import brentq, root_scalar
 
+# numpy 2 loads these on first use; imported here, a first sample_canonical or
+# model does not pay for the load
+from numpy.polynomial.legendre import leggauss
+from numpy.random import Generator, default_rng
 
 _QUAD_TOL = 1e-30
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
 _TABLE_NODES = 3600
 _BLOCK = 256  # tensions per quadrature block: bounds the panels' memory
+_NEWTON_STEPS = 50  # a scalar Newton loop that has not stopped by then raises
 
 
 class ThermoError(RuntimeError):
@@ -175,6 +180,30 @@ def _potential_curvature(params: PotentialParams, r):
     return float(d2) if d2.ndim == 0 else d2
 
 
+def _band_root(params: PotentialParams, tau: float) -> float:
+    """The strain r on the band with V'(r) = tau, for -c1 h < tau < h and
+    kappa > 0, by Newton's method in plain floats.
+
+    On the band V'' = c1 + kappa s rises with r, so V' is convex there, and
+    Newton's method from r = h, where V' = h > tau, falls monotonically onto
+    the root: each tangent lies below V'. The loop stops once V'(r) no longer
+    exceeds tau or a step would not lower r, and raises ThermoError after
+    _NEWTON_STEPS steps. V' and V'' follow _potential_slope and
+    _potential_curvature operation by operation (ext = 0 on the band)."""
+    k, h = params.kappa, params.moll_width
+    r = h
+    for _ in range(_NEWTON_STEPS):
+        y = min(max(r / h, -1.0), 1.0) + 1.0
+        excess = r * (1.0 - k) + (4.0 - y) * (y * y * y) * (h / 16.0) * k - tau
+        if not excess > 0.0:
+            return r
+        step = r - excess / ((3.0 - y) * (y * y) * (0.25 * k) + (1.0 - k))
+        if not step < r:
+            return r
+        r = step
+    raise ThermoError(f"band root of V'(r) = {tau} did not converge")
+
+
 @dataclass(frozen=True)
 class GibbsSample:
     """i.i.d. draws from the single-spring canonical measure."""
@@ -188,11 +217,11 @@ class ThermoModel:
 
     Exposes the potential shorthands V and dV, the exact quadrature path
     (log_partition, mean_strain, tension_of_strain, free_energy,
-    internal_energy, sample_canonical) and a lazily built, certified spline
-    table for hot loops (tau_of_rho, tau_prime_of_rho and
-    tau_and_free_energy_of_rho, one spline call for tau and F), each read at a
+    internal_energy, sample_canonical) and a lazily built, certified table of
+    cubic Hermite pieces for hot loops (tau_of_rho, tau_prime_of_rho and
+    tau_and_free_energy_of_rho, one lookup for tau and F), each read at a
     strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
-    derivative of the tau_of_rho spline. Construction runs no quadrature and
+    derivative of tau_of_rho's piece. Construction runs no quadrature and
     no check of V'': its formula (eval_potential) keeps it in [c1, c2] for
     every kappa that PotentialParams admits. It lays out the quadrature's
     fixed parts: the n_quad-point Gauss-Legendre rule, the outer panels'
@@ -216,7 +245,7 @@ class ThermoModel:
         # integration half-width: Gaussian domination V >= V(r*) + c1 (r-r*)^2/2
         # puts the tail mass below _QUAD_TOL at this distance from the maximizer
         self._halfwidth = math.sqrt(2.0 * math.log(1.0 / _QUAD_TOL) / (self.beta * self.c1))
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        nodes, weights = leggauss(n_quad)
         # the outer panels, left then right, where V = c r^2/2 + offset
         self._side = np.array([[-1.0], [1.0]])
         self._curvature = np.array([[self.c1], [self.c2]])
@@ -249,13 +278,14 @@ class ThermoModel:
 
     def _argmax_exponent(self, tau: float) -> float:
         """Maximiser r* of tau r - V(r), i.e. V'(r*) = tau (V' strictly
-        increasing): the closed forms off the band, brentq on it if kappa > 0."""
+        increasing): the closed forms off the band, _band_root on it if
+        kappa > 0."""
         k, h = self.potential.kappa, self.potential.moll_width
         if tau >= h:
             return tau
         if k == 0.0 or tau <= -(1.0 - k) * h:  # kappa = 0: V' = r on the band too
             return tau / (1.0 - k)
-        return brentq(lambda r: self.dV(r) - tau, -h, h, xtol=1e-15, rtol=8.9e-16)
+        return _band_root(self.potential, tau)
 
     def _moments(self, tau_values):
         """Batched canonical moments at each tau.
@@ -365,20 +395,23 @@ class ThermoModel:
 
         No bracket is needed: beta Var r lies in [1/c2, 1/c1], so each step
         multiplies the error by at most kappa/(1 - kappa) < 1/2 (as
-        PotentialParams requires kappa < 1/3), and a last step below
-        1e-14 (1 + |tau|) bounds it.
+        PotentialParams requires kappa < 1/3). The loop returns the first
+        iterate whose step is at most 1e-14 (1 + |tau|), or a tau with zero
+        residual, and raises ThermoError after _NEWTON_STEPS steps.
         """
         if not math.isfinite(rho):
             raise ValueError(f"non-finite strain {rho}")
-
-        def residual(tau):
+        tau = float(rho)
+        for _ in range(_NEWTON_STEPS):
             _, rh, var, _ = self._moments(tau)
-            return float(rh[0]) - rho, self.beta * float(var[0])
-
-        sol = root_scalar(residual, x0=rho, fprime=True, method="newton", xtol=1e-14, rtol=1e-14)
-        if not sol.converged:
-            raise ThermoError(f"tension inversion failed for rho={rho}: {sol.flag}")
-        return float(sol.root)
+            residual = float(rh[0]) - rho
+            if residual == 0.0:
+                return tau
+            step = tau - residual / (self.beta * float(var[0]))
+            if abs(step - tau) <= 1e-14 + 1e-14 * abs(tau):
+                return step
+            tau = step
+        raise ThermoError(f"tension inversion failed for rho={rho}: {_NEWTON_STEPS} steps")
 
     def free_energy(self, rho: float) -> float:
         """F(beta, rho) = tau rho - G(beta,tau)/beta at the conjugate tau."""
@@ -405,7 +438,7 @@ class ThermoModel:
             raise ValueError(f"need n >= 1 samples, got {n}")
         if not math.isfinite(tau):
             raise ValueError(f"tau must be finite, got {tau}")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = seed if isinstance(seed, Generator) else default_rng(seed)
         beta = self.beta
         p = rng.standard_normal(n) / math.sqrt(beta)
         rstar = self._argmax_exponent(float(tau))
@@ -445,36 +478,48 @@ class ThermoModel:
     # -- tabulated fast path ----------------------------------------------------
 
     def _build_table(self):
-        """One cubic spline tau_F_of_rho of (tau, F)(rho) on _TABLE_NODES nodes
-        uniform in tau, from the exact tension of _TABLE_RHO_MIN to that of
-        _TABLE_RHO_MAX; tau_of_rho is its tau column and tau_of_rho_slope that
-        column's derivative. One batched quadrature gives (G, rho) at every
-        node; the slope bounds keep the strain spacing within c2/c1 of uniform.
-        Certified against exact tensions midway between nodes and the slope
-        bounds."""
+        """Cubic Hermite pieces of tau(rho) and F(rho) = tau rho - G/beta on
+        _TABLE_NODES nodes uniform in tau, from the exact tension of
+        _TABLE_RHO_MIN to that of _TABLE_RHO_MAX. One batched quadrature gives
+        (G, rho, Var r) at every node, and with them each column's exact node
+        slopes, dtau/drho = 1/(beta Var r) and dF/drho = tau, so no linear
+        solve fits the slopes; a piece errs by at most h^4 max|f''''|/384.
+        The slope bounds keep the strain spacing within c2/c1 of uniform.
+
+        A strain's piece is found through uniform strain buckets no wider than
+        the closest two nodes, so a bucket holds at most one node: the bucket
+        names the piece left of that node, and one compare steps past it (see
+        _locate). Certified against exact tensions midway between nodes and
+        the slope bounds."""
         taus = np.linspace(
             self.tension_of_strain(_TABLE_RHO_MIN),
             self.tension_of_strain(_TABLE_RHO_MAX),
             _TABLE_NODES,
         )
-        g, rho, _, _ = self._moments(taus)
-        if np.any(np.diff(rho) <= 0.0):
+        g, rho, var, _ = self._moments(taus)
+        gaps = np.diff(rho)
+        if np.any(gaps <= 0.0):
             raise ThermoError("tabulated strain is not strictly increasing")
-        tau_f = CubicSpline(rho, np.stack((taus, taus * rho - g / self.beta), axis=-1))
-        tau_of_rho = PPoly(np.ascontiguousarray(tau_f.c[..., 0]), tau_f.x)
+        # buckets per unit strain: the 2^-20 margin dwarfs the rounding of
+        # (rho - rho_0) * scale, so two nodes never share a bucket
+        scale = (1.0 + 2.0**-20) / gaps.min()
+        node_bucket = ((rho - rho[0]) * scale).astype(np.intp)
+        # the piece left of each bucket: one less than the nodes in earlier buckets
+        first = np.searchsorted(node_bucket, np.arange(node_bucket[-1] + 1)) - 1
         table = {
             "tau": taus,
             "rho": rho,
-            "tau_of_rho": tau_of_rho,
-            # built once: tau_prime_of_rho and the certificate read it
-            "tau_of_rho_slope": tau_of_rho.derivative(),
-            "tau_F_of_rho": tau_f,
+            "tau_pieces": _hermite_pieces(gaps, taus, 1.0 / (self.beta * var)),
+            "F_pieces": _hermite_pieces(gaps, taus * rho - g / self.beta, taus),
+            "bucket_scale": scale,
+            "bucket_first": first,
+            "bucket_edge": rho[first + 1],
         }
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
         _, rho_p, _, _ = self._moments(probe)
-        err_tau = np.max(np.abs(table["tau_of_rho"](rho_p) - probe))
+        err_tau = np.max(np.abs(_horner(table["tau_pieces"], *_locate(table, rho_p)) - probe))
         dense = np.linspace(rho[0], rho[-1], 20001)
-        slope_dense = table["tau_of_rho_slope"](dense)
+        slope_dense = _slope(table["tau_pieces"], *_locate(table, dense))
         mono_ok = slope_dense.min() >= self.c1 - 1e-6 and slope_dense.max() <= self.c2 + 1e-6
         table["certificate"] = {
             "max_tau_error": float(err_tau),
@@ -502,15 +547,69 @@ class ThermoModel:
         return v
 
     def tau_of_rho(self, rho):
-        """Spline tension, vectorized; certified against the exact inversion."""
-        return self.table["tau_of_rho"](self._in_table(rho))
+        """Tabulated tension, vectorized: the Hermite piece of tau at each
+        strain; certified against the exact inversion."""
+        table = self.table
+        return _horner(table["tau_pieces"], *_locate(table, self._in_table(rho)))
 
     def tau_and_free_energy_of_rho(self, rho):
-        """(tau(rho), F(rho)) from one range check and one spline evaluation:
-        the two columns of its (..., 2) result, returned as views, not copies."""
-        tau_f = self.table["tau_F_of_rho"](self._in_table(rho))
-        return tau_f[..., 0], tau_f[..., 1]
+        """(tau(rho), F(rho)) from one range check and one piece lookup."""
+        table = self.table
+        i, t = _locate(table, self._in_table(rho))
+        return _horner(table["tau_pieces"], i, t), _horner(table["F_pieces"], i, t)
 
     def tau_prime_of_rho(self, rho):
-        """d tau/d rho = 1/(beta Var r): the derivative of the tau_of_rho spline."""
-        return self.table["tau_of_rho_slope"](self._in_table(rho))
+        """d tau/d rho = 1/(beta Var r): the derivative of tau_of_rho's piece,
+        equal to the exact slope at every node."""
+        table = self.table
+        return _slope(table["tau_pieces"], *_locate(table, self._in_table(rho)))
+
+
+# The table's pieces: four 1-D coefficient arrays per column, one entry per
+# node, so each gather is one take. Entry i holds the piece on
+# [rho_i, rho_i+1] in powers of t = rho - rho_i; the last entry, read at
+# rho = rho_n-1 only, holds that node's value and slope and no t^2, t^3 terms.
+
+
+def _hermite_pieces(gaps, y, slope):
+    """(y, slope, c2, c3): on each interval of width gaps, the cubic that
+    takes the given values and slopes at both its nodes."""
+    secant = np.diff(y) / gaps
+    c2, c3 = np.zeros_like(y), np.zeros_like(y)
+    c2[:-1] = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / gaps
+    c3[:-1] = (slope[:-1] + slope[1:] - 2.0 * secant) / gaps**2
+    return y, slope, c2, c3
+
+
+def _locate(table, rho):
+    """(i, t): each strain's piece and its offset t = rho - rho_i, from the
+    strain's bucket and one compare with the bucket's next node. rho lies on
+    the table, in any shape."""
+    bucket = ((rho - table["rho"][0]) * table["bucket_scale"]).astype(np.intp)
+    i = table["bucket_first"].take(bucket)
+    i += rho >= table["bucket_edge"].take(bucket)
+    return i, rho - table["rho"].take(i)
+
+
+def _horner(pieces, i, t):
+    """The pieces' value at offsets t into pieces i."""
+    y, slope, c2, c3 = pieces
+    v = c3.take(i)
+    v *= t
+    v += c2.take(i)
+    v *= t
+    v += slope.take(i)
+    v *= t
+    v += y.take(i)
+    return v
+
+
+def _slope(pieces, i, t):
+    """The pieces' derivative at offsets t into pieces i."""
+    _, slope, c2, c3 = pieces
+    v = 3.0 * c3.take(i)
+    v *= t
+    v += 2.0 * c2.take(i)
+    v *= t
+    v += slope.take(i)
+    return v

@@ -1,0 +1,34 @@
+"""Importing hydrochain loads numpy only: no SciPy module, and the numpy
+submodules that numpy 2 loads lazily are loaded at import, not inside the
+first timed call that needs them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, pkgutil, sys
+import hydrochain
+for info in pkgutil.iter_modules(hydrochain.__path__, "hydrochain."):
+    __import__(info.name)
+print(json.dumps([
+    sorted(m for m in sys.modules if m.startswith("hydrochain.")),
+    sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    sorted(m for m in ("numpy.random", "numpy.polynomial.legendre") if m in sys.modules),
+]))
+"""
+
+
+def test_importing_every_module_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    loaded, scipy_modules, numpy_submodules = json.loads(out)
+    assert len(loaded) >= 8
+    assert scipy_modules == []
+    assert numpy_submodules == ["numpy.polynomial.legendre", "numpy.random"]

@@ -404,9 +404,9 @@ class TestMomentPanels:
 
     def test_table_build_runs_no_root_solve(self, monkeypatch):
         def no_root_solve(*args, **kwargs):
-            raise AssertionError("brentq called")
+            raise AssertionError("band root solved")
 
-        monkeypatch.setattr(thermo, "brentq", no_root_solve)
+        monkeypatch.setattr(thermo, "_band_root", no_root_solve)
         table = ThermoModel().table
         assert table["certificate"]["max_tau_error"] < 5e-8
 
@@ -560,11 +560,17 @@ class TestConjugacyInvariants:
         assert cert["max_tau_error"] < 5e-8
         assert cert["monotone_within_bounds"]
 
-    def test_invert_tau_table_matches_fresh_derivative(self, anharmonic):
-        # the cached slope spline is bit-identical to a freshly built one
-        fresh = anharmonic.table["tau_of_rho"].derivative()
-        grid = np.linspace(-10.0, 10.0, 2001)
-        assert np.array_equal(anharmonic.table["tau_of_rho_slope"](grid), fresh(grid))
+    def test_tau_prime_is_the_derivative_of_the_tau_piece(self, anharmonic):
+        # the five-point difference is exact on a cubic, so inside each piece
+        # it leaves only rounding, 4e-12 at most at e = gap/16
+        rho = anharmonic.table["rho"]
+        gaps = np.diff(rho)
+        e = gaps / 16.0
+        for frac in (0.25, 0.5, 0.75):
+            x = rho[:-1] + frac * gaps
+            tau = anharmonic.tau_of_rho
+            fd = (8.0 * (tau(x + e) - tau(x - e)) - (tau(x + 2 * e) - tau(x - 2 * e))) / (12.0 * e)
+            assert np.max(np.abs(fd - anharmonic.tau_prime_of_rho(x))) <= 5e-11
 
 
 @pytest.fixture(scope="module")
@@ -629,24 +635,20 @@ class TestTable:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
-    def test_tau_f_columns_equal_the_two_splines(
+    def test_table_stays_near_the_spline_oracle(
         self, anharmonic, tau_spline, f_spline, fractions
     ):
-        # one two-column fit gives tau_F_of_rho, tau_of_rho (its tau column)
-        # and tau_of_rho_slope; each equals the fits built apart, to the bit,
-        # at random strains, every node and every midpoint between nodes
-        table = anharmonic.table
-        rho_nodes = table["rho"]
+        # Hermite pieces with exact slopes and not-a-knot splines of the same
+        # nodes agree to 1e-13 at random strains, every node and every
+        # midpoint; tau_and_free_energy_of_rho's tau is tau_of_rho's to the bit
+        rho_nodes = anharmonic.table["rho"]
         rho = rho_nodes[0] + np.asarray(fractions) * (rho_nodes[-1] - rho_nodes[0])
         midpoints = 0.5 * (rho_nodes[:-1] + rho_nodes[1:])
         rho = np.clip(np.concatenate((rho, rho_nodes, midpoints)), rho_nodes[0], rho_nodes[-1])
-        tau_f = table["tau_F_of_rho"](rho)
-        assert np.array_equal(tau_f[:, 0], tau_spline(rho))
-        assert np.array_equal(tau_f[:, 1], f_spline(rho))
-        assert np.array_equal(table["tau_of_rho"](rho), tau_spline(rho))
-        assert np.array_equal(table["tau_of_rho_slope"](rho), tau_spline.derivative()(rho))
         tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
-        assert np.array_equal(tau, tau_f[:, 0]) and np.array_equal(f, tau_f[:, 1])
+        assert np.max(np.abs(tau - tau_spline(rho))) <= 1e-13
+        assert np.max(np.abs(f - f_spline(rho))) <= 1e-13
+        assert np.array_equal(anharmonic.tau_of_rho(rho), tau)
 
     def test_tau_and_free_energy_reject_strains_off_the_table(self, anharmonic):
         lo, hi = (float(v) for v in anharmonic.table["rho"][[0, -1]])
@@ -670,3 +672,61 @@ class TestTable:
         for off in (lo - 1e-9, hi + 1e-9, -20.0, 20.0, math.nan, np.array([0.0, hi + 0.5])):
             with pytest.raises(ValueError, match="outside the thermo table"):
                 f(off)
+
+
+class TestHermiteTable:
+    def test_node_values_and_slopes_are_the_quadratures(self, anharmonic):
+        # at a node the pieces give the node's tau, F = tau rho - G/beta and
+        # the exact slopes 1/(beta Var r) and tau, to the bit
+        rho = anharmonic.table["rho"]
+        taus = anharmonic.table["tau"]
+        g, _, var, _ = anharmonic._moments(taus)
+        tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
+        assert np.array_equal(tau, taus)
+        assert np.array_equal(f, taus * rho - g / anharmonic.beta)
+        assert np.array_equal(anharmonic.tau_prime_of_rho(rho), 1.0 / (anharmonic.beta * var))
+        i, t = thermo._locate(anharmonic.table, rho)
+        assert np.array_equal(thermo._slope(anharmonic.table["F_pieces"], i, t), taus)
+
+    def test_pieces_are_continuous_across_nodes(self, anharmonic):
+        # each piece ends on the next node's value and slope: tau, F and both
+        # slopes are continuous to rounding (measured: 2e-18 and 6e-15 at most)
+        table = anharmonic.table
+        gaps = np.diff(table["rho"])
+        left = np.arange(gaps.size)
+        for pieces in (table["tau_pieces"], table["F_pieces"]):
+            assert np.max(np.abs(thermo._horner(pieces, left, gaps) - pieces[0][1:])) <= 1e-14
+            assert np.max(np.abs(thermo._slope(pieces, left, gaps) - pieces[1][1:])) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50))
+    def test_bucket_lookup_equals_searchsorted(self, anharmonic, strains):
+        # the piece is the last node at or below the strain: nodes, their float
+        # neighbours, midpoints, both ends and drawn strains
+        rho = anharmonic.table["rho"]
+        lo, hi = rho[0], rho[-1]
+        inner = rho[1:-1]
+        x = np.concatenate(
+            (
+                rho,
+                np.nextafter(inner, -np.inf),
+                np.nextafter(inner, np.inf),
+                0.5 * (rho[:-1] + rho[1:]),
+                [lo, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf), hi],
+                np.clip(strains, lo, hi),
+            )
+        )
+        i, t = thermo._locate(anharmonic.table, x)
+        assert np.array_equal(i, np.searchsorted(rho, x, side="right") - 1)
+        assert np.array_equal(t, x - rho[i])
+
+    def test_stacked_input_equals_its_rows(self, anharmonic):
+        rng = np.random.default_rng(17)
+        lo, hi = anharmonic.table["rho"][[0, -1]]
+        rho = rng.uniform(lo, hi, size=(5, 33))
+        rho[0, :2] = lo, hi
+        tau, f = anharmonic.tau_and_free_energy_of_rho(rho)
+        for k, row in enumerate(rho):
+            assert np.array_equal(anharmonic.tau_of_rho(row), tau[k])
+            assert np.array_equal(anharmonic.tau_and_free_energy_of_rho(row)[1], f[k])
+            assert np.array_equal(anharmonic.tau_prime_of_rho(row), anharmonic.tau_prime_of_rho(rho)[k])
