@@ -211,8 +211,11 @@ def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     coeff = math.sqrt(2.0 * config.N * config.sigma / model.beta)
     kicks = []
     for w in map(np.asarray, (dw, dwt)):
-        g = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+        # np.empty, not np.zeros: numpy's calloc path releases the GIL, and
+        # the step thread then queues behind the noise worker to take it back
+        g = np.empty(w.shape[:-1] + (w.shape[-1] + 1,))
         g[..., :-1] = w
+        g[..., -1] = 0.0
         g[..., 1:] -= w
         g *= coeff
         kicks.append(g)
