@@ -18,19 +18,16 @@ Hamiltonian leg fails to conserve, which vanishes linearly in dt.
 
 The step exists once, in the loop of _chain_block: each step writes its
 three legs over all sites into the block's leg arrays and evaluates only V'
-at its end state, all that the next drift reads. Once per block of at most
-_BLOCK_BYTES of legs (below glibc's mmap threshold), V is evaluated on all
-legs and V'' on the steps' start states, and every step's ledger increments
-are formed with row reductions, so no bit depends on the block length. step
-and accumulate_ledger run a block of one step.
+at its end state, all that the next drift reads. Once per block, V is
+evaluated on all legs and V'' on the steps' start states, and every step's
+ledger increments are formed with row reductions. step and accumulate_ledger
+run a block of one step.
 
-run_trajectory runs each BridgedNoise chunk (at most _CHUNK_BYTES of
-increments) in blocks. One worker thread draws the chunks, always one ahead
-of the steps, so the main thread runs only the steps and the ledger. The
-chunks start at 2 coarse rows and double up to the _chunk_rows cap
-(_chunk_sizes), so the steps wait only for a tiny first draw; two chunks are
-alive at once. The noise is drawn row by row and only the worker touches its
-generators, so every output is bit-identical whatever the chunk sizes.
+run_trajectory calls the tension schedule once, on every step's start time.
+Its blocks are whole coarse rows, at most _BLOCK_BYTES of legs (below glibc's
+mmap threshold) unless one row is larger, and each draws its noise rows from
+BridgedNoise just before its steps, on the same thread. The noise is drawn
+row by row, so no output bit depends on the block length.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +46,6 @@ from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potent
 log = logging.getLogger(__name__)
 
 THETA_MAX = 0.25
-_CHUNK_BYTES = 8 << 20  # bound on one chunk's (dw, dwt) increments
 # bound on one ledger block's (3 steps, N) leg arrays: below glibc's 128 KiB
 # mmap threshold, so each block array comes from the heap, not a fresh mmap
 _BLOCK_BYTES = 96 << 10
@@ -211,8 +206,6 @@ def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     coeff = math.sqrt(2.0 * config.N * config.sigma / model.beta)
     kicks = []
     for w in map(np.asarray, (dw, dwt)):
-        # np.empty, not np.zeros: numpy's calloc path releases the GIL, and
-        # the step thread then queues behind the noise worker to take it back
         g = np.empty(w.shape[:-1] + (w.shape[-1] + 1,))
         g[..., :-1] = w
         g[..., -1] = 0.0
@@ -222,10 +215,10 @@ def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     return kicks
 
 
-def _block_steps(n: int) -> int:
-    """Steps per ledger block: few enough that one block's (3 steps, n) leg
-    arrays fit in _BLOCK_BYTES; at least one."""
-    return max(1, _BLOCK_BYTES // (3 * n * 8))
+def _block_rows(n: int, level: int) -> int:
+    """Coarse rows per block, of 2**level steps each: few enough that the
+    block's (3 steps, n) leg arrays fit in _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // (2**level * 3 * n * 8))
 
 
 def _finite(r, p) -> bool:
@@ -378,27 +371,6 @@ def accumulate_ledger(
     )
 
 
-def _chunk_rows(n: int, level: int) -> int:
-    """Coarse rows per noise chunk: few enough that the chunk's 2**level fine
-    rows of (dw, dwt) over n - 1 bonds fit in _CHUNK_BYTES; at least one."""
-    row_bytes = 2**level * 2 * (n - 1) * 8
-    return max(1, _CHUNK_BYTES // row_bytes)
-
-
-def _chunk_sizes(n_coarse: int, n: int, level: int) -> list[int]:
-    """Coarse rows of each noise chunk of a run of n_coarse coarse steps:
-    2, 4, 8, ..., doubling up to _chunk_rows(n, level), then that cap, with
-    what is left last. The first chunk is tiny, so the steps wait little for
-    the worker's first draw, and the later ones are few."""
-    cap = _chunk_rows(n, level)
-    sizes, size = [], 2
-    while n_coarse > 0:
-        sizes.append(min(size, cap, n_coarse))
-        n_coarse -= sizes[-1]
-        size *= 2
-    return sizes
-
-
 def run_trajectory(
     config: ChainConfig,
     tau0: float,
@@ -413,15 +385,14 @@ def run_trajectory(
     snapshot and ledger times and the tension schedule use that time, while
     record_times and n_steps count from the start of the run. A start state
     whose r or p is not of shape (N,) raises ValueError, and so does a
-    non-finite t0, or a non-finite tension before the chunk of steps that
-    would read it. A start state that is not finite raises the BlowUpError
-    of step 1, whatever the record times.
+    non-finite t0. A start state that is not finite raises the BlowUpError
+    of step 1, whatever the record times. The tension schedule is called
+    once, on every step's start time, and a non-finite tension raises
+    ValueError naming its step before step 1 runs.
 
-    The steps run in blocks (see _chain_block); the cumulative ledger is a
-    cumsum seeded with the carried accumulator. One worker thread draws the
-    noise chunks (sizes from _chunk_sizes), each while the steps run the
-    chunk before it; it is joined before the run returns or raises, and an
-    exception it raises reaches the caller unchanged.
+    The steps run in blocks of _block_rows coarse rows (_chain_block), each
+    drawing its noise just before its steps, on the calling thread; the
+    ledger is a cumsum seeded with the carried accumulator.
     """
     n = config.N
     dt = config.dt_fine
@@ -439,6 +410,11 @@ def run_trajectory(
         raise ValueError(f"state t must be finite, got {t0}")
     if not _finite(r, p):
         raise BlowUpError(f"non-finite state at step 1, t={t0 + dt:.6g}")
+    taubars = np.asarray(config.tension_schedule(t0 + np.arange(n_steps) * dt), dtype=float)
+    taubars = np.broadcast_to(taubars, (n_steps,))
+    if not np.isfinite(taubars).all():
+        j = int(np.argmin(np.isfinite(taubars)))
+        raise ValueError(f"non-finite boundary tension {taubars[j]} for step {j + 1}")
     d1 = _potential_slope(model.potential, r)  # V' at r, carried
 
     rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
@@ -450,50 +426,29 @@ def run_trajectory(
         st = ChainState(r=r.copy(), p=p.copy(), t=t0 + k * dt)
         snapshots.append(st)
         rows.append((st.t, _energy(p, v), *acc.tolist()))
+        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, st.t, k, n_steps)
 
+    rec_idx = int(np.count_nonzero(rec_steps == 0))  # the records at the start
+    for _ in range(rec_idx):
+        record(0, r, p, model.V(r), acc)
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
-    sizes = _chunk_sizes(config.n_coarse, n, config.refine_level)
     fine = 2**config.refine_level
-    block = _block_steps(n)
-    k = 0
-    # one chunk in flight: the worker draws chunk i + 1 while the steps run
-    # chunk i, and leaving the with-block joins it on a return or a raise
-    with ThreadPoolExecutor(1, thread_name_prefix="hydrochain-noise") as worker:
-        pending = worker.submit(noise.next_chunk, sizes[0])
-        rec_idx = 0
-        while rec_idx < len(rec_steps) and rec_steps[rec_idx] == 0:
-            record(0, r, p, model.V(r), acc)
+    block = _block_rows(n, config.refine_level) * fine
+    for k in range(0, n_steps, block):
+        dw, dwt = noise.next_chunk(min(block, n_steps - k) // fine)
+        rl, pl, v, incr, d1 = _chain_block(
+            r, p, d1, dw, dwt, taubars[k : k + block].tolist(), k, t0, config, model
+        )
+        cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
+        while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + len(incr):
+            j = rec_steps[rec_idx] - k
+            record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
             rec_idx += 1
-        for i, size in enumerate(sizes):
-            times = t0 + (k + np.arange(size * fine)) * dt
-            taubars = np.broadcast_to(
-                np.asarray(config.tension_schedule(times), dtype=float), times.shape
-            )
-            if not np.isfinite(taubars).all():
-                j = int(np.argmin(np.isfinite(taubars)))
-                raise ValueError(f"non-finite boundary tension {taubars[j]} for step {k + j + 1}")
-            dw, dwt = pending.result()
-            if i + 1 < len(sizes):
-                pending = worker.submit(noise.next_chunk, sizes[i + 1])
-            for b0 in range(0, times.size, block):
-                b1 = b0 + block
-                rl, pl, v, incr, d1 = _chain_block(
-                    r, p, d1, dw[b0:b1], dwt[b0:b1], taubars[b0:b1].tolist(), k, t0, config,
-                    model,
-                )
-                cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
-                m = incr.shape[0]
-                while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + m:
-                    j = rec_steps[rec_idx] - k
-                    record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
-                    rec_idx += 1
-                k += m
-                acc = cum[-1]
-                r, p = rl[-1], pl[-1]
-            log.debug("chain N=%d t=%.4g (%d/%d steps)", n, t0 + k * dt, k, n_steps)
+        acc = cum[-1]
+        r, p = rl[-1], pl[-1]
 
     series = LedgerSeries(*np.ascontiguousarray(np.reshape(rows, (-1, 7)).T))
-    return TrajectoryResult(snapshots=snapshots, ledger=series, config=config, n_steps=k)
+    return TrajectoryResult(snapshots=snapshots, ledger=series, config=config, n_steps=n_steps)
 
 
 def write_snapshot_csv(path, snapshots) -> None:

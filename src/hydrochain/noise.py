@@ -12,11 +12,8 @@ The spawn keys alone keep the streams independent, so a counter-based
 generator's jumps (Philox) are not needed, and SFC64 draws normals faster:
 the chain draws 2(N - 1) of them a step.
 
-run_trajectory calls next_chunk on one worker thread, one chunk ahead of
-the chain's steps, with chunks of 2, 4, 8, ... coarse rows up to a byte cap;
-the generators' fills and the bridge arithmetic run outside the GIL on large
-arrays, so the draws overlap the steps. A BridgedNoise is not shared between
-threads: only that worker draws from it.
+run_trajectory calls next_chunk once per block, just before its steps. A
+BridgedNoise holds generator state, so one run owns it, on one thread.
 """
 
 from __future__ import annotations

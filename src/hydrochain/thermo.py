@@ -188,16 +188,13 @@ def _band_root(params: PotentialParams, tau: float) -> float:
     Newton's method from r = h, where V' = h > tau, falls monotonically onto
     the root: each tangent lies below V'. The loop stops once V'(r) no longer
     exceeds tau or a step would not lower r, and raises ThermoError after
-    _NEWTON_STEPS steps. V' and V'' follow _potential_slope and
-    _potential_curvature operation by operation (ext = 0 on the band)."""
-    k, h = params.kappa, params.moll_width
-    r = h
+    _NEWTON_STEPS steps."""
+    r = params.moll_width
     for _ in range(_NEWTON_STEPS):
-        y = min(max(r / h, -1.0), 1.0) + 1.0
-        excess = r * (1.0 - k) + (4.0 - y) * (y * y * y) * (h / 16.0) * k - tau
+        excess = _potential_slope(params, r) - tau
         if not excess > 0.0:
             return r
-        step = r - excess / ((3.0 - y) * (y * y) * (0.25 * k) + (1.0 - k))
+        step = r - excess / _potential_curvature(params, r)
         if not step < r:
             return r
         r = step

@@ -1,6 +1,7 @@
-"""Importing hydrochain loads numpy only: no SciPy module, and the numpy
-submodules that numpy 2 loads lazily are loaded at import, not inside the
-first timed call that needs them."""
+"""Importing hydrochain loads numpy only: no SciPy module and no
+concurrent.futures (the chain draws its noise on the stepping thread), and
+the numpy submodules that numpy 2 loads lazily are loaded at import, not
+inside the first timed call that needs them."""
 
 import json
 import os
@@ -19,6 +20,7 @@ print(json.dumps([
     sorted(m for m in sys.modules if m.startswith("hydrochain.")),
     sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     sorted(m for m in ("numpy.random", "numpy.polynomial.legendre") if m in sys.modules),
+    sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"),
 ]))
 """
 
@@ -28,7 +30,8 @@ def test_importing_every_module_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    loaded, scipy_modules, numpy_submodules = json.loads(out)
+    loaded, scipy_modules, numpy_submodules, concurrent_modules = json.loads(out)
     assert len(loaded) >= 8
     assert scipy_modules == []
+    assert concurrent_modules == []
     assert numpy_submodules == ["numpy.polynomial.legendre", "numpy.random"]

@@ -272,25 +272,26 @@ class TestStep:
         # the default block finds the overflow of step 11 among the block's
         # rows after the later steps have run, a one-step block at once
         cfg = blow_up_at_step_11_config()
-        assert microchain._block_steps(32) > 11
+        assert microchain._block_rows(32, 0) > 11
         messages = []
         for budget in (microchain._BLOCK_BYTES, 1):
             monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
             with pytest.raises(BlowUpError) as err:
                 run_trajectory(cfg, 0.1, model)
             messages.append(str(err.value))
-        assert microchain._block_steps(32) == 1
+        assert microchain._block_rows(32, 0) == 1
         assert messages == [f"non-finite state at step 11, t={11 * cfg.dt:.6g}"] * 2
 
     def test_chunking_invariance(self, model, monkeypatch):
         # the noise is drawn row by row and the step is one function, so
-        # neither the record times nor the chunk length may change the result
+        # neither the record times nor the block length may change the result
         t_end = 60 * 0.1 / (32 * 14)
         runs = []
-        for n_records, chunk in ((2, None), (41, None), (2, 7), (41, 7)):
-            if chunk is not None:
-                # 7 coarse rows of level-1 (dw, dwt) over 31 bonds
-                monkeypatch.setattr(microchain, "_CHUNK_BYTES", chunk * 2 * 2 * 31 * 8)
+        for n_records, rows in ((2, None), (41, None), (2, 7), (41, 7)):
+            if rows is not None:
+                # blocks of 7 coarse rows: 14 level-1 steps of (3, 32) legs
+                monkeypatch.setattr(microchain, "_BLOCK_BYTES", rows * 2 * 3 * 32 * 8)
+                assert microchain._block_rows(32, 1) == rows
             cfg = ChainConfig(
                 N=32,
                 t_end=t_end,
@@ -310,7 +311,8 @@ class TestStep:
             assert np.array_equal(row, first_row)
 
     def test_chunk_byte_bound_changes_no_bit(self, model, monkeypatch):
-        # a byte budget below one coarse row forces 1-row noise chunks
+        # a byte budget below one coarse row gives blocks of one coarse row,
+        # each drawing the noise chunk of its 4 level-2 steps
         t_end = 20 * 0.1 / (32 * 14)
         cfg = ChainConfig(
             N=32,
@@ -321,10 +323,10 @@ class TestStep:
             record_times=np.linspace(0.0, t_end, 6),
         )
         runs = []
-        for budget in (microchain._CHUNK_BYTES, 1):
-            monkeypatch.setattr(microchain, "_CHUNK_BYTES", budget)
+        for budget in (microchain._BLOCK_BYTES, 1):
+            monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
             runs.append(run_trajectory(cfg, 0.1, model))
-        assert microchain._chunk_rows(32, 2) == 1
+        assert microchain._block_rows(32, 2) == 1
         a, b = runs
         for sa, sb in zip(a.snapshots, b.snapshots):
             assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
@@ -332,14 +334,13 @@ class TestStep:
             assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
 
     def test_block_byte_bound_changes_no_bit(self, model, monkeypatch):
-        # blocks of the default length, of 7 steps and of one step; 7 divides
-        # neither the 25-row noise chunk nor the level-2 chunk of 100 rows.
-        # The records fall on block edges (step 7, 14 and the chunk ends) and
-        # inside blocks, at both levels.
-        budgets = ((microchain._BLOCK_BYTES, 128), (7 * 3 * 32 * 8, 7), (1, 1))
+        # blocks of the default length (the whole run), of 7 coarse rows and
+        # of one; 7 does not divide the 60 rows. The records fall on block
+        # edges (coarse step 7, 14 and 49) and inside blocks, at both levels.
+        default = microchain._BLOCK_BYTES
         for level in (0, 2):
-            # noise chunks of at most 25 coarse rows over 31 bonds
-            monkeypatch.setattr(microchain, "_CHUNK_BYTES", 25 * 2**level * 2 * 31 * 8)
+            row_bytes = 2**level * 3 * 32 * 8
+            budgets = ((default, 128 >> level), (7 * row_bytes, 7), (1, 1))
             t_end = 60 * 0.1 / (32 * 14)
             cfg = ChainConfig(
                 N=32,
@@ -350,9 +351,9 @@ class TestStep:
                 record_times=np.array([0, 7, 10, 14, 25, 31, 49, 50, 60]) * (t_end / 60),
             )
             runs = []
-            for budget, steps in budgets:
+            for budget, rows in budgets:
                 monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
-                assert microchain._block_steps(32) == steps
+                assert microchain._block_rows(32, level) == rows
                 runs.append(run_trajectory(cfg, 0.1, model))
             first = runs[0]
             assert len(first.snapshots) == 9
@@ -365,11 +366,12 @@ class TestStep:
                     assert np.array_equal(getattr(first.ledger, col), getattr(res.ledger, col))
 
     def test_chunk_rows_bounded_by_bytes(self):
-        # N = 16384 at level 2: a coarse row is 4 fine rows of (dw, dwt) over
-        # 16383 bonds, about 1 MiB, so 8 rows fit
-        rows = microchain._chunk_rows(16384, 2)
-        assert rows == 8
-        assert rows * 4 * 2 * 16383 * 8 <= microchain._CHUNK_BYTES
+        # a block's noise chunk is its coarse rows. At N = 1024 four rows of
+        # (3, 1024) legs fit and five do not; at N = 16384 and level 2 one
+        # row's 4 steps of legs take 1.5 MiB, so a block is that one row
+        rows = microchain._block_rows(1024, 0)
+        assert rows * 3 * 1024 * 8 <= microchain._BLOCK_BYTES < (rows + 1) * 3 * 1024 * 8
+        assert microchain._block_rows(16384, 2) == 1
 
     def test_carried_derivatives_change_no_bit(self, model):
         # run_trajectory passes V' from one step to the next; step and
@@ -460,6 +462,38 @@ class TestStep:
         with pytest.raises(ValueError, match=f"boundary tension nan for step {step_1}$"):
             run_trajectory(cfg, 0.0, model)
 
+    def test_schedule_called_once_on_every_step_start(self, model):
+        # one call per run, as advance does: a level-1 run of several blocks
+        # from t0 = 0.3 asks for the start times t0 + k dt_fine, k < n_steps
+        calls = []
+
+        def schedule(t):
+            calls.append(np.array(t, copy=True))
+            return np.full(np.shape(t), 0.1)
+
+        dt = ChainConfig(N=1024).dt
+        cfg = ChainConfig(N=1024, t_end=30 * dt, seed=4, refine_level=1, tension_schedule=schedule)
+        assert cfg.n_coarse > 2 * microchain._block_rows(1024, 1)
+        st = make_initial_state(cfg, 0.1, model)
+        st.t = 0.3
+        run_trajectory(cfg, 0.1, model, initial_state=st)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 0.3 + np.arange(cfg.n_steps) * cfg.dt_fine)
+
+    def test_nonfinite_last_tension_raises_before_step_one(self, model, monkeypatch):
+        # a NaN only at the last step, which starts at 199 dt_fine, is named
+        # before any step runs
+        ran = []
+        monkeypatch.setattr(microchain, "_chain_block", lambda *args: ran.append(args))
+        dt = ChainConfig(N=32).dt
+        cfg = ChainConfig(N=32, t_end=50 * dt, seed=1, refine_level=2,
+                          tension_schedule=lambda t: np.where(np.asarray(t) < 198.5 * dt / 4,
+                                                              0.1, np.nan))
+        assert cfg.n_steps == 200
+        with pytest.raises(ValueError, match="boundary tension nan for step 200$"):
+            run_trajectory(cfg, 0.1, model)
+        assert ran == []
+
     def test_step_names_nonfinite_tension(self, model):
         # a non-finite tension used to surface as "non-finite state after step"
         cfg = ChainConfig(N=16, t_end=0.01)
@@ -479,21 +513,25 @@ class TestStep:
 
 
 class TestNoiseWorker:
-    """run_trajectory draws its noise chunks on one worker thread; the thread
-    never outlives the run, and its exceptions reach the caller."""
+    """run_trajectory draws each block's noise on the calling thread, just
+    before the block's steps: it starts no worker thread, draws nothing
+    before its checks pass, and a draw's exception reaches the caller."""
 
-    def test_worker_joined_after_return(self, model):
+    def test_run_starts_no_thread(self, model, monkeypatch):
         before = threading.enumerate()
+        draw = BridgedNoise.next_chunk
         seen = []
 
-        def schedule(t):  # called on the main thread before each chunk's steps
-            seen.append([th.name for th in threading.enumerate()])
-            return np.full(np.shape(t), 0.1)
+        def watched(self, n_coarse):
+            seen.append((threading.current_thread(), threading.enumerate()))
+            return draw(self, n_coarse)
 
-        cfg = ChainConfig(N=32, t_end=0.02, seed=2, tension_schedule=schedule)
-        assert len(microchain._chunk_sizes(cfg.n_coarse, 32, 0)) > 2
+        monkeypatch.setattr(BridgedNoise, "next_chunk", watched)
+        cfg = ChainConfig(N=1024, t_end=20 * ChainConfig(N=1024).dt, seed=2)
+        assert cfg.n_coarse > 2 * microchain._block_rows(1024, 0)
         run_trajectory(cfg, 0.1, model)
-        assert any(name.startswith("hydrochain-noise") for names in seen for name in names)
+        assert len(seen) > 2
+        assert all(th is threading.current_thread() and ths == before for th, ths in seen)
         assert threading.enumerate() == before
 
     def test_worker_joined_after_blow_up(self, model):
@@ -503,19 +541,20 @@ class TestNoiseWorker:
             run_trajectory(cfg, 0.1, model)
         assert threading.enumerate() == before
 
-    def test_worker_joined_after_late_nonfinite_tension(self, model):
-        # the tension turns NaN in the third chunk, with the next one drawn
-        before = threading.enumerate()
-        dt = 0.1 / (16 * 8)
-        cfg = ChainConfig(N=16, t_end=40 * dt, seed=1, tension_schedule=lambda t: np.where(
+    def test_worker_joined_after_late_nonfinite_tension(self, model, monkeypatch):
+        # the tension turns NaN at step 11, in the third block of 4 rows; the
+        # whole schedule is checked before the first block draws its noise
+        draws = []
+        monkeypatch.setattr(BridgedNoise, "next_chunk", lambda self, n: draws.append(n))
+        dt = ChainConfig(N=1024).dt
+        cfg = ChainConfig(N=1024, t_end=40 * dt, seed=1, tension_schedule=lambda t: np.where(
             np.asarray(t) < 9.5 * dt, 0.1, np.nan))
-        assert microchain._chunk_sizes(cfg.n_coarse, 16, 0)[:3] == [2, 4, 8]
+        assert microchain._block_rows(1024, 0) == 4
         with pytest.raises(ValueError, match="boundary tension nan for step 11$"):
             run_trajectory(cfg, 0.1, model)
-        assert threading.enumerate() == before
+        assert draws == []
 
     def test_worker_exception_reaches_caller(self, model, monkeypatch):
-        before = threading.enumerate()
         boom = OSError("noise source failed")
         draw = BridgedNoise.next_chunk
         calls = []
@@ -527,17 +566,18 @@ class TestNoiseWorker:
             return draw(self, n_coarse)
 
         monkeypatch.setattr(BridgedNoise, "next_chunk", failing)
+        monkeypatch.setattr(microchain, "_BLOCK_BYTES", 1)  # blocks of one coarse row
         cfg = ChainConfig(N=32, t_end=0.02, seed=2)
+        assert cfg.n_coarse > 2
         with pytest.raises(OSError) as err:
             run_trajectory(cfg, 0.1, model)
         assert err.value is boom
-        assert len(calls) == 2
-        assert threading.enumerate() == before
+        assert calls == [1, 1]
 
     def test_concurrent_runs_under_fast_switching_change_no_bit(self, model):
-        # four runs at once, each with its own worker, with the interpreter
-        # switching threads every microsecond: a chunk handed over before it
-        # is drawn, or drawn out of order, would change the bits
+        # four runs at once, each drawing its own noise, with the interpreter
+        # switching threads every microsecond: a generator shared between
+        # runs, or a chunk drawn out of order, would change the bits
         t_end = 30 * 0.1 / (32 * 14)
         cfgs = [
             ChainConfig(N=32, t_end=t_end, seed=seed, refine_level=1,
@@ -568,27 +608,6 @@ class TestNoiseWorker:
             assert np.array_equal(a.snapshots[-1].p, b.snapshots[-1].p)
             for col in ("E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
                 assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
-
-    @pytest.mark.parametrize("level", [0, 2])
-    @pytest.mark.parametrize("cap_rows", [None, 5])
-    def test_chunk_schedule_draws_one_call_to_the_bit(self, level, cap_rows, monkeypatch):
-        # cap_rows = 5 shrinks the byte budget so that the cap binds
-        n, n_coarse = 32, 37
-        row_bytes = 2**level * 2 * (n - 1) * 8
-        if cap_rows is not None:
-            monkeypatch.setattr(microchain, "_CHUNK_BYTES", cap_rows * row_bytes)
-        cap = microchain._chunk_rows(n, level)
-        assert cap == (cap_rows or microchain._CHUNK_BYTES // row_bytes)
-        sizes = microchain._chunk_sizes(n_coarse, n, level)
-        assert sum(sizes) == n_coarse
-        assert sizes[0] <= 2 and max(sizes) <= cap
-        if cap_rows is not None:
-            assert sizes.count(cap) > 1
-        one = BridgedNoise(17, n - 1, 1e-3, level).next_chunk(n_coarse)
-        noise = BridgedNoise(17, n - 1, 1e-3, level)
-        parts = [noise.next_chunk(size) for size in sizes]
-        for col in (0, 1):
-            assert np.array_equal(one[col], np.concatenate([q[col] for q in parts]))
 
 
 class TestLedger:

@@ -462,6 +462,31 @@ def test_argmax_exponent_closed_forms_off_the_band(kappa):
             assert abs(model.dV(rstar) - tau) <= 4e-15
 
 
+@pytest.mark.parametrize("kappa, h", [(0.25, 0.1), (0.33, 1.0), (0.05, 0.3)])
+def test_band_root_matches_the_newton_step_written_out(kappa, h):
+    # _band_root reads V' and V'' through _potential_slope and
+    # _potential_curvature; on the band ext = 0 and the operations are those
+    # of the plain-float Newton step below, so the roots agree to the bit
+    def written_out(tau):
+        r = h
+        for _ in range(thermo._NEWTON_STEPS):
+            y = min(max(r / h, -1.0), 1.0) + 1.0
+            excess = r * (1.0 - kappa) + (4.0 - y) * (y * y * y) * (h / 16.0) * kappa - tau
+            if not excess > 0.0:
+                return r
+            step = r - excess / ((3.0 - y) * (y * y) * (0.25 * kappa) + (1.0 - kappa))
+            if not step < r:
+                return r
+            r = step
+        raise AssertionError(f"no root for tau={tau}")
+
+    params = PotentialParams(kappa=kappa, moll_width=h)
+    for tau in np.linspace(-(1.0 - kappa) * h, h, 203)[1:-1].tolist():
+        root = thermo._band_root(params, tau)
+        assert isinstance(root, float) and -h <= root <= h
+        assert root == written_out(tau)
+
+
 class TestSampler:
     def test_tension_moment(self, anharmonic):
         s = anharmonic.sample_canonical(0.5, 10**6, seed=123)
