@@ -3,13 +3,12 @@ limit, and the statistics connecting them."""
 
 __version__ = "0.1.0"
 
-from .thermo import GibbsSample, PotentialParams, ThermoError, ThermoModel, eval_potential
+from .thermo import GibbsSample, PotentialParams, ThermoError, ThermoModel
 
 __all__ = [
     "GibbsSample",
     "PotentialParams",
     "ThermoError",
     "ThermoModel",
-    "eval_potential",
     "__version__",
 ]

@@ -1,9 +1,13 @@
 """Deterministic CSV emission (bit-identical output for identical inputs).
 
-Every value is written as '%.17g' % float(x), so an int below 2**53 reads as
-its digits and a bool as 1/0. write_csv, write_columns and write_long_csv all
-format through one array kernel, _float_fields, which yields the exact bytes
-of '%.17g' for a whole block of values at once:
+Three writers: write_columns writes one line per row of equal-length
+columns, write_csv one line per row of numbers (through write_columns), and
+write_long_csv the long-format lines "key,i,values" of records whose rows
+all have one length n, as a chain's records all hold its N sites. Every
+value is written as '%.17g' % float(x), so an int below 2**53 reads as its
+digits and a bool as 1/0. All three format through one array kernel,
+_float_fields, which yields the exact bytes of '%.17g' for a whole block of
+values at once:
 
 - k = floor(log10|x|) estimates the decimal exponent, and |x| 10^(16-k) is
   formed in double-double arithmetic: a table of 10^j as hi + lo (built with
@@ -20,8 +24,10 @@ of '%.17g' for a whole block of values at once:
 A value the fast path cannot prove falls back to '%.17g' % x: zero, inf, NaN,
 |k| > _K_MAX (whose 10^(16-k) would leave the double range), a product not
 strictly inside (1e16, 1e17), and a fraction within 1e-6 of 1/2, where the
-rounding could tie. Blocks hold at most _BLOCK_BYTES of fields, so the
-writers' memory stays bounded whatever the table's size.
+rounding could tie. Every writer formats and writes its lines in blocks of
+at most _BLOCK_BYTES of fields; write_long_csv slices its records' rows into
+a block and never stacks them, so the writers' memory stays bounded whatever
+the table's size.
 """
 
 from __future__ import annotations
@@ -198,57 +204,38 @@ def write_columns(path, header, columns) -> None:
         f.write(b"\n")
 
 
-def _blocks(groups, rows):
-    """Lists of (key, first index, column slices) segments of at most `rows`
-    rows in all, in the order of the groups."""
-    block, free = [], rows
-    for key, columns in groups:
-        n, i0 = len(columns[0]), 0
-        while i0 < n:
-            take = min(free, n - i0)
-            block.append((key, i0, [c[i0:i0 + take] for c in columns]))
-            i0 += take
-            free -= take
-            if not free:
-                yield block
-                block, free = [], rows
-    if block:
-        yield block
-
-
-def write_long_csv(path, header, groups) -> None:
-    """Long-format lines "key,i,c_1[i],...,c_m[i]": one per index i = 1..n of
-    each (key, columns) group's m equal-length float columns. The key's text
-    is formed once per group and the index's once per call."""
+def write_long_csv(path, header, keys, columns) -> None:
+    """Long-format lines "key,i,c_1[i],...,c_m[i]" of K records: record k has
+    the key keys[k] and, in each of the m columns, the row columns[j][k].
+    Every row has one length n; rows of unequal lengths raise ValueError.
+    Line j = k n + i - 1 is index i of record k. A block's keys and row
+    slices go through one kernel call, and each line picks its key and index
+    cells; the index texts are built once per call."""
     m = len(header) - 2
-    rows = max(1, _BLOCK_BYTES // (4 * _CELLS * (m + 1)))
-    index = np.zeros((0, 1), np.uint32)  # ",i" of rows i = 1..len(index)
+    lengths = sorted({len(row) for rows in columns for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"records of unequal lengths {lengths}")
+    n = lengths[0] if lengths else 0
+    total = len(keys) * n
+    lines = max(1, _BLOCK_BYTES // (4 * _CELLS * (m + 1)))
+    width = -(-(1 + len(str(n))) // 4)
+    index = _cells((",%d" % i).ljust(4 * width, "\0") for i in range(1, n + 1))
+    index = index.reshape(n, width)  # ",i" of index i = 1..n
     with _open(path) as f:
         f.write(",".join(header).encode())
-        for block in _blocks(groups, rows):
-            n_max = max(i0 + len(cols[0]) for _, i0, cols in block)
-            if n_max > len(index):
-                width = -(-(1 + len(str(n_max))) // 4)
-                index = _cells((",%d" % i).ljust(4 * width, "\0") for i in range(1, n_max + 1))
-                index = index.reshape(n_max, width)
-            lengths = [len(cols[0]) for _, _, cols in block]
-            g = len(block)
-            # the keys, then the values column by column, in one kernel call
-            keys = [key for key, _, _ in block]
-            fields = _float_fields(
-                np.concatenate([keys, *(cols[j] for j in range(m) for _, _, cols in block)])
-            )
-            key_cells = fields[:g]
+        for a in range(0, total, lines):
+            b = min(a + lines, total)
+            k0, k1 = a // n, -(-b // n)
+            # the keys, then each column's row slices, in one kernel call
+            fields = _float_fields(np.concatenate([
+                keys[k0:k1],
+                *(rows[k][max(a - k * n, 0):b - k * n] for rows in columns for k in range(k0, k1)),
+            ]))
+            key_cells = fields[:k1 - k0]
             key_cells = key_cells[:, key_cells.any(axis=0)]  # drop the cells no key uses
-            cells = np.concatenate(
-                [
-                    np.repeat(key_cells, lengths, axis=0),
-                    np.concatenate([index[i0:i0 + len(cols[0])] for _, i0, cols in block]),
-                    *np.split(fields[g:], m),
-                ],
-                axis=1,
-            )
-            _write_rows(f, cells)
+            k, i = np.divmod(np.arange(a, b), n)  # each line's record and index
+            cells = [key_cells[k - k0], index[i], *np.split(fields[k1 - k0:], m)]
+            _write_rows(f, np.concatenate(cells, axis=1))
         f.write(b"\n")
 
 

@@ -452,12 +452,17 @@ def run_trajectory(
 
 
 def write_snapshot_csv(path, snapshots) -> None:
-    """Long-format (t, i, r, p) dump of the recorded states. csvio's float
-    kernel formats t once per snapshot and r, p once per site; the index
-    texts are built once per call."""
+    """Long-format (t, i, r, p) dump of the recorded states, i = 1..N at
+    each t. csvio's float kernel formats t once per snapshot and r, p once
+    per site; states of different sizes raise ValueError."""
     from .csvio import write_long_csv
 
-    write_long_csv(path, ["t", "i", "r", "p"], ((st.t, (st.r, st.p)) for st in snapshots))
+    write_long_csv(
+        path,
+        ["t", "i", "r", "p"],
+        [st.t for st in snapshots],
+        ([st.r for st in snapshots], [st.p for st in snapshots]),
+    )
 
 
 def write_ledger_csv(path, series: LedgerSeries) -> None:

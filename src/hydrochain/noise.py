@@ -61,8 +61,6 @@ class BridgedNoise:
             raise ValueError("refinement level must be >= 0")
         self.n_bonds = int(n_bonds)
         self.dt_coarse = float(dt_coarse)
-        self.level = int(level)
-        self.dt = self.dt_coarse / 2**self.level
         self._coarse = _generator(seed, _STREAM_COARSE)
         self._bridges = [_generator(seed, _STREAM_BRIDGE, lev) for lev in range(1, level + 1)]
 
@@ -70,7 +68,7 @@ class BridgedNoise:
         """Increments covering n_coarse coarse steps.
 
         Returns (dw, dwt), each of shape (n_coarse * 2**level, n_bonds), with
-        per-row variance self.dt.
+        per-row variance dt_coarse / 2**level.
         """
         # in place: no temporary copy of a level's increments
         cur = self._coarse.standard_normal((n_coarse, 2, self.n_bonds))

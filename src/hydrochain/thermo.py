@@ -75,34 +75,6 @@ class PotentialParams:
         return self.kappa * self.moll_width**2 / 10.0
 
 
-def eval_potential(params: PotentialParams, r):
-    """Return (V, V', V'') of the mollified potential at r (scalar or array):
-    the parts _potential_value, _potential_slope and _potential_curvature on
-    the checked strain. A non-finite entry of r raises ValueError, and a
-    scalar r gives floats.
-
-    With x = r/h clipped to [-1, 1] and y = x + 1, the blend of V'' is the
-    cubic smoothstep s = y^2 (3 - y)/4; its integrals from -1 are
-    I1 = y^3 (4 - y)/16 and I2 = y^4 (5 - y)/80, and ext = max(r - h, 0)
-    carries V' and V on past the band:
-
-        V'' = (1-kappa) + kappa s
-        V'  = (1-kappa) r + kappa (h I1 + ext)
-        V   = (1-kappa) r^2/2 + kappa (h^2 I2 + h ext + ext^2/2)
-
-    For r <= -h the kappa terms vanish exactly, so V and V' equal the
-    compression quadratic to the bit; for r >= h, V' = r and V'' = 1 up to
-    rounding, and V carries the constant kappa*h^2/10 (antiderivative
-    continuity).
-    """
-    r = _strain(r)
-    return (
-        _potential_value(params, r),
-        _potential_slope(params, r),
-        _potential_curvature(params, r),
-    )
-
-
 def _strain(r):
     """r as a float array, or a numpy scalar when 0-d; non-finite raises."""
     r = np.asarray(r, dtype=float)
@@ -111,13 +83,25 @@ def _strain(r):
     return r[()]
 
 
-# The three parts of eval_potential, V, V' and V'', each formula written once,
-# so a caller computes only the part it reads. Each takes r as a float array
-# or numpy scalar, unchecked: callers that know r is finite (the chain's step,
-# the quadrature panels) skip the check. The arithmetic follows the operation
-# order of the formulas in eval_potential, in place on a few buffers for an
-# array r; a scalar r runs the same statements on numpy scalars, where the
-# in-place operators rebind, and returns floats.
+# The mollified potential V, V' and V'' at r, each formula written once, so a
+# caller computes only the part it reads. With x = r/h clipped to [-1, 1] and
+# y = x + 1, the blend of V'' is the cubic smoothstep s = y^2 (3 - y)/4; its
+# integrals from -1 are I1 = y^3 (4 - y)/16 and I2 = y^4 (5 - y)/80, and
+# ext = max(r - h, 0) carries V' and V on past the band:
+#
+#     V'' = (1-kappa) + kappa s
+#     V'  = (1-kappa) r + kappa (h I1 + ext)
+#     V   = (1-kappa) r^2/2 + kappa (h^2 I2 + h ext + ext^2/2)
+#
+# For r <= -h the kappa terms vanish exactly, so V and V' equal the
+# compression quadratic to the bit; for r >= h, V' = r and V'' = 1 up to
+# rounding, and V carries the constant kappa*h^2/10 (antiderivative
+# continuity). Each part takes r as a float array or numpy scalar, unchecked:
+# callers that know r is finite (the chain's step, the quadrature panels) skip
+# _strain's check. The arithmetic follows the operation order of these
+# formulas, in place on a few buffers for an array r; a scalar r runs the same
+# statements on numpy scalars, where the in-place operators rebind, and
+# returns floats.
 
 
 def _band(params: PotentialParams, r):
@@ -219,8 +203,8 @@ class ThermoModel:
     tau_and_free_energy_of_rho, one lookup for tau and F), each read at a
     strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
     derivative of tau_of_rho's piece. Construction runs no quadrature and
-    no check of V'': its formula (eval_potential) keeps it in [c1, c2] for
-    every kappa that PotentialParams admits. It lays out the quadrature's
+    no check of V'': its formula (_potential_curvature) keeps it in [c1, c2]
+    for every kappa that PotentialParams admits. It lays out the quadrature's
     fixed parts: the n_quad-point Gauss-Legendre rule, the outer panels'
     scaled nodes, and the band panel's nodes, V values and weights.
     """

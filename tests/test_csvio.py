@@ -195,7 +195,7 @@ def test_write_snapshot_csv(tmp_path):
     snaps = [
         ChainState(np.array([1 / 3, -0.0, 1e-300]), np.array([2.5, -1e300, np.pi]), 0.0),
         ChainState(np.array([0.1, 1e16, -7.0]), np.array([5e-324, 0.0, -2 / 3]), 0.1),
-        ChainState(np.array([np.nan, -np.inf]), np.array([np.inf, 1e-5]), 12.5),
+        ChainState(np.array([np.nan, -np.inf, 1e300]), np.array([np.inf, 1e-5, -1e-300]), 12.5),
     ]
     write_snapshot_csv(path, snaps)
     assert path.read_text() == (
@@ -208,6 +208,7 @@ def test_write_snapshot_csv(tmp_path):
         "0.10000000000000001,3,-7,-0.66666666666666663\n"
         "12.5,1,nan,inf\n"
         "12.5,2,-inf,1.0000000000000001e-05\n"
+        "12.5,3,1.0000000000000001e+300,-1e-300\n"
     )
     header, rows = read_back(path)
     assert header == ["t", "i", "r", "p"]
@@ -300,16 +301,18 @@ class TestPipelineFiles:
         write_csv(path, STATISTICS_HEADER, rows)
         assert path.read_text() == reference_csv(STATISTICS_HEADER, rows)
 
-    def test_snapshot_sizes_mixed_in_one_file(self, tmp_path, monkeypatch, small_pipeline):
-        monkeypatch.setattr(csvio, "_BLOCK_BYTES", 5000)
+    def test_snapshot_sizes_mixed_are_rejected(self, tmp_path, small_pipeline):
+        # every record of a run holds the chain's N sites: a file of records
+        # of several sizes is refused before it is opened
         snaps = small_pipeline[0].snapshots
         mixed = [
             ChainState(s.r[: 32 - 7 * (k % 3)], s.p[: 32 - 7 * (k % 3)], s.t)
             for k, s in enumerate(snaps)
         ]
         path = tmp_path / "snapshots.csv"
-        write_snapshot_csv(path, mixed)
-        assert path.read_text() == snapshot_reference(mixed)
+        with pytest.raises(ValueError, match=re.escape("unequal lengths [18, 25, 32]")):
+            write_snapshot_csv(path, mixed)
+        assert not path.exists()
 
 
 def test_snapshot_writer_memory_is_bounded(tmp_path):

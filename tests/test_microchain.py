@@ -238,7 +238,7 @@ class TestStep:
             run_trajectory(cfg, 0.0, model, initial_state=bad)
 
     def test_nonfinite_state_is_a_blow_up(self, model):
-        # never the ValueError with which eval_potential rejects such strains
+        # never the ValueError with which thermo's strain check rejects them
         cfg = ChainConfig(N=16, t_end=0.01, seed=1, record_times=np.array([0.01]))
         zero = (np.zeros(15), np.zeros(15))
         for r, p in ((np.full(16, np.nan), np.zeros(16)), (np.zeros(16), np.full(16, np.inf))):
@@ -254,7 +254,7 @@ class TestStep:
         "site, value", [("r", math.nan), ("r", math.inf), ("p", math.inf), ("p", -math.inf)]
     )
     def test_nonfinite_start_with_record_at_zero(self, model, record_times, site, value):
-        # a record at t = 0 used to raise eval_potential's bare ValueError,
+        # a record at t = 0 used to raise the potential's bare ValueError,
         # and inf momenta a RuntimeWarning from the drift; Tier-1 turns any
         # RuntimeWarning into an error, so none may be emitted here
         if record_times is not None:

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hydrochain import GibbsSample, PotentialParams, ThermoError, ThermoModel, eval_potential
+from hydrochain import GibbsSample, PotentialParams, ThermoError, ThermoModel
 from hydrochain import thermo
+from hydrochain.thermo import _potential_curvature, _potential_slope, _potential_value
 
 
 def simpson_oracle(model, tau, what="G"):
@@ -38,6 +39,13 @@ def simpson_oracle(model, tau, what="G"):
     raise ValueError(what)
 
 
+def potential(params, r):
+    """(V, V', V'') at r, a number or an array, from thermo's three parts."""
+    r = np.asarray(r, dtype=float)[()]
+    parts = (_potential_value, _potential_slope, _potential_curvature)
+    return tuple(part(params, r) for part in parts)
+
+
 @pytest.fixture(scope="module")
 def harmonic():
     return ThermoModel(beta=1.0, potential=PotentialParams(kappa=0.0, moll_width=0.1))
@@ -51,13 +59,13 @@ def anharmonic():
 class TestPotential:
     def test_extension_branch(self):
         params = PotentialParams(kappa=0.25, moll_width=0.1)
-        v, d1, d2 = eval_potential(params, 2.0)
+        v, d1, d2 = potential(params, 2.0)
         # antiderivative oracle: integrate the pinned V'' blend twice from -h,
         # where V matches the piecewise quadratic exactly
         h, k = 0.1, 0.25
-        dv_num = quad(lambda s: eval_potential(params, s)[2], -h, 2.0, limit=200)[0]
+        dv_num = quad(lambda s: potential(params, s)[2], -h, 2.0, limit=200)[0]
         assert d1 == pytest.approx((1 - k) * (-h) + dv_num, abs=1e-10)
-        v_num = quad(lambda s: eval_potential(params, s)[1], -h, 2.0, limit=200)[0]
+        v_num = quad(lambda s: potential(params, s)[1], -h, 2.0, limit=200)[0]
         assert v == pytest.approx((1 - k) * h**2 / 2 + v_num, abs=1e-9)
         # closed-form piecewise quadratic, up to the known kappa*h^2/10 offset
         assert d1 == pytest.approx(2.0, abs=0)
@@ -65,31 +73,31 @@ class TestPotential:
         assert v == pytest.approx(2.0 + k * h**2 / 10.0, abs=1e-14)
 
     def test_compression_branch(self):
-        v, d1, d2 = eval_potential(PotentialParams(kappa=0.25, moll_width=0.1), -2.0)
+        v, d1, d2 = potential(PotentialParams(kappa=0.25, moll_width=0.1), -2.0)
         assert (v, d1, d2) == pytest.approx((1.5, -1.5, 0.75), abs=1e-14)
 
     def test_harmonic_origin(self):
-        v, d1, d2 = eval_potential(PotentialParams(kappa=0.0, moll_width=0.3), 0.0)
+        v, d1, d2 = potential(PotentialParams(kappa=0.0, moll_width=0.3), 0.0)
         assert (v, d1, d2) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
     def test_c2_smoothness_at_band_edges(self):
         params = PotentialParams(kappa=0.25, moll_width=0.1)
         for r0 in (-0.1, 0.1):
             for eps in (1e-7, 1e-9):
-                lo = eval_potential(params, r0 - eps)
-                hi = eval_potential(params, r0 + eps)
+                lo = potential(params, r0 - eps)
+                hi = potential(params, r0 + eps)
                 assert hi[0] - lo[0] == pytest.approx(0.0, abs=1e-6)
                 assert hi[1] - lo[1] == pytest.approx(0.0, abs=1e-6)
                 assert hi[2] - lo[2] == pytest.approx(0.0, abs=1e-5)
 
     def test_curvature_bounds_on_grid(self):
         params = PotentialParams(kappa=0.25, moll_width=0.1)
-        d2 = eval_potential(params, np.linspace(-6, 6, 5001))[2]
+        d2 = potential(params, np.linspace(-6, 6, 5001))[2]
         assert d2.min() >= 0.75 - 1e-12 and d2.max() <= 1.0 + 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            eval_potential(PotentialParams(), float("nan"))
+            ThermoModel(potential=PotentialParams()).V(float("nan"))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -116,21 +124,21 @@ class TestPotentialProperties:
         # the third derivative is at most 3 kappa / (4 h), so truncation stays
         # below 1e-10; rounding adds about eps |V| / e
         e = 1e-5
-        lo = eval_potential(params, r - e)[0]
-        hi = eval_potential(params, r + e)[0]
-        assert (hi - lo) / (2 * e) == pytest.approx(eval_potential(params, r)[1], abs=1e-7)
+        lo = potential(params, r - e)[0]
+        hi = potential(params, r + e)[0]
+        assert (hi - lo) / (2 * e) == pytest.approx(potential(params, r)[1], abs=1e-7)
 
     @prop_settings
     @given(params_st, st.floats(-1e6, 1e6))
     def test_curvature_within_bounds(self, params, r):
-        d2 = eval_potential(params, r)[2]
+        d2 = potential(params, r)[2]
         assert 1.0 - params.kappa <= d2 <= 1.0
 
     @prop_settings
     @given(params_st, strain_st)
     def test_closed_forms_outside_band(self, params, r):
         k, h = params.kappa, params.moll_width
-        v, d1, d2 = eval_potential(params, r)
+        v, d1, d2 = potential(params, r)
         if r >= h:
             # (1-kappa) r + kappa (h + (r - h)) rounds to within two ulps of r
             assert abs(d1 - r) <= 2 * math.ulp(r)
@@ -148,15 +156,15 @@ class TestPotentialProperties:
         params = PotentialParams(kappa=kappa, moll_width=h)
         assert params.extension_offset == kappa * h**2 / 10.0
         r = np.concatenate((h * np.linspace(1.0, 3.0, 2001), np.geomspace(h, 1e6, 2001)))
-        v = eval_potential(params, r)[0]
+        v = potential(params, r)[0]
         assert np.all(np.abs(v - (0.5 * r * r + params.extension_offset)) <= np.spacing(v))
 
     @prop_settings
     @given(params_st, strain_st)
     def test_scalar_in_floats_out(self, params, r):
         for arg in (r, np.float64(r), np.array(r)):
-            assert all(type(x) is float for x in eval_potential(params, arg))
-        out = eval_potential(params, np.array([r, r]))
+            assert all(type(x) is float for x in potential(params, arg))
+        out = potential(params, np.array([r, r]))
         assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in out)
 
     @prop_settings
@@ -166,18 +174,18 @@ class TestPotentialProperties:
         # on a band-resolving grid around the mollifier as well as at the draws
         h = params.moll_width
         r = np.concatenate((rs, np.linspace(-1.5 * h, 1.5 * h, 61)))
-        arrays = eval_potential(params, r.reshape(-1, 1))
+        arrays = potential(params, r.reshape(-1, 1))
         for i, x in enumerate(r.tolist()):
-            assert eval_potential(params, x) == tuple(a[i, 0] for a in arrays)
+            assert potential(params, x) == tuple(a[i, 0] for a in arrays)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(params_st, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40))
-    def test_model_halves_equal_eval_potential(self, params, rs):
-        # V and dV each evaluate one half of the potential; their bits are
-        # those of eval_potential's columns, for arrays and for scalars
+    def test_model_halves_equal_the_parts(self, params, rs):
+        # V and dV each evaluate one part of the potential on the checked
+        # strain; their bits are those of the parts, for arrays and scalars
         model = ThermoModel(potential=params)
         r = np.concatenate((rs, np.linspace(-1.5, 1.5, 61) * params.moll_width))
-        v, d1, _ = eval_potential(params, r)
+        v, d1, _ = potential(params, r)
         assert np.array_equal(model.V(r), v) and np.array_equal(model.dV(r), d1)
         for i, x in enumerate(r.tolist()):
             assert type(model.V(x)) is float and model.V(x) == v[i]
@@ -185,14 +193,11 @@ class TestPotentialProperties:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_raises(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            eval_potential(PotentialParams(), bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            eval_potential(PotentialParams(), np.array([[0.0, 1.0], [bad, 2.0]]))
-        model = ThermoModel()
+        model = ThermoModel(potential=PotentialParams())
         for half in (model.V, model.dV):
-            with pytest.raises(ValueError, match="non-finite"):
-                half(np.array([0.0, bad]))
+            for r in (bad, np.array([0.0, bad]), np.array([[0.0, 1.0], [bad, 2.0]])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    half(r)
 
 
 class TestLogPartition:
