@@ -41,8 +41,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .microchain import BlowUpError
-from .schedules import ConstantSchedule, checked_record_times
+from .microchain import BlowUpError, ChainState as MacroState
+from .schedules import ConstantSchedule, checked_record_times, checked_start, record_steps
+from .schedules import tensions_at
 from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
@@ -94,13 +95,6 @@ class MacroConfig:
 
 
 @dataclass
-class MacroState:
-    r: np.ndarray
-    p: np.ndarray
-    t: float
-
-
-@dataclass
 class MacroTrajectory:
     config: MacroConfig
     times: np.ndarray  # recorded snapshot times
@@ -134,12 +128,10 @@ def _pad(pad, tau, p, tau_bar):
 
 def _scratch(state: MacroState, config: MacroConfig):
     """The flat buffers _pad, _stencil and _balance reuse, built once per run
-    of a state checked to be of shape (M,), and the face weights; the rhs is
+    of a state checked by checked_start, and the face weights; the rhs is
     [dr/dt (M) | 4 zeros | dp/dt (M)], and its gap slots stay 0."""
     m = config.M
-    for name, x in (("r", state.r), ("p", state.p)):
-        if np.shape(x) != (m,):
-            raise ValueError(f"state {name} has shape {np.shape(x)}, need ({m},) for M={m}")
+    checked_start(state, m, "M")
     w_face = np.full(m + 1, config.dx)
     w_face[0] = w_face[-1] = config.dx / 2.0
     pad, d1, lap, grad, rhs = (np.zeros(2 * m + n) for n in (8, 4, 4, 5, 4))
@@ -210,14 +202,13 @@ def balance_integrands(state: MacroState, tau_bar: float, config: MacroConfig, m
 
 
 def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> MacroTrajectory:
-    """SSP-RK3 (Shu-Osher) integration from state.t to config.t_end, recording
-    snapshots at config.record_times and the balance ledger every step; W and
-    D integrate the step-end rates by the trapezoidal rule.
+    """SSP-RK3 (Shu-Osher) integration over config.n_steps steps of config.dt,
+    recording snapshots at config.record_times and the balance ledger every
+    step; W and D integrate the step-end rates by the trapezoidal rule.
 
-    record_times are absolute times. The run takes the fewest equal steps of
-    at most config.dt that end on config.t_end; record times snap to the
-    nearest step, and one before state.t raises ValueError, as does a state
-    whose r or p is not of shape (M,) or whose t is not finite.
+    Times count from state.t, as in run_trajectory: step k ends at
+    state.t + k dt, and a record time snaps to the nearest step. r or p not
+    of shape (M,), or a non-finite t, raises ValueError (checked_start).
 
     The three stages of a step from t to t + dt read the tension at t,
     t + dt and t + dt/2. config.tension_schedule is called once, on the array
@@ -230,30 +221,13 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     pad serves both the balance rates and the next step's first stage. The
     stages rewrite the flat state in place, so each record is a copy of it."""
     m, s = config.M, _scratch(state, config)
-    if not math.isfinite(state.t):
-        raise ValueError(f"state t must be finite, got {state.t}")
-    span = config.t_end - state.t
-    if span < 0.0:
-        raise ValueError(f"t_end={config.t_end} lies before the state's t={state.t}")
-    n_steps = int(math.ceil(span / config.dt - 1e-9))
-    dt = span / n_steps if n_steps else config.dt
-    rec_steps = np.round((config.record_times - state.t) / dt).astype(int)
-    if np.any(rec_steps < 0):
-        raise ValueError(f"record_times start before the state's t={state.t}")
-    rec_steps = np.minimum(rec_steps, n_steps)
+    n_steps, dt = config.n_steps, config.dt
+    rec_steps = record_steps(config.record_times, dt, n_steps)
     step_times = state.t + dt * np.arange(n_steps + 1)
 
     # tensions at the step times t_k, then at t_k + dt/2
     stage_times = np.concatenate((step_times, step_times[:-1] + 0.5 * dt))
-    tensions = np.broadcast_to(
-        np.asarray(config.tension_schedule(stage_times), dtype=float), stage_times.shape
-    )
-    bad = ~np.isfinite(tensions)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"tension schedule gives non-finite tau = {tensions[i]} at t = {stage_times[i]:.6g}"
-        )
+    tensions = tensions_at(config.tension_schedule, stage_times)
     tau_bar, tau_mid = tensions[: n_steps + 1].tolist(), tensions[n_steps + 1 :].tolist()
     rec_count = np.bincount(rec_steps, minlength=n_steps + 1).tolist()
 

@@ -23,11 +23,12 @@ evaluated on all legs and V'' on the steps' start states, and every step's
 ledger increments are formed with row reductions. step and accumulate_ledger
 run a block of one step.
 
-run_trajectory calls the tension schedule once, on every step's start time.
-Its blocks are whole coarse rows, at most _BLOCK_BYTES of legs (below glibc's
-mmap threshold) unless one row is larger, and each draws its noise rows from
-BridgedNoise just before its steps, on the same thread. The noise is drawn
-row by row, so no output bit depends on the block length.
+run_trajectory counts t_end and record_times from the state's t, on the run
+clock of schedules. Its blocks are whole coarse rows, at most _BLOCK_BYTES of
+legs (below glibc's mmap threshold) unless one row is larger; each draws its
+noise rows just before its steps, on the same thread, and each span of about
+_SPAN_STEPS steps reads its tensions in one schedule call. No output bit
+depends on the block or span length.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
-from .schedules import ConstantSchedule, checked_record_times
+from .schedules import ConstantSchedule, checked_record_times, checked_start, record_steps
+from .schedules import tensions_at
 from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potential_value
 
 log = logging.getLogger(__name__)
@@ -49,6 +51,7 @@ THETA_MAX = 0.25
 # bound on one ledger block's (3 steps, N) leg arrays: below glibc's 128 KiB
 # mmap threshold, so each block array comes from the heap, not a fresh mmap
 _BLOCK_BYTES = 96 << 10
+_SPAN_STEPS = 1 << 16  # steps per schedule call, rounded down to whole blocks
 
 
 class BlowUpError(RuntimeError):
@@ -387,8 +390,9 @@ def run_trajectory(
     whose r or p is not of shape (N,) raises ValueError, and so does a
     non-finite t0. A start state that is not finite raises the BlowUpError
     of step 1, whatever the record times. The tension schedule is called
-    once, on every step's start time, and a non-finite tension raises
-    ValueError naming its step before step 1 runs.
+    once per span of whole blocks, about _SPAN_STEPS steps, on every step's
+    start time in it; a non-finite tension raises ValueError naming its time
+    before any step of its span runs.
 
     The steps run in blocks of _block_rows coarse rows (_chain_block), each
     drawing its noise just before its steps, on the calling thread; the
@@ -402,22 +406,13 @@ def run_trajectory(
     state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
+    checked_start(state, n, "N")
     r, p, t0 = state.r, state.p, state.t
-    for name, x in (("r", r), ("p", p)):
-        if np.shape(x) != (n,):
-            raise ValueError(f"start state {name} has shape {np.shape(x)}, need ({n},) for N={n}")
-    if not math.isfinite(t0):
-        raise ValueError(f"state t must be finite, got {t0}")
     if not _finite(r, p):
         raise BlowUpError(f"non-finite state at step 1, t={t0 + dt:.6g}")
-    taubars = np.asarray(config.tension_schedule(t0 + np.arange(n_steps) * dt), dtype=float)
-    taubars = np.broadcast_to(taubars, (n_steps,))
-    if not np.isfinite(taubars).all():
-        j = int(np.argmin(np.isfinite(taubars)))
-        raise ValueError(f"non-finite boundary tension {taubars[j]} for step {j + 1}")
     d1 = _potential_slope(model.potential, r)  # V' at r, carried
 
-    rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
+    rec_steps = record_steps(config.record_times, dt, n_steps)
     acc = np.zeros(5)
     rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record
     snapshots = []
@@ -434,10 +429,14 @@ def run_trajectory(
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
     fine = 2**config.refine_level
     block = _block_rows(n, config.refine_level) * fine
+    span = max(1, _SPAN_STEPS // block) * block
     for k in range(0, n_steps, block):
+        if k % span == 0:  # the span's tensions, from one schedule call
+            times = t0 + np.arange(k, min(k + span, n_steps)) * dt
+            taubars = tensions_at(config.tension_schedule, times)
         dw, dwt = noise.next_chunk(min(block, n_steps - k) // fine)
         rl, pl, v, incr, d1 = _chain_block(
-            r, p, d1, dw, dwt, taubars[k : k + block].tolist(), k, t0, config, model
+            r, p, d1, dw, dwt, taubars[k % span :][:block].tolist(), k, t0, config, model
         )
         cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
         while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + len(incr):

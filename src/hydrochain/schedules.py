@@ -1,5 +1,5 @@
-"""Boundary tension schedules tau_bar(t) and the record-time check, shared by
-the chain and the PDE."""
+"""The run clock of the chain and the PDE, whose t_end and record_times count
+from the start state's t, and the boundary tension schedules tau_bar(t)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ import numpy as np
 
 
 def checked_record_times(times, t_max: float) -> np.ndarray:
-    """times as a float array, checked to be non-empty, finite, sorted and
-    inside [0, t_max] (up to rounding)."""
+    """times as a float array, checked to be 1-D, non-empty, finite, sorted
+    and inside [0, t_max] (up to rounding)."""
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"record_times must be 1-D, got shape {times.shape}")
     if times.size == 0:
         raise ValueError("record_times must hold at least one time")
     if not np.isfinite(times).all():
@@ -22,6 +24,29 @@ def checked_record_times(times, t_max: float) -> np.ndarray:
     if np.any(np.diff(times) < 0.0):
         raise ValueError("record_times must be sorted")
     return times
+
+
+def record_steps(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """The step each record time snaps to: the nearest, at most n_steps."""
+    return np.minimum(np.round(times / dt).astype(int), n_steps)
+
+
+def checked_start(state, n: int, size: str) -> None:
+    """A start state needs r and p of shape (n,), n the size named size, and a finite t."""
+    for name, x in (("r", state.r), ("p", state.p)):
+        if np.shape(x) != (n,):
+            raise ValueError(f"state {name} has shape {np.shape(x)}, need ({n},) for {size}={n}")
+    if not math.isfinite(state.t):
+        raise ValueError(f"state t must be finite, got {state.t}")
+
+
+def tensions_at(schedule, times: np.ndarray) -> np.ndarray:
+    """The schedule's tensions at the times, from one call, checked finite."""
+    tau = np.broadcast_to(np.asarray(schedule(times), dtype=float), times.shape)
+    if not np.isfinite(tau).all():
+        i = int(np.argmin(np.isfinite(tau)))
+        raise ValueError(f"tension schedule gives non-finite tau = {tau[i]} at t = {times[i]:.6g}")
+    return tau
 
 
 def _check_finite(schedule) -> None:

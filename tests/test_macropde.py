@@ -19,7 +19,7 @@ from hydrochain.macropde import (
     viscous_rhs,
     work_and_dissipation,
 )
-from hydrochain.microchain import ChainConfig
+from hydrochain.microchain import ChainConfig, make_initial_state, run_trajectory
 from hydrochain.schedules import ConstantSchedule, RampSchedule, StepSchedule
 from hydrochain.testfunctions import SpaceTimeTestFunction
 from hydrochain.thermo import PotentialParams, ThermoModel
@@ -210,17 +210,14 @@ class TestAdvance:
         return MacroState(state.r, state.p, t)
 
     def test_starts_at_state_time(self, model):
-        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.2, 0.3]))
+        # t_end and record_times count from the state's t, as the chain's do
+        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.1, 0.3]))
         traj = advance(self.state_at(cfg, 0.1), cfg, model)
+        assert traj.t_hist.size == cfg.n_steps + 1
         assert traj.t_hist[0] == 0.1
-        assert traj.t_hist[-1] == pytest.approx(0.3, abs=1e-12)
+        assert traj.t_hist[-1] == pytest.approx(0.1 + 0.3, abs=1e-12)
         assert np.all(np.diff(traj.t_hist) <= cfg.dt * (1 + 1e-12))
-        assert traj.times == pytest.approx([0.2, 0.3], abs=cfg.dt / 2)
-
-    def test_start_after_t_end_rejected(self, model):
-        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.3]))
-        with pytest.raises(ValueError, match="t_end=0.3 lies before"):
-            advance(self.state_at(cfg, 0.35), cfg, model)
+        assert traj.times == pytest.approx([0.2, 0.4], abs=cfg.dt / 2)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nonfinite_start_time_rejected(self, model, t):
@@ -296,20 +293,28 @@ class TestAdvance:
         with pytest.raises(ValueError, match="rho = .* lies outside the thermo table"):
             advance(uniform_state(cfg, 0.2), cfg, model)
 
-    def test_record_time_before_state_rejected(self, model):
-        cfg = MacroConfig(M=64, t_end=0.3, record_times=np.array([0.05, 0.3]))
-        with pytest.raises(ValueError, match="record_times"):
-            advance(self.state_at(cfg, 0.1), cfg, model)
+    def test_one_clock_with_the_chain(self, model):
+        # a chain and a PDE run from one state time, with one t_end and one
+        # set of record times, record at the same times to within a step
+        t0, t_end, record_times = 0.1, 0.01, np.array([0.0, 0.004, 0.01])
+        chain_cfg = ChainConfig(N=32, t_end=t_end, seed=5, record_times=record_times)
+        start = make_initial_state(chain_cfg, 0.1, model)
+        start.t = t0
+        chain = run_trajectory(chain_cfg, 0.1, model, initial_state=start)
+        cfg = MacroConfig(M=32, t_end=t_end, record_times=record_times)
+        traj = advance(self.state_at(cfg, t0), cfg, model)
+        chain_times = np.array([s.t for s in chain.snapshots])
+        assert chain_times == pytest.approx(t0 + record_times, abs=chain_cfg.dt_fine)
+        assert traj.times == pytest.approx(t0 + record_times, abs=cfg.dt)
+        assert np.abs(chain_times - traj.times).max() <= max(chain_cfg.dt_fine, cfg.dt)
 
 
 def reference_advance(state, config, model):
     """The SSP-RK3 loop through the public functions, one scalar schedule call
     and one tau(r) evaluation per stage: (snapshot r, snapshot p, t_hist,
     F_hist, W_hist, D_hist)."""
-    span = config.t_end - state.t
-    n_steps = int(math.ceil(span / config.dt - 1e-9))
-    dt = span / n_steps
-    rec_steps = np.minimum(np.round((config.record_times - state.t) / dt).astype(int), n_steps)
+    n_steps, dt = config.n_steps, config.dt
+    rec_steps = np.minimum(np.round(config.record_times / dt).astype(int), n_steps)
     step_times = state.t + dt * np.arange(n_steps + 1)
 
     def tension(t):
@@ -363,9 +368,10 @@ class TestAdvanceBitwise:
         return traj
 
     def test_ramp_from_nonzero_time(self, model):
-        cfg = MacroConfig(M=64, delta1=2e-3, delta2=1e-3, t_end=0.4,
+        # from t = 0.13 to 0.4: t_end and record_times count from the state's t
+        cfg = MacroConfig(M=64, delta1=2e-3, delta2=1e-3, t_end=0.4 - 0.13,
                           tension_schedule=RampSchedule(-0.2, 0.5, t1=0.3),
-                          record_times=np.array([0.13, 0.25, 0.4]))
+                          record_times=np.array([0.13, 0.25, 0.4]) - 0.13)
         x = cfg.x
         rho0 = model.mean_strain(-0.2)
         state = MacroState(rho0 + 0.1 * np.cos(3.0 * x), 0.05 * np.sin(2.0 * x), 0.13)

@@ -4,6 +4,7 @@ law."""
 
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -438,7 +439,7 @@ class TestStep:
             ("p", good, np.zeros((1, 32))),
         ):
             st = ChainState(r=r, p=p, t=0.0)
-            with pytest.raises(ValueError, match=f"start state {name} has shape .* N=32"):
+            with pytest.raises(ValueError, match=f"state {name} has shape .* N=32"):
                 run_trajectory(cfg, 0.0, model, initial_state=st)
 
     def test_nonfinite_start_time_rejected(self, model):
@@ -449,18 +450,21 @@ class TestStep:
             with pytest.raises(ValueError, match="state t must be finite"):
                 run_trajectory(cfg, 0.0, model, initial_state=st)
 
-    def test_nonfinite_tension_rejected_before_step_one(self, model):
+    def test_nonfinite_tension_rejected_before_step_one(self, model, monkeypatch):
         # named as the tension, not a blow-up of the state it produces
+        ran = []
+        monkeypatch.setattr(microchain, "_chain_block", lambda *args: ran.append(args))
         for tau in (math.nan, math.inf):
             cfg = ChainConfig(N=16, t_end=0.01, seed=1, tension_schedule=ConstantSchedule(tau))
-            with pytest.raises(ValueError, match=f"boundary tension {tau} for step 1$"):
+            with pytest.raises(ValueError, match=f"non-finite tau = {tau} at t = 0$"):
                 run_trajectory(cfg, 0.0, model)
-        # a tension that turns non-finite later is named at its own step
+        # a tension that turns non-finite later is named at its step's start time
         cfg = ChainConfig(N=16, t_end=0.01, seed=1, tension_schedule=lambda t: np.where(
             np.asarray(t) < 0.005, 0.1, np.nan))
-        step_1 = int(np.ceil(0.005 / cfg.dt)) + 1
-        with pytest.raises(ValueError, match=f"boundary tension nan for step {step_1}$"):
+        t_bad = int(np.ceil(0.005 / cfg.dt)) * cfg.dt
+        with pytest.raises(ValueError, match=re.escape(f"tau = nan at t = {t_bad:.6g}") + "$"):
             run_trajectory(cfg, 0.0, model)
+        assert ran == []
 
     def test_schedule_called_once_on_every_step_start(self, model):
         # one call per run, as advance does: a level-1 run of several blocks
@@ -480,9 +484,42 @@ class TestStep:
         assert len(calls) == 1
         assert np.array_equal(calls[0], 0.3 + np.arange(cfg.n_steps) * cfg.dt_fine)
 
+    def test_schedule_spans_change_no_bit(self, model, monkeypatch):
+        # blocks of 3 coarse rows (6 level-1 steps) and 80 steps from t0 =
+        # 0.05: one schedule call for the whole run, then one per span of 2
+        # blocks (a 13-step bound rounds down to 12 steps) and of 1 block (a
+        # bound below a block); records fall inside spans and on their edges
+        calls = []
+        t_end = 40 * 0.1 / (32 * 14)
+        ramp = RampSchedule(0.1, 0.6, t1=0.05 + t_end / 2)
+
+        def schedule(t):
+            calls.append(np.array(t, copy=True))
+            return ramp(t)
+
+        cfg = ChainConfig(N=32, t_end=t_end, seed=29, refine_level=1, tension_schedule=schedule,
+                          record_times=np.array([0, 5, 6, 12, 13, 24, 39, 40]) * (t_end / 40))
+        monkeypatch.setattr(microchain, "_BLOCK_BYTES", 3 * 2 * 3 * 32 * 8)
+        assert microchain._block_rows(32, 1) == 3 and cfg.n_steps == 80
+        start = make_initial_state(cfg, 0.1, model)
+        start.t = 0.05
+        runs = []
+        for bound, span in ((microchain._SPAN_STEPS, 80), (13, 12), (1, 6)):
+            monkeypatch.setattr(microchain, "_SPAN_STEPS", bound)
+            calls.clear()
+            runs.append(run_trajectory(cfg, 0.1, model, initial_state=start))
+            assert [c.size for c in calls] == [span] * (80 // span) + [80 % span] * (80 % span > 0)
+            assert np.array_equal(np.concatenate(calls), 0.05 + np.arange(80) * cfg.dt_fine)
+        first = runs[0]
+        for res in runs[1:]:
+            for sa, sb in zip(first.snapshots, res.snapshots, strict=True):
+                assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
+            for col in ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
+                assert np.array_equal(getattr(first.ledger, col), getattr(res.ledger, col))
+
     def test_nonfinite_last_tension_raises_before_step_one(self, model, monkeypatch):
-        # a NaN only at the last step, which starts at 199 dt_fine, is named
-        # before any step runs
+        # a NaN only at the last step, step 200, which starts at 199 dt_fine,
+        # is named by that time before any step runs
         ran = []
         monkeypatch.setattr(microchain, "_chain_block", lambda *args: ran.append(args))
         dt = ChainConfig(N=32).dt
@@ -490,7 +527,8 @@ class TestStep:
                           tension_schedule=lambda t: np.where(np.asarray(t) < 198.5 * dt / 4,
                                                               0.1, np.nan))
         assert cfg.n_steps == 200
-        with pytest.raises(ValueError, match="boundary tension nan for step 200$"):
+        t_bad = 199 * cfg.dt_fine
+        with pytest.raises(ValueError, match=re.escape(f"tau = nan at t = {t_bad:.6g}") + "$"):
             run_trajectory(cfg, 0.1, model)
         assert ran == []
 
@@ -513,9 +551,10 @@ class TestStep:
 
 
 class TestNoiseWorker:
-    """run_trajectory draws each block's noise on the calling thread, just
-    before the block's steps: it starts no worker thread, draws nothing
-    before its checks pass, and a draw's exception reaches the caller."""
+    """There is no noise worker: run_trajectory draws each block's noise on
+    the calling thread, just before the block's steps. It starts no thread,
+    draws nothing before its checks pass, and a draw's exception reaches the
+    caller."""
 
     def test_run_starts_no_thread(self, model, monkeypatch):
         before = threading.enumerate()
@@ -534,27 +573,27 @@ class TestNoiseWorker:
         assert all(th is threading.current_thread() and ths == before for th, ths in seen)
         assert threading.enumerate() == before
 
-    def test_worker_joined_after_blow_up(self, model):
+    def test_no_thread_left_after_blow_up(self, model):
         before = threading.enumerate()
         cfg = blow_up_at_step_11_config()
         with pytest.raises(BlowUpError, match="step 11,"):
             run_trajectory(cfg, 0.1, model)
         assert threading.enumerate() == before
 
-    def test_worker_joined_after_late_nonfinite_tension(self, model, monkeypatch):
+    def test_late_nonfinite_tension_draws_no_noise(self, model, monkeypatch):
         # the tension turns NaN at step 11, in the third block of 4 rows; the
-        # whole schedule is checked before the first block draws its noise
+        # span's tensions are checked before its first block draws its noise
         draws = []
         monkeypatch.setattr(BridgedNoise, "next_chunk", lambda self, n: draws.append(n))
         dt = ChainConfig(N=1024).dt
         cfg = ChainConfig(N=1024, t_end=40 * dt, seed=1, tension_schedule=lambda t: np.where(
             np.asarray(t) < 9.5 * dt, 0.1, np.nan))
         assert microchain._block_rows(1024, 0) == 4
-        with pytest.raises(ValueError, match="boundary tension nan for step 11$"):
+        with pytest.raises(ValueError, match=re.escape(f"tau = nan at t = {10 * dt:.6g}") + "$"):
             run_trajectory(cfg, 0.1, model)
         assert draws == []
 
-    def test_worker_exception_reaches_caller(self, model, monkeypatch):
+    def test_draw_exception_reaches_caller(self, model, monkeypatch):
         boom = OSError("noise source failed")
         draw = BridgedNoise.next_chunk
         calls = []

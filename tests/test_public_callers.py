@@ -6,7 +6,10 @@ except in the package's __init__.py: a re-export there is not a call.
 
 The few names a planned piece of work will call are allowed, each with the
 ROADMAP item that will call it. The allowlist must stay exact: once such a
-name gets a caller, it leaves the list."""
+name gets a caller, it leaves the list.
+
+Every private top-level function and class needs a caller in src/ or
+perfbench/ too, with no allowlist: a helper a refactor leaves behind is dead."""
 
 import ast
 from pathlib import Path
@@ -45,6 +48,16 @@ def public_definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
+def private_definitions():
+    """(qualified name, name) of each private top-level function and class of
+    the package: a leading underscore, but not a dunder."""
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    yield f"{path.stem}.{node.name}", node.name
+
+
 def referenced_names():
     """Every name read, imported or accessed as an attribute in src/ and
     perfbench/, outside the package's re-exports."""
@@ -71,3 +84,10 @@ def test_every_public_name_has_a_caller():
     assert [q for q in uncalled if q.rsplit(".", 1)[1] not in ALLOWED] == []
     # the allowlist is exact: a name that got a caller leaves it
     assert {q.rsplit(".", 1)[1] for q in uncalled} == set(ALLOWED)
+
+
+def test_every_private_helper_has_a_caller():
+    definitions = list(private_definitions())
+    assert len(definitions) >= 30
+    called = referenced_names()
+    assert sorted(qualified for qualified, name in definitions if name not in called) == []
