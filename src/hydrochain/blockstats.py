@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .microchain import ChainState
+from .schedules import checked_start
 from .thermo import ThermoModel
-
-
-class ConfigurationError(ValueError):
-    """Inadmissible statistic request (window, support, field)."""
 
 
 def default_block_width(n: int) -> int:
@@ -36,13 +33,11 @@ class BlockSpec:
         for name in ("l", "N"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.l <= self.N):
-            raise ConfigurationError(f"need 1 <= l <= N, got l={self.l}, N={self.N}")
+            raise ValueError(f"need 1 <= l <= N, got l={self.l}, N={self.N}")
         if 2 * self.l > self.N:
-            raise ConfigurationError(
-                f"no admissible hat window for l={self.l}, N={self.N}"
-            )
+            raise ValueError(f"no admissible hat window for l={self.l}, N={self.N}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -64,7 +59,7 @@ def triangular_kernel(l: int) -> np.ndarray:
 def _check_window(l) -> None:
     """BlockSpec's rule for the window: an integer >= 1."""
     if not (isinstance(l, (int, np.integer)) and l >= 1):
-        raise ConfigurationError(f"l must be an integer >= 1, got {l!r}")
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
 
 
 def hat_profile(u: np.ndarray, l: int) -> np.ndarray:
@@ -72,7 +67,7 @@ def hat_profile(u: np.ndarray, l: int) -> np.ndarray:
     _check_window(l)
     u = np.asarray(u, dtype=float)
     if 2 * l > u.size:
-        raise ConfigurationError(f"l={l} too large for N={u.size}")
+        raise ValueError(f"l={l} too large for N={u.size}")
     return np.convolve(u, triangular_kernel(l), mode="valid")
 
 
@@ -81,15 +76,8 @@ def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
     _check_window(l)
     u = np.asarray(u, dtype=float)
     if l > u.size:
-        raise ConfigurationError(f"l={l} too large for N={u.size}")
+        raise ValueError(f"l={l} too large for N={u.size}")
     return np.convolve(u, _kernels(l)[1], mode="valid")
-
-
-def _check_size(state: ChainState, spec: BlockSpec) -> None:
-    """A state of spec.N sites: r and p of shape (N,)."""
-    for name, x in (("r", state.r), ("p", state.p)):
-        if np.shape(x) != (spec.N,):
-            raise ConfigurationError(f"state {name} has shape {np.shape(x)}, need ({spec.N},)")
 
 
 @dataclass
@@ -105,7 +93,7 @@ class EmpiricalField:
 
     @classmethod
     def from_state(cls, state: ChainState, spec: BlockSpec) -> "EmpiricalField":
-        _check_size(state, spec)
+        checked_start(state, spec.N, "N")
         return cls(
             r_hat=hat_profile(state.r, spec.l),
             p_hat=hat_profile(state.p, spec.l),
@@ -131,12 +119,12 @@ class EmpiricalField:
 def _check_support(fields, phi, label: str):
     t_lo, t_hi = fields[0].t, fields[-1].t
     if phi.t1 > t_hi + 1e-12 or phi.t0 < t_lo - 1e-12:
-        raise ConfigurationError(
+        raise ValueError(
             f"{label} time support ({phi.t0}, {phi.t1}) exceeds data range ({t_lo}, {t_hi})"
         )
     cov_lo, cov_hi = fields[0].x_coverage
     if phi.x0 < cov_lo - 1e-12 or phi.x1 > cov_hi + 1e-12:
-        raise ConfigurationError(
+        raise ValueError(
             f"{label} space support ({phi.x0}, {phi.x1}) exceeds field coverage "
             f"({cov_lo:.4f}, {cov_hi:.4f})"
         )
@@ -152,18 +140,18 @@ def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
     recorded snapshots. The K fields are stacked into (K, S) arrays, and each
     derivative is evaluated once on the (K, S) grid of times and sites.
     Fields whose times decrease, or whose (N, l) is not the first field's,
-    raise ConfigurationError."""
+    raise ValueError."""
     if len(fields) < 2:
-        raise ConfigurationError("need at least two recorded fields")
+        raise ValueError("need at least two recorded fields")
     n, l = fields[0].N, fields[0].l
     for f in fields:
         if (f.N, f.l) != (n, l):
-            raise ConfigurationError(f"field at t={f.t} has (N, l) = {(f.N, f.l)}, not {(n, l)}")
+            raise ValueError(f"field at t={f.t} has (N, l) = {(f.N, f.l)}, not {(n, l)}")
     times = np.array([f.t for f in fields])
     rising = np.diff(times) >= 0.0  # False at a drop, and at a NaN
     if not rising.all():
         i = int(np.argmin(rising))
-        raise ConfigurationError(f"field times must not decrease: {times[i]} then {times[i + 1]}")
+        raise ValueError(f"field times must not decrease: {times[i]} then {times[i + 1]}")
     _check_support(fields, phi, "phi")
     _check_support(fields, psi, "psi")
     t, x = times[:, None], fields[0].x[None, :]
@@ -187,7 +175,7 @@ def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: Ther
     with f = r, p, Vp = V'(r) and, for two_block only, tau = tau(hat r).
     V'(r), each hat profile and tau(hat r) are computed once; the differences
     are stacked by window length, so two reductions give all eight sums."""
-    _check_size(state, spec)
+    checked_start(state, spec.N, "N")
     l, n = spec.l, spec.N
     sites = (state.r, state.p, model.dV(state.r))
     hats = [hat_profile(u, l) for u in sites]

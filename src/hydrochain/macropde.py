@@ -6,9 +6,9 @@
 
 Collocated uniform grid with two ghost cells on each side for the boundary
 conditions, fourth-order central first derivatives for the advective terms,
-three-point Laplacians for the viscous ones, and SSP-RK3 (Shu-Osher) time
-stepping at the fixed Courant number _CFL = 0.4 of both the advective and the
-diffusive bound; smooth inviscid solutions converge at fourth order in space.
+three-point Laplacians for the viscous ones, and SSP-RK3 (Shu-Osher) steps, the
+largest <= _CFL = 0.4 of both the advective and the diffusive bound that end on
+t_end; smooth inviscid solutions converge at fourth order in space.
 Both equations read r only through tau(r), so each stage evaluates tau on the
 M cells and pads tau and p: the applied tension is imposed on tau itself, by
 ghosts odd about taubar at x=1, and the table is read only at strains the
@@ -43,7 +43,7 @@ import numpy as np
 
 from .microchain import BlowUpError, ChainState as MacroState
 from .schedules import ConstantSchedule, checked_record_times, checked_start, record_steps
-from .schedules import tensions_at
+from .schedules import run_steps, tensions_at
 from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
@@ -71,20 +71,15 @@ class MacroConfig:
             raise ValueError(f"M must be an integer, got {self.M!r}")
         if self.M < 8:
             raise ValueError(f"need at least 8 cells, got M={self.M}")
-        for name in ("delta1", "delta2", "t_end"):
+        for name in ("delta1", "delta2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta1 < 0.0 or self.delta2 < 0.0:
             raise ValueError("viscosities must be nonnegative")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
         self.dx = 1.0 / self.M
-        adv = self.dx
-        dif_coeff = max(self.delta1 * 1.0, self.delta2)
+        dif_coeff = max(self.delta1, self.delta2)
         dif = self.dx**2 / (2.0 * dif_coeff) if dif_coeff > 0.0 else math.inf
-        dt_stable = _CFL * min(adv, dif)
-        self.n_steps = max(1, int(math.ceil(self.t_end / dt_stable - 1e-12)))
-        self.dt = self.t_end / self.n_steps
+        self.n_steps, self.dt = run_steps(self.t_end, _CFL * min(self.dx, dif))
         if self.record_times is None:
             self.record_times = np.linspace(0.0, self.t_end, 200)
         self.record_times = checked_record_times(self.record_times, self.t_end)
@@ -207,8 +202,9 @@ def advance(state: MacroState, config: MacroConfig, model: ThermoModel) -> Macro
     step; W and D integrate the step-end rates by the trapezoidal rule.
 
     Times count from state.t, as in run_trajectory: step k ends at
-    state.t + k dt, and a record time snaps to the nearest step. r or p not
-    of shape (M,), or a non-finite t, raises ValueError (checked_start).
+    state.t + k dt, the last on state.t + t_end, and a record time snaps to
+    the nearest step. r or p not of shape (M,), or a non-finite t, raises
+    ValueError (checked_start).
 
     The three stages of a step from t to t + dt read the tension at t,
     t + dt and t + dt/2. config.tension_schedule is called once, on the array

@@ -26,6 +26,18 @@ def checked_record_times(times, t_max: float) -> np.ndarray:
     return times
 
 
+def run_steps(t_end: float, dt_max: float) -> tuple[int, float]:
+    """The fewest steps n of at most dt_max that end on t_end, and their step
+    t_end / n. The bound is relative, so a t_end that is k steps of dt_max up
+    to rounding keeps k steps, and its step may pass dt_max by that rounding."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not (dt_max > 0.0 and t_end / dt_max < math.inf):
+        raise ValueError(f"t_end={t_end} takes infinitely many steps of at most {dt_max}")
+    n = max(1, math.ceil(t_end / dt_max * (1.0 - 1e-12)))
+    return n, t_end / n
+
+
 def record_steps(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
     """The step each record time snaps to: the nearest, at most n_steps."""
     return np.minimum(np.round(times / dt).astype(int), n_steps)

@@ -13,7 +13,6 @@ from hydrochain import thermo
 from hydrochain.blockstats import (
     STATISTICS_HEADER,
     BlockSpec,
-    ConfigurationError,
     EmpiricalField,
     bar_profile,
     default_block_width,
@@ -101,9 +100,9 @@ class TestKernels:
         u = np.arange(10.0)
         assert hat_profile(u, 5).size == 2
         assert bar_profile(u, 10).size == 1
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             hat_profile(u, 6)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             bar_profile(u, 11)
 
     def test_window_must_be_a_positive_integer(self):
@@ -112,7 +111,7 @@ class TestKernels:
         u = np.arange(10.0)
         for profile in (hat_profile, bar_profile):
             for bad in (0, -2, 2.5, 2.0):
-                with pytest.raises(ConfigurationError, match="l must be an integer >= 1"):
+                with pytest.raises(ValueError, match="l must be an integer >= 1"):
                     profile(u, bad)
             assert np.array_equal(profile(u, np.int64(2)), profile(u, 2))
 
@@ -120,7 +119,7 @@ class TestKernels:
         # l = 2.5 used to pass, and EmpiricalField.from_state then raised a
         # bare TypeError from the kernel build
         for name, bad in (("l", 2.5), ("l", 2.0), ("N", 32.0), ("N", "32")):
-            with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BlockSpec(**{"l": 2, "N": 32, name: bad})
         assert BlockSpec(np.int64(2), np.int32(32)) == BlockSpec(2, 32)
 
@@ -186,9 +185,9 @@ class TestStatisticsRow:
             ChainState(r=np.zeros((2, 128)), p=np.zeros(256), t=0.0),
         ]
         for st in wrong:
-            with pytest.raises(ConfigurationError, match=r"need \(256,\)"):
+            with pytest.raises(ValueError, match=r"need \(256,\)"):
                 statistics_row(st, spec, 7.0, model)
-            with pytest.raises(ConfigurationError, match=r"need \(256,\)"):
+            with pytest.raises(ValueError, match=r"need \(256,\)"):
                 EmpiricalField.from_state(st, spec)
 
 
@@ -354,10 +353,10 @@ class TestWeakResidual:
         ]
         late = SpaceTimeTestFunction(0.0, 1.0, 0.3, 0.7)  # extends past data
         ok = SpaceTimeTestFunction(0.05, 0.45, 0.3, 0.7)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             weak_residual(fields, late, ok, model)
         wide = SpaceTimeTestFunction(0.05, 0.45, 0.01, 0.99)  # outside coverage
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             weak_residual(fields, ok, wide, model)
 
     def test_matches_pointwise_reference(self, model):
@@ -398,7 +397,7 @@ class TestWeakResidual:
         psi = SpaceTimeTestFunction(0.1, 0.8, 0.35, 0.72, mode=1)
         weak_residual(fields, phi, psi, model)
         shuffled = fields[:5] + fields[5:15][::-1] + fields[15:]
-        with pytest.raises(ConfigurationError, match="field times must not decrease"):
+        with pytest.raises(ValueError, match="field times must not decrease"):
             weak_residual(shuffled, phi, psi, model)
         # repeated times, as records snapped to one step give, are accepted
         weak_residual(fields[:10] + fields[9:], phi, psi, model)
@@ -411,7 +410,7 @@ class TestWeakResidual:
         assert other.r_hat.size == fields[3].r_hat.size
         fields[3] = other
         phi = SpaceTimeTestFunction(0.05, 0.95, 0.3, 0.7, mode=0)
-        with pytest.raises(ConfigurationError, match=r"\(N, l\) = \(66, 9\), not \(64, 8\)"):
+        with pytest.raises(ValueError, match=r"\(N, l\) = \(66, 9\), not \(64, 8\)"):
             weak_residual(fields, phi, phi, model)
 
 

@@ -295,7 +295,9 @@ class TestAdvance:
 
     def test_one_clock_with_the_chain(self, model):
         # a chain and a PDE run from one state time, with one t_end and one
-        # set of record times, record at the same times to within a step
+        # set of record times, record at the same times to within a step and
+        # both end on t0 + t_end (the chain ended at 0.1100446, a rounded 45
+        # steps of theta/(N sigma), and the PDE at 0.11)
         t0, t_end, record_times = 0.1, 0.01, np.array([0.0, 0.004, 0.01])
         chain_cfg = ChainConfig(N=32, t_end=t_end, seed=5, record_times=record_times)
         start = make_initial_state(chain_cfg, 0.1, model)
@@ -307,6 +309,8 @@ class TestAdvance:
         assert chain_times == pytest.approx(t0 + record_times, abs=chain_cfg.dt_fine)
         assert traj.times == pytest.approx(t0 + record_times, abs=cfg.dt)
         assert np.abs(chain_times - traj.times).max() <= max(chain_cfg.dt_fine, cfg.dt)
+        assert chain.ledger.t[-1] == pytest.approx(traj.t_hist[-1], rel=1e-15)
+        assert traj.t_hist[-1] == pytest.approx(t0 + t_end, rel=1e-15)
 
 
 def reference_advance(state, config, model):

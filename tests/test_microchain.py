@@ -56,7 +56,7 @@ class TestConfig:
         cfg = ChainConfig(N=256, t_end=0.1)
         assert cfg.sigma == 64.0
         assert cfg.dt == pytest.approx(0.1 / (256 * 64))
-        assert cfg.record_times[-1] == pytest.approx(cfg.t_end_eff)
+        assert cfg.record_times[-1] == cfg.t_end
 
     def test_sigma_defaults(self):
         assert ChainConfig(N=128, t_end=0.1).sigma == 39.0
@@ -70,8 +70,10 @@ class TestConfig:
         for bad in (0.0, -0.1, 0.3, math.nan):
             with pytest.raises(ValueError, match="theta"):
                 ChainConfig(N=32, t_end=0.01, theta=bad)
+        # theta bounds the step: 18 steps of 0.01/18 <= theta/(N sigma) = 5.58e-4
         cfg = ChainConfig(N=32, t_end=0.01, theta=microchain.THETA_MAX)
-        assert cfg.dt == microchain.THETA_MAX / (32 * cfg.sigma)
+        assert cfg.dt <= microchain.THETA_MAX / (32 * cfg.sigma)
+        assert cfg.n_coarse * cfg.dt == pytest.approx(0.01, rel=1e-15)
 
     def test_non_integral_refine_level_rejected(self):
         # refine_level = 1.5 used to give n_steps = 11.31 and a bare TypeError
@@ -79,8 +81,8 @@ class TestConfig:
         for bad in (1.5, 1.0, "1"):
             with pytest.raises(ValueError, match="refine_level must be an integer"):
                 ChainConfig(N=32, t_end=0.001, refine_level=bad)
-        for good in (1, np.int64(1)):
-            assert ChainConfig(N=32, t_end=0.001, refine_level=good).n_steps == 8
+        for good in (1, np.int64(1)):  # 5 coarse steps of 2e-4 <= theta/(N sigma)
+            assert ChainConfig(N=32, t_end=0.001, refine_level=good).n_steps == 10
 
     def test_record_times_outside_range(self):
         with pytest.raises(ValueError, match="record_times"):
@@ -118,7 +120,7 @@ class TestConfig:
             ChainConfig(N=32, sigma=1e308, t_end=0.01)
         with pytest.warns(UserWarning, match="hydrodynamic"):
             cfg = ChainConfig(N=32, sigma=1e-300, t_end=0.01)
-        assert cfg.n_coarse == 1 and math.isfinite(cfg.dt)
+        assert cfg.n_coarse == 1 and cfg.dt == 0.01
 
     def test_non_integral_n_rejected(self):
         for bad in (32.5, 32.0, "32"):
@@ -409,9 +411,21 @@ class TestStep:
         st.t = 0.1
         res = run_trajectory(cfg, 0.0, model, initial_state=st)
         assert cfg.n_steps == 45
-        expected = [0.1, 0.1 + 45 * cfg.dt]  # 0.01 snaps to step 45, t = 0.01004
+        expected = [0.1, 0.1 + 45 * cfg.dt]  # 45 steps of 0.01 / 45 end on 0.11
+        assert expected[1] == pytest.approx(0.11, rel=1e-15)
         assert [s.t for s in res.snapshots] == expected
         assert res.ledger.t.tolist() == expected
+
+    def test_run_ends_on_t_end(self, model):
+        # t_end = 1e-3 is 0.4 of theta/(N sigma) = 2.5e-3 at N = 8: the run
+        # took one step of 2.5e-3, and at sigma = 1e-300 one of 3.1e297
+        cfg = ChainConfig(N=8, t_end=1e-3, seed=1)
+        with pytest.warns(UserWarning, match="hydrodynamic"):
+            tiny = ChainConfig(N=8, t_end=1e-3, sigma=1e-300, seed=1)
+        for c in (cfg, tiny):
+            res = run_trajectory(c, 0.0, model)
+            assert c.n_steps == 1
+            assert res.snapshots[-1].t == res.ledger.t[-1] == 1e-3
 
     def test_tension_read_at_state_time(self, model):
         # a run from t0 under tau(t) equals a run from 0 under tau(t + t0)

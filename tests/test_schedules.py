@@ -1,5 +1,5 @@
-"""Tension schedule tests: parameter validation, and the record-time check
-the chain and the PDE share."""
+"""Tension schedule tests: parameter validation, and the run clock the chain
+and the PDE share: the record-time check and the horizon rule."""
 
 import math
 import re
@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from hydrochain.macropde import MacroConfig
+from hydrochain.macropde import _CFL, MacroConfig
 from hydrochain.microchain import ChainConfig
-from hydrochain.schedules import RampSchedule, StepSchedule
+from hydrochain.schedules import RampSchedule, StepSchedule, run_steps
 
 
 @pytest.mark.parametrize("cls", [RampSchedule, StepSchedule])
@@ -34,3 +34,43 @@ def test_record_times_must_be_one_dimensional(make, times):
     # numpy's own errors, and a scalar with numpy's np.diff error
     with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shape {np.shape(times)}")):
         make(times)
+
+
+def chain_steps(t_end):
+    cfg = ChainConfig(N=32, t_end=t_end)
+    return cfg.n_coarse, cfg.dt, cfg.theta / (cfg.N * cfg.sigma)
+
+
+def pde_steps(t_end):
+    # M = 100 at delta = 0.25: the diffusive CFL bound 0.4 dx^2 / (2 delta)
+    cfg = MacroConfig(M=100, delta1=0.25, delta2=0.25, t_end=t_end)
+    return cfg.n_steps, cfg.dt, _CFL * cfg.dx**2 / 0.5
+
+
+@pytest.mark.parametrize("steps", [chain_steps, pde_steps], ids=["chain", "pde"])
+def test_one_horizon_rule(steps):
+    # the fewest steps of at most the layer's bound that end on t_end: the
+    # chain rounded t_end to whole steps of its bound, and the PDE's absolute
+    # 1e-12 tolerance gave 52 of these 300 horizons k + 1 steps
+    dt_max = steps(1.0)[2]
+    for t_end in (0.3 * dt_max, 7.5 * dt_max, 0.01, 0.37):
+        n, dt, _ = steps(t_end)
+        assert n * dt == pytest.approx(t_end, rel=1e-15)
+        assert dt <= dt_max and (n - 1) * dt_max < t_end
+    for k in range(100_000, 100_300):
+        n, dt, _ = steps(k * dt_max)
+        assert n == k and dt <= dt_max * (1.0 + 1e-12)
+
+
+def test_run_steps_checks_its_inputs():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            run_steps(bad, 0.1)
+    for bad in (0.0, math.nan, 5e-324):
+        with pytest.raises(ValueError, match="steps of at most"):
+            run_steps(1.0, bad)
+    assert run_steps(1e-3, math.inf) == (1, 1e-3)
+    # 2 delta overflows, so the diffusive bound is 0: this used to raise
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="steps of at most 0.0"):
+        MacroConfig(delta1=1e308)
