@@ -1,15 +1,15 @@
 """Block averages, empirical fields and the micro/macro bridge statistics.
 
 Index convention: site sequences are 1-based in the math (u_1..u_N); array
-arguments are plain 0-based numpy arrays. hat_profile and bar_profile start at
-site i = l, so the average at site i is entry i - l.
+arguments are plain 0-based numpy arrays. BlockSpec owns the block window:
+its hat and bar profiles start at site i = l, so the average at site i is
+entry i - l.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,14 @@ def default_block_width(n: int) -> int:
 
 @dataclass(frozen=True)
 class BlockSpec:
+    """Block width l on N sites, 1 <= l and 2l <= N, with the window's
+    triangular weights (l - |j|)/l^2, |j| < l, and flat weights 1/l, built
+    once and read-only."""
+
     l: int
     N: int
+    triangular: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("l", "N"):
@@ -38,46 +44,27 @@ class BlockSpec:
             raise ValueError(f"need 1 <= l <= N, got l={self.l}, N={self.N}")
         if 2 * self.l > self.N:
             raise ValueError(f"no admissible hat window for l={self.l}, N={self.N}")
+        j = np.arange(-(self.l - 1), self.l)
+        for name, weights in (
+            ("triangular", (self.l - np.abs(j)) / self.l**2),
+            ("flat", np.full(self.l, 1.0 / self.l)),
+        ):
+            weights.flags.writeable = False
+            object.__setattr__(self, name, weights)
 
+    def hat(self, u) -> np.ndarray:
+        """Triangular block averages of u for i = l..N-l+1 (length N-2l+2)."""
+        return self._profile(u, self.triangular)
 
-@functools.lru_cache(maxsize=64)
-def _kernels(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(triangular, flat) weights for window l, built once per l; they are
-    shared, so read-only."""
-    j = np.arange(-(l - 1), l)
-    kernels = ((l - np.abs(j)) / l**2, np.full(l, 1.0 / l))
-    for kernel in kernels:
-        kernel.flags.writeable = False
-    return kernels
+    def bar(self, u) -> np.ndarray:
+        """Flat left-window means of u for i = l..N (length N-l+1)."""
+        return self._profile(u, self.flat)
 
-
-def triangular_kernel(l: int) -> np.ndarray:
-    """Weights (l - |j|)/l^2 for |j| < l; read-only (see _kernels)."""
-    return _kernels(l)[0]
-
-
-def _check_window(l) -> None:
-    """BlockSpec's rule for the window: an integer >= 1."""
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
-
-
-def hat_profile(u: np.ndarray, l: int) -> np.ndarray:
-    """Triangular block averages for i = l..N-l+1 (length N-2l+2)."""
-    _check_window(l)
-    u = np.asarray(u, dtype=float)
-    if 2 * l > u.size:
-        raise ValueError(f"l={l} too large for N={u.size}")
-    return np.convolve(u, triangular_kernel(l), mode="valid")
-
-
-def bar_profile(u: np.ndarray, l: int) -> np.ndarray:
-    """Flat left-window means for i = l..N (length N-l+1)."""
-    _check_window(l)
-    u = np.asarray(u, dtype=float)
-    if l > u.size:
-        raise ValueError(f"l={l} too large for N={u.size}")
-    return np.convolve(u, _kernels(l)[1], mode="valid")
+    def _profile(self, u, weights: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.N,):
+            raise ValueError(f"u has shape {u.shape}, need ({self.N},) for N={self.N}")
+        return np.convolve(u, weights, mode="valid")
 
 
 @dataclass
@@ -95,8 +82,8 @@ class EmpiricalField:
     def from_state(cls, state: ChainState, spec: BlockSpec) -> "EmpiricalField":
         checked_start(state, spec.N, "N")
         return cls(
-            r_hat=hat_profile(state.r, spec.l),
-            p_hat=hat_profile(state.p, spec.l),
+            r_hat=spec.hat(state.r),
+            p_hat=spec.hat(state.p),
             N=spec.N,
             l=spec.l,
             t=state.t,
@@ -178,9 +165,9 @@ def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: Ther
     checked_start(state, spec.N, "N")
     l, n = spec.l, spec.N
     sites = (state.r, state.p, model.dV(state.r))
-    hats = [hat_profile(u, l) for u in sites]
+    hats = [spec.hat(u) for u in sites]
     hats = np.array(hats + [model.tau_of_rho(hats[0])])  # rows r, p, Vp, tau
-    bars = [zh - bar_profile(u, l)[: zh.size] for zh, u in zip(hats, sites)]
+    bars = [zh - spec.bar(u)[: zh.size] for zh, u in zip(hats, sites)]
     one_block_and_bars = np.array([hats[2] - hats[3], *bars])
     two_block = hats[:, 1:] - hats[:, :-1]
     sums = [np.sum(d * d, axis=1) / n for d in (one_block_and_bars, two_block)]

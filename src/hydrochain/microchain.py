@@ -21,7 +21,7 @@ three legs over all sites into the block's leg arrays and evaluates only V'
 at its end state, all that the next drift reads. Once per block, V is
 evaluated on all legs and V'' on the steps' start states, and every step's
 ledger increments are formed with row reductions. step and accumulate_ledger
-run a block of one step.
+run a block of one step, with run_trajectory's start checks (_start).
 
 run_trajectory counts t_end and record_times from the state's t, on the run
 clock of schedules, and ends on t + t_end. Its blocks are whole coarse rows, at
@@ -220,10 +220,6 @@ def _block_rows(n: int, level: int) -> int:
     return max(1, _BLOCK_BYTES // (2**level * 3 * n * 8))
 
 
-def _finite(r, p) -> bool:
-    return bool(np.isfinite(r).all() and np.isfinite(p).all())
-
-
 def _chain_block(
     r, p, d1, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
 ):
@@ -322,16 +318,22 @@ def draw_increments(rng: np.random.Generator, n: int, dt: float):
     return z[0], z[1]
 
 
+def _start(state: ChainState, config: ChainConfig, model: ThermoModel) -> np.ndarray:
+    """V' at the start state's r, once schedules.checked_start passes the
+    state; a start state that is not finite raises the BlowUpError of step 1."""
+    checked_start(state, config.N, "N")
+    if not (np.isfinite(state.r).all() and np.isfinite(state.p).all()):
+        raise BlowUpError(f"non-finite state at step 1, t={state.t + config.dt_fine:.6g}")
+    return _potential_slope(model.potential, state.r)
+
+
 def _one_step(state: ChainState, config: ChainConfig, increments, model: ThermoModel, tau_bar):
     """_chain_block on a block of one step: (end state, ledger increments)."""
-    if not math.isfinite(tau_bar):
-        raise ValueError(f"non-finite boundary tension {tau_bar} for the step at t={state.t:.6g}")
+    d1 = _start(state, config, model)
     r, p, t = state.r, state.p, state.t
-    if not _finite(r, p):
-        raise BlowUpError(f"non-finite state at step 1, t={t + config.dt_fine:.6g}")
+    taubars = tensions_at(lambda _: tau_bar, np.array([t])).tolist()
     dw, dwt = increments
-    d1 = _potential_slope(model.potential, r)
-    rl, pl, _, incr, _ = _chain_block(r, p, d1, [dw], [dwt], [tau_bar], 0, t, config, model)
+    rl, pl, _, incr, _ = _chain_block(r, p, d1, [dw], [dwt], taubars, 0, t, config, model)
     return ChainState(r=rl[2], p=pl[2], t=t + config.dt_fine), incr[0]
 
 
@@ -343,8 +345,9 @@ def step(
     tau_bar: float,
 ) -> ChainState:
     """One Euler-Maruyama step of size config.dt_fine under the boundary
-    tension tau_bar; a non-finite tau_bar raises ValueError, and a state that
-    is or turns non-finite BlowUpError."""
+    tension tau_bar. The state is checked as run_trajectory checks its start
+    state; a non-finite tau_bar raises the ValueError of schedules.tensions_at,
+    and a state that is or turns non-finite BlowUpError."""
     return _one_step(state, config, increments, model, tau_bar)[0]
 
 
@@ -402,11 +405,8 @@ def run_trajectory(
     state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
-    checked_start(state, n, "N")
+    d1 = _start(state, config, model)  # V' at r, carried
     r, p, t0 = state.r, state.p, state.t
-    if not _finite(r, p):
-        raise BlowUpError(f"non-finite state at step 1, t={t0 + dt:.6g}")
-    d1 = _potential_slope(model.potential, r)  # V' at r, carried
 
     rec_steps = record_steps(config.record_times, dt, n_steps)
     acc = np.zeros(5)

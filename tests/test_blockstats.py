@@ -14,11 +14,8 @@ from hydrochain.blockstats import (
     STATISTICS_HEADER,
     BlockSpec,
     EmpiricalField,
-    bar_profile,
     default_block_width,
-    hat_profile,
     statistics_row,
-    triangular_kernel,
     weak_residual,
 )
 from hydrochain.microchain import ChainState
@@ -41,79 +38,100 @@ def statistics(state, spec, model, sigma=1.0):
     return dict(zip(STATISTICS_HEADER, statistics_row(state, spec, sigma, model)))
 
 
+def profiles(u, l):
+    """(hat, bar) profiles of u under BlockSpec(l, u.size)."""
+    spec = BlockSpec(l, u.size)
+    return spec.hat(u), spec.bar(u)
+
+
 def etahat_identity_gaps(u, l):
     """|(hat_{l,i+1} - hat_{l,i}) - (bar_{l,i+l} - bar_{l,i})/l| for every
     i = l..N-l, entry i - l: an exact algebraic identity (zero up to rounding)
     for any sequence."""
-    hat, bar = hat_profile(u, l), bar_profile(u, l)
+    hat, bar = profiles(u, l)
     return np.abs(np.diff(hat) - (bar[l:] - bar[:-l]) / l)
 
 
 class TestKernels:
     @pytest.mark.parametrize("l", [1, 2, 3, 8, 21])
     def test_normalization(self, l):
-        assert triangular_kernel(l).sum() == pytest.approx(1.0, abs=1e-14)
+        spec = BlockSpec(l, 2 * l)
+        assert spec.triangular.sum() == pytest.approx(1.0, abs=1e-14)
+        assert spec.flat.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_cached_kernels_are_read_only(self):
-        # the kernels are built once per l and shared, so a caller's write
-        # must raise rather than change every later block average
+        # the weights are built once per spec and shared by every profile it
+        # gives, so a caller's write must raise rather than change every
+        # later block average
         u = np.random.default_rng(3).normal(size=40)
-        hat, bar = hat_profile(u, 5), bar_profile(u, 5)
-        kernel = triangular_kernel(5)
-        assert triangular_kernel(5) is kernel
-        with pytest.raises(ValueError, match="read-only"):
-            kernel[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            kernel *= 2.0
-        assert np.array_equal(kernel, [1, 2, 3, 4, 5, 4, 3, 2, 1] / np.float64(25))
-        assert np.array_equal(hat_profile(u, 5), hat)
-        assert np.array_equal(bar_profile(u, 5), bar)
+        spec = BlockSpec(5, 40)
+        hat, bar = spec.hat(u), spec.bar(u)
+        for weights in (spec.triangular, spec.flat):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                weights *= 2.0
+        assert np.array_equal(spec.triangular, [1, 2, 3, 4, 5, 4, 3, 2, 1] / np.float64(25))
+        assert np.array_equal(spec.flat, np.full(5, 0.2))
+        assert np.array_equal(spec.hat(u), hat)
+        assert np.array_equal(spec.bar(u), bar)
 
     def test_hat_constant(self):
         u = np.full(30, 3.7)
         for l in (1, 2, 5):
-            assert hat_profile(u, l)[10 - l] == pytest.approx(3.7, abs=1e-13)
+            assert profiles(u, l)[0][10 - l] == pytest.approx(3.7, abs=1e-13)
 
     def test_hat_hand_value(self):
         u = np.arange(1.0, 11.0)  # u_j = j, 1-based
-        assert hat_profile(u, 2)[3 - 2] == pytest.approx(3.0, abs=1e-14)
+        assert profiles(u, 2)[0][3 - 2] == pytest.approx(3.0, abs=1e-14)
 
     def test_hat_degenerate(self):
         u = np.array([5.0, -1.0, 2.0])
-        assert hat_profile(u, 1)[2 - 1] == -1.0
+        assert profiles(u, 1)[0][2 - 1] == -1.0
         # at l = 1 both kernels are [1.0]: the profiles are u to the bit
         u = np.random.default_rng(11).normal(size=1000)
-        assert np.array_equal(hat_profile(u, 1), u)
-        assert np.array_equal(bar_profile(u, 1), u)
+        hat, bar = profiles(u, 1)
+        assert np.array_equal(hat, u)
+        assert np.array_equal(bar, u)
 
     def test_bar_hand_value(self):
         u = np.arange(1.0, 11.0) ** 2  # u_j = j^2
-        assert bar_profile(u, 2)[5 - 2] == pytest.approx(20.5, abs=1e-14)
+        assert profiles(u, 2)[1][5 - 2] == pytest.approx(20.5, abs=1e-14)
 
     def test_bar_degenerate_and_constant(self):
         u = np.full(12, -0.4)
-        assert bar_profile(u, 1)[7 - 1] == pytest.approx(-0.4)
-        assert bar_profile(u, 4)[12 - 4] == pytest.approx(-0.4, abs=1e-14)
+        assert profiles(u, 1)[1][7 - 1] == pytest.approx(-0.4)
+        assert profiles(u, 4)[1][12 - 4] == pytest.approx(-0.4, abs=1e-14)
 
     def test_window_validation(self):
-        # the widest windows N allows: 2l <= N for hat, l <= N for bar
+        # the widest window N allows is 2l <= N, for hat and bar alike
         u = np.arange(10.0)
-        assert hat_profile(u, 5).size == 2
-        assert bar_profile(u, 10).size == 1
-        with pytest.raises(ValueError):
-            hat_profile(u, 6)
-        with pytest.raises(ValueError):
-            bar_profile(u, 11)
+        hat, bar = profiles(u, 5)
+        assert (hat.size, bar.size) == (2, 6)
+        with pytest.raises(ValueError, match="no admissible hat window for l=6, N=10"):
+            BlockSpec(6, 10)
+        with pytest.raises(ValueError, match="need 1 <= l <= N, got l=11, N=10"):
+            BlockSpec(11, 10)
 
     def test_window_must_be_a_positive_integer(self):
         # l = 0 used to raise ZeroDivisionError, l = -2 numpy's negative
         # dimensions error and l = 2.5 a TypeError
         u = np.arange(10.0)
-        for profile in (hat_profile, bar_profile):
-            for bad in (0, -2, 2.5, 2.0):
-                with pytest.raises(ValueError, match="l must be an integer >= 1"):
-                    profile(u, bad)
-            assert np.array_equal(profile(u, np.int64(2)), profile(u, 2))
+        for bad, message in ((0, "need 1 <= l <= N"), (-2, "need 1 <= l <= N"),
+                             (2.5, "l must be an integer"), (2.0, "l must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                BlockSpec(bad, u.size)
+        for a, b in zip(profiles(u, np.int64(2)), profiles(u, 2)):
+            assert np.array_equal(a, b)
+
+    def test_profiles_need_the_specs_n_values(self):
+        # a u of another length used to give a profile of another length,
+        # which the caller then paired with the spec's sites
+        spec = BlockSpec(4, 40)
+        for bad in (np.zeros(39), np.zeros(41), np.zeros((2, 20)), np.float64(1.0)):
+            for profile in (spec.hat, spec.bar):
+                with pytest.raises(ValueError, match=r"need \(40,\) for N=40"):
+                    profile(bad)
 
     def test_block_spec_sizes_must_be_integers(self):
         # l = 2.5 used to pass, and EmpiricalField.from_state then raised a
@@ -131,10 +149,11 @@ class TestKernels:
 class TestEtahatIdentity:
     def test_hand_value(self):
         u = np.arange(1.0, 11.0) ** 2
+        hat, bar = profiles(u, 2)
         # hat side: 16.5 - 9.5 = 7; bar side: (20.5 - 6.5)/2 = 7
-        assert hat_profile(u, 2)[4 - 2] == pytest.approx(16.5)
-        assert hat_profile(u, 2)[3 - 2] == pytest.approx(9.5)
-        assert bar_profile(u, 2)[3 - 2] == pytest.approx(6.5)
+        assert hat[4 - 2] == pytest.approx(16.5)
+        assert hat[3 - 2] == pytest.approx(9.5)
+        assert bar[3 - 2] == pytest.approx(6.5)
         assert etahat_identity_gaps(u, 2)[3 - 2] == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_exact(self):

@@ -285,93 +285,59 @@ class TestStep:
         assert microchain._block_rows(32, 0) == 1
         assert messages == [f"non-finite state at step 11, t={11 * cfg.dt:.6g}"] * 2
 
-    def test_chunking_invariance(self, model, monkeypatch):
+    @pytest.mark.parametrize("budget", ["default", "seven_rows", "one_byte"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_block_length_changes_no_bit(self, model, monkeypatch, level, budget):
         # the noise is drawn row by row and the step is one function, so
-        # neither the record times nor the block length may change the result
+        # neither the record times nor the block length may change a bit.
+        # Blocks of the default length (the whole run), of 7 coarse rows (7
+        # does not divide the 60 rows) and of one; the 9 records fall on
+        # block edges (coarse step 7, 14 and 49) and inside blocks.
+        row_bytes = 2**level * 3 * 32 * 8
+        bytes_and_rows = {
+            "default": (microchain._BLOCK_BYTES, 128 >> level),
+            "seven_rows": (7 * row_bytes, 7),
+            "one_byte": (1, 1),
+        }
         t_end = 60 * 0.1 / (32 * 14)
-        runs = []
-        for n_records, rows in ((2, None), (41, None), (2, 7), (41, 7)):
-            if rows is not None:
-                # blocks of 7 coarse rows: 14 level-1 steps of (3, 32) legs
-                monkeypatch.setattr(microchain, "_BLOCK_BYTES", rows * 2 * 3 * 32 * 8)
-                assert microchain._block_rows(32, 1) == rows
-            cfg = ChainConfig(
-                N=32,
-                t_end=t_end,
-                seed=23,
-                refine_level=1,
-                tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
-                record_times=np.linspace(0.0, t_end, n_records),
-            )
-            res = run_trajectory(cfg, 0.1, model)
-            led = res.ledger
-            row = [led.E, led.W, led.Q_p, led.Q_r, led.martingale_p, led.martingale_r]
-            runs.append((res.snapshots[-1], np.array([col[-1] for col in row])))
-        first_state, first_row = runs[0]
-        for state, row in runs[1:]:
-            assert np.array_equal(state.r, first_state.r)
-            assert np.array_equal(state.p, first_state.p)
-            assert np.array_equal(row, first_row)
+        edges_and_inside = np.array([0, 7, 10, 14, 25, 31, 49, 50, 60]) * (t_end / 60)
 
-    def test_chunk_byte_bound_changes_no_bit(self, model, monkeypatch):
-        # a byte budget below one coarse row gives blocks of one coarse row,
-        # each drawing the noise chunk of its 4 level-2 steps
-        t_end = 20 * 0.1 / (32 * 14)
-        cfg = ChainConfig(
-            N=32,
-            t_end=t_end,
-            seed=31,
-            refine_level=2,
-            tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
-            record_times=np.linspace(0.0, t_end, 6),
-        )
-        runs = []
-        for budget in (microchain._BLOCK_BYTES, 1):
-            monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
-            runs.append(run_trajectory(cfg, 0.1, model))
-        assert microchain._block_rows(32, 2) == 1
-        a, b = runs
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
-        for col in ("E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
-            assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
-
-    def test_block_byte_bound_changes_no_bit(self, model, monkeypatch):
-        # blocks of the default length (the whole run), of 7 coarse rows and
-        # of one; 7 does not divide the 60 rows. The records fall on block
-        # edges (coarse step 7, 14 and 49) and inside blocks, at both levels.
-        default = microchain._BLOCK_BYTES
-        for level in (0, 2):
-            row_bytes = 2**level * 3 * 32 * 8
-            budgets = ((default, 128 >> level), (7 * row_bytes, 7), (1, 1))
-            t_end = 60 * 0.1 / (32 * 14)
+        def run(record_times):
             cfg = ChainConfig(
                 N=32,
                 t_end=t_end,
                 seed=37,
                 refine_level=level,
                 tension_schedule=RampSchedule(0.1, 0.6, t1=t_end / 2),
-                record_times=np.array([0, 7, 10, 14, 25, 31, 49, 50, 60]) * (t_end / 60),
+                record_times=record_times,
             )
-            runs = []
-            for budget, rows in budgets:
-                monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget)
-                assert microchain._block_rows(32, level) == rows
-                runs.append(run_trajectory(cfg, 0.1, model))
-            first = runs[0]
-            assert len(first.snapshots) == 9
-            for res in runs[1:]:
-                assert res.n_steps == first.n_steps == cfg.n_steps
-                for sa, sb in zip(first.snapshots, res.snapshots):
-                    assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
-                    assert sa.t == sb.t
-                for col in ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r"):
-                    assert np.array_equal(getattr(first.ledger, col), getattr(res.ledger, col))
+            res = run_trajectory(cfg, 0.1, model)
+            assert res.n_steps == cfg.n_steps == 60 * 2**level
+            return res
 
-    def test_chunk_rows_bounded_by_bytes(self):
-        # a block's noise chunk is its coarse rows. At N = 1024 four rows of
-        # (3, 1024) legs fit and five do not; at N = 16384 and level 2 one
-        # row's 4 steps of legs take 1.5 MiB, so a block is that one row
+        reference = run(edges_and_inside)
+        budget_bytes, rows = bytes_and_rows[budget]
+        monkeypatch.setattr(microchain, "_BLOCK_BYTES", budget_bytes)
+        assert microchain._block_rows(32, level) == rows
+        runs = [run(times) for times in (
+            edges_and_inside, np.linspace(0.0, t_end, 2), np.linspace(0.0, t_end, 41))]
+        assert [len(res.snapshots) for res in runs] == [9, 2, 41]
+        for sa, sb in zip(reference.snapshots, runs[0].snapshots, strict=True):
+            assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.p, sb.p)
+            assert sa.t == sb.t
+        columns = ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r")
+        for col in columns:
+            assert np.array_equal(getattr(reference.ledger, col), getattr(runs[0].ledger, col))
+        for res in runs[1:]:
+            last, end = res.snapshots[-1], reference.snapshots[-1]
+            assert np.array_equal(last.r, end.r) and np.array_equal(last.p, end.p)
+            for col in columns:
+                assert getattr(res.ledger, col)[-1] == getattr(reference.ledger, col)[-1]
+
+    def test_block_rows_bounded_by_bytes(self):
+        # a block is whole coarse rows. At N = 1024 four rows of (3, 1024)
+        # legs fit and five do not; at N = 16384 and level 2 one row's 4
+        # steps of legs take 1.5 MiB, so a block is that one row
         rows = microchain._block_rows(1024, 0)
         assert rows * 3 * 1024 * 8 <= microchain._BLOCK_BYTES < (rows + 1) * 3 * 1024 * 8
         assert microchain._block_rows(16384, 2) == 1
@@ -444,25 +410,39 @@ class TestStep:
         assert a.ledger.W[-1] != 0.0
 
     def test_start_state_shape_checked(self, model):
-        # a length-1 state used to broadcast over the whole chain
+        # a length-1 state used to broadcast over the whole chain, and step
+        # and accumulate_ledger leaked numpy's broadcast error on N - 1 sites
         cfg = ChainConfig(N=32, t_end=0.01, seed=1)
         good = np.zeros(32)
+        zero = (np.zeros(31), np.zeros(31))
         for name, r, p in (
             ("r", np.array([0.1]), np.array([0.0])),
             ("r", np.zeros(31), good),
+            ("r", np.zeros(31), np.zeros(31)),
             ("p", good, np.zeros((1, 32))),
         ):
             st = ChainState(r=r, p=p, t=0.0)
-            with pytest.raises(ValueError, match=f"state {name} has shape .* N=32"):
+            message = f"state {name} has shape .* N=32"
+            with pytest.raises(ValueError, match=message):
                 run_trajectory(cfg, 0.0, model, initial_state=st)
+            with pytest.raises(ValueError, match=message):
+                step(st, cfg, zero, model, tau_bar=0.1)
+            with pytest.raises(ValueError, match=message):
+                accumulate_ledger(st, ChainState(good, good, 0.0), 0.1, cfg, zero, model)
 
     def test_nonfinite_start_time_rejected(self, model):
+        # step used to return a state at t = NaN from one at t = NaN
         cfg = ChainConfig(N=16, t_end=0.01, seed=1)
         st = make_initial_state(cfg, 0.0, model)
+        zero = (np.zeros(15), np.zeros(15))
         for bad in (math.nan, math.inf):
             st.t = bad
             with pytest.raises(ValueError, match="state t must be finite"):
                 run_trajectory(cfg, 0.0, model, initial_state=st)
+            with pytest.raises(ValueError, match="state t must be finite"):
+                step(st, cfg, zero, model, tau_bar=0.1)
+            with pytest.raises(ValueError, match="state t must be finite"):
+                accumulate_ledger(st, st, 0.1, cfg, zero, model)
 
     def test_nonfinite_tension_rejected_before_step_one(self, model, monkeypatch):
         # named as the tension, not a blow-up of the state it produces
@@ -547,13 +527,18 @@ class TestStep:
         assert ran == []
 
     def test_step_names_nonfinite_tension(self, model):
-        # a non-finite tension used to surface as "non-finite state after step"
+        # a non-finite tension used to surface as "non-finite state after
+        # step"; it is named in run_trajectory's message, at the step's start
         cfg = ChainConfig(N=16, t_end=0.01)
         st, _ = fixed_point_state(model, 16)
+        st.t = 0.25
         zero = (np.zeros(15), np.zeros(15))
         for tau in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"non-finite boundary tension {tau}"):
+            message = f"tension schedule gives non-finite tau = {tau} at t = 0.25$"
+            with pytest.raises(ValueError, match=message):
                 step(st, cfg, zero, model, tau_bar=tau)
+            with pytest.raises(ValueError, match=message):
+                accumulate_ledger(st, st, tau, cfg, zero, model)
         with pytest.raises(TypeError):  # no schedule lookup: the tension is required
             step(st, cfg, zero, model)
 
