@@ -90,31 +90,9 @@ class EmpiricalField:
         )
 
     @property
-    def sites(self) -> np.ndarray:
-        """1-based site indices carrying values."""
-        return np.arange(self.l, self.N - self.l + 2)
-
-    @property
     def x(self) -> np.ndarray:
-        return self.sites / self.N
-
-    @property
-    def x_coverage(self) -> tuple[float, float]:
-        return (self.l - 0.5) / self.N, (self.N - self.l + 1.5) / self.N
-
-
-def _check_support(fields, phi, label: str):
-    t_lo, t_hi = fields[0].t, fields[-1].t
-    if phi.t1 > t_hi + 1e-12 or phi.t0 < t_lo - 1e-12:
-        raise ValueError(
-            f"{label} time support ({phi.t0}, {phi.t1}) exceeds data range ({t_lo}, {t_hi})"
-        )
-    cov_lo, cov_hi = fields[0].x_coverage
-    if phi.x0 < cov_lo - 1e-12 or phi.x1 > cov_hi + 1e-12:
-        raise ValueError(
-            f"{label} space support ({phi.x0}, {phi.x1}) exceeds field coverage "
-            f"({cov_lo:.4f}, {cov_hi:.4f})"
-        )
+        """Centres i/N of the cells, 1-based sites i = l..N-l+1."""
+        return np.arange(self.l, self.N - self.l + 2) / self.N
 
 
 def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
@@ -123,31 +101,21 @@ def weak_residual(fields, phi, psi, model: ThermoModel) -> tuple[float, float]:
     int int (r_hat dphi/dt - p_hat dphi/dx) and
     int int (p_hat dpsi/dt - tau(r_hat) dpsi/dx),
 
-    midpoint in x on the piecewise-constant field, trapezoid in t over the
-    recorded snapshots. The K fields are stacked into (K, S) arrays, and each
-    derivative is evaluated once on the (K, S) grid of times and sites.
-    Fields whose times decrease, or whose (N, l) is not the first field's,
-    raise ValueError."""
+    each one SpaceTimeTestFunction.pair of the K fields stacked into (K, S)
+    arrays, with tau(r_hat) evaluated once. The pair checks the field times
+    and the supports; fewer than two fields, or a field whose (N, l) is not
+    the first field's, raise ValueError here."""
     if len(fields) < 2:
         raise ValueError("need at least two recorded fields")
     n, l = fields[0].N, fields[0].l
     for f in fields:
         if (f.N, f.l) != (n, l):
             raise ValueError(f"field at t={f.t} has (N, l) = {(f.N, f.l)}, not {(n, l)}")
-    times = np.array([f.t for f in fields])
-    rising = np.diff(times) >= 0.0  # False at a drop, and at a NaN
-    if not rising.all():
-        i = int(np.argmin(rising))
-        raise ValueError(f"field times must not decrease: {times[i]} then {times[i + 1]}")
-    _check_support(fields, phi, "phi")
-    _check_support(fields, psi, "psi")
-    t, x = times[:, None], fields[0].x[None, :]
+    times, x = np.array([f.t for f in fields]), fields[0].x
     r_hat = np.stack([f.r_hat for f in fields])
     p_hat = np.stack([f.p_hat for f in fields])
     tau_hat = np.asarray(model.tau_of_rho(r_hat))
-    res_r = np.sum(r_hat * phi.dt(t, x) - p_hat * phi.dx(t, x), axis=1) / n
-    res_p = np.sum(p_hat * psi.dt(t, x) - tau_hat * psi.dx(t, x), axis=1) / n
-    return float(np.trapezoid(res_r, times)), float(np.trapezoid(res_p, times))
+    return phi.pair(times, x, n, r_hat, -p_hat), psi.pair(times, x, n, p_hat, -tau_hat)
 
 
 def statistics_row(state: ChainState, spec: BlockSpec, sigma: float, model: ThermoModel):

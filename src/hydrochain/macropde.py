@@ -80,8 +80,6 @@ class MacroConfig:
         dif_coeff = max(self.delta1, self.delta2)
         dif = self.dx**2 / (2.0 * dif_coeff) if dif_coeff > 0.0 else math.inf
         self.n_steps, self.dt = run_steps(self.t_end, _CFL * min(self.dx, dif))
-        if self.record_times is None:
-            self.record_times = np.linspace(0.0, self.t_end, 200)
         self.record_times = checked_record_times(self.record_times, self.t_end)
 
     @property
@@ -300,18 +298,15 @@ def clausius_gap(traj: MacroTrajectory, model: ThermoModel, tau0: float, tau1: f
 
 def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> float:
     """int int (eta dphi/dt + q dphi/dx) dx dt over the recorded trajectory,
-    for the mechanical entropy pair eta = p^2/2 + F(r), q = -p tau(r).
+    for the mechanical entropy pair eta = p^2/2 + F(r), q = -p tau(r): one
+    SpaceTimeTestFunction.pair on the M cells, which checks the record times
+    and the support, with tau and F from one table lookup.
 
     For vanishing-viscosity trajectories this is >= -O(delta) and strictly
     positive at entropy-producing shocks."""
-    if phi.t0 < traj.times[0] - 1e-12 or phi.t1 > traj.times[-1] + 1e-12:
-        raise ValueError("test function time support exceeds the trajectory")
-    t, x = traj.times[:, None], traj.config.x[None, :]
     tau, f = model.tau_and_free_energy_of_rho(traj.r)
     eta = traj.p**2 / 2.0 + f
-    qv = -traj.p * tau
-    vals = np.mean(eta * phi.dt(t, x) + qv * phi.dx(t, x), axis=1)
-    return float(np.trapezoid(vals, traj.times))
+    return phi.pair(traj.times, traj.config.x, traj.config.M, eta, -traj.p * tau)
 
 
 def write_balance_csv(path, traj: MacroTrajectory) -> None:

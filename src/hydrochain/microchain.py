@@ -108,8 +108,6 @@ class ChainConfig:
                 stacklevel=2,
             )
         self.t_end_eff = self.t_end  # the name the benchmark in perfbench/ reads
-        if self.record_times is None:
-            self.record_times = np.linspace(0.0, self.t_end, 200)
         self.record_times = checked_record_times(self.record_times, self.t_end)
 
     @property
@@ -360,8 +358,10 @@ def accumulate_ledger(
     model: ThermoModel,
 ) -> Ledger:
     """Ledger increments for one step (see _chain_block), with E the energy
-    per particle of state_after."""
+    per particle of state_after. Both states are checked as run_trajectory
+    checks its start state (schedules.checked_start)."""
     _, incr = _one_step(state_before, config, increments, model, tau_bar)
+    checked_start(state_after, config.N, "N")
     w, q_p, q_r, m_p, m_r = incr.tolist()
     return Ledger(
         E=energy_per_particle(state_after, model),

@@ -11,8 +11,9 @@ import numpy as np
 
 def checked_record_times(times, t_max: float) -> np.ndarray:
     """times as a float array, checked to be 1-D, non-empty, finite, sorted
-    and inside [0, t_max] (up to rounding)."""
-    times = np.asarray(times, dtype=float)
+    and inside [0, t_max] (up to rounding); None gives the default grid of
+    200 times from 0 to t_max."""
+    times = np.linspace(0.0, t_max, 200) if times is None else np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"record_times must be 1-D, got shape {times.shape}")
     if times.size == 0:

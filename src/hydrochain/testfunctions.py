@@ -1,4 +1,5 @@
-"""Compactly supported space-time test functions with analytic derivatives.
+"""Compactly supported space-time test functions with analytic derivatives,
+and the one weak-form pairing of recorded fields against them.
 
 Built from the C^2 bump (1-u^2)^3, optionally modulated by a sine mode, so
 weak-formulation pairings never need numerical differentiation.
@@ -6,6 +7,9 @@ weak-formulation pairings never need numerical differentiation.
 Evaluations are array-valued: t and x broadcast against each other, so
 phi.dt(times[:, None], x[None, :]) is a whole (T, X) grid; scalars give a
 Python float. Values are exactly zero outside the open support.
+
+SpaceTimeTestFunction.pair is the one quadrature and support check of the
+weak residuals, blockstats.weak_residual and macropde.entropy_pair_residual.
 """
 
 from __future__ import annotations
@@ -80,6 +84,28 @@ class SpaceTimeTestFunction:
 
     def dx(self, t, x):
         return _value(_bump(self._ut(t)) * self._space_d(x))
+
+    def pair(self, times, x, n, a, b) -> float:
+        """int int (a dphi/dt + b dphi/dx) dx dt for a and b of shape (T, X),
+        values at T record times on X cells of width 1/n centred at x: the
+        sum over the cells / n, then the trapezoid over the times. Times that
+        decrease (or NaN), or a support past the times or past the cells
+        [x[0] - 1/(2n), x[-1] + 1/(2n)] by more than 1e-12, raise ValueError."""
+        rising = np.diff(times) >= 0.0  # False at a drop, and at a NaN
+        if not rising.all():
+            i = int(np.argmin(rising))
+            raise ValueError(f"field times must not decrease: {times[i]} then {times[i + 1]}")
+        t_lo, t_hi = times[0], times[-1]
+        if self.t0 < t_lo - 1e-12 or self.t1 > t_hi + 1e-12:
+            raise ValueError(f"time support ({self.t0}, {self.t1}) exceeds ({t_lo}, {t_hi})")
+        x_lo, x_hi = x[0] - 0.5 / n, x[-1] + 0.5 / n
+        if self.x0 < x_lo - 1e-12 or self.x1 > x_hi + 1e-12:
+            raise ValueError(
+                f"space support ({self.x0}, {self.x1}) exceeds ({x_lo:.4f}, {x_hi:.4f})"
+            )
+        t, x = times[:, None], x[None, :]
+        vals = np.sum(a * self.dt(t, x) + b * self.dx(t, x), axis=1) / n
+        return float(np.trapezoid(vals, times))
 
 
 def default_test_functions(t_end: float):

@@ -372,10 +372,10 @@ class TestWeakResidual:
         ]
         late = SpaceTimeTestFunction(0.0, 1.0, 0.3, 0.7)  # extends past data
         ok = SpaceTimeTestFunction(0.05, 0.45, 0.3, 0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="time support"):
             weak_residual(fields, late, ok, model)
         wide = SpaceTimeTestFunction(0.05, 0.45, 0.01, 0.99)  # outside coverage
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"space support .* \(0.1172, 0.8984\)"):
             weak_residual(fields, ok, wide, model)
 
     def test_matches_pointwise_reference(self, model):

@@ -1,6 +1,7 @@
 """Viscous p-system tests: boundary fidelity, manufactured wave solutions,
 self-convergence, the energy balance and the entropy machinery."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from hydrochain.macropde import (
     MacroConfig,
     MacroState,
+    MacroTrajectory,
     _pad,
     advance,
     balance_integrands,
@@ -526,3 +528,38 @@ class TestEntropyPair:
         bad = SpaceTimeTestFunction(0.0, 0.5, 0.2, 0.8)
         with pytest.raises(ValueError, match="support"):
             entropy_pair_residual(traj, model, bad)
+
+    def test_decreasing_times_rejected(self, model):
+        # integrated in the given order, the reversed middle records gave
+        # 0.143 instead of -1.1e-8, without an error
+        cfg = MacroConfig(M=64, t_end=0.2, record_times=np.linspace(0, 0.2, 21))
+        traj = advance(uniform_state(cfg, 0.1), cfg, model)
+        phi = SpaceTimeTestFunction(0.0, 0.2, 0.2, 0.8)
+        assert abs(entropy_pair_residual(traj, model, phi)) <= 1e-6
+        order = np.r_[0:5, 14:4:-1, 15:21]
+        shuffled = dataclasses.replace(traj, times=traj.times[order], r=traj.r[order],
+                                       p=traj.p[order])
+        with pytest.raises(ValueError, match="field times must not decrease"):
+            entropy_pair_residual(shuffled, model, phi)
+
+    def test_matches_pointwise_reference(self, model):
+        # the pairing of the (T, M) grid against a loop over records and
+        # cells with scalar calls, on random states far from any solution
+        cfg = MacroConfig(M=48, t_end=1.0)
+        rng = np.random.default_rng(2024)
+        times = np.linspace(0.0, 1.0, 31)
+        r = rng.uniform(-0.5, 1.0, (31, 48))
+        p = rng.normal(0.0, 1.0, (31, 48))
+        traj = MacroTrajectory(cfg, times, r, p, *np.zeros((4, 1)))
+        for mode in (0, 1, 2):
+            phi = SpaceTimeTestFunction(0.05, 0.95, 0.1, 0.85, mode=mode)
+            vals = []
+            for t, r_t, p_t in zip(times, r, p):
+                tau, f = model.tau_and_free_energy_of_rho(r_t)
+                s = 0.0
+                for xi, pi, ti, fi in zip(cfg.x, p_t, tau, f):
+                    s += (pi * pi / 2.0 + fi) * phi.dt(t, xi) - pi * ti * phi.dx(t, xi)
+                vals.append(s / cfg.M)
+            ref = float(np.trapezoid(vals, times))
+            got = entropy_pair_residual(traj, model, phi)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)

@@ -411,7 +411,8 @@ class TestStep:
 
     def test_start_state_shape_checked(self, model):
         # a length-1 state used to broadcast over the whole chain, and step
-        # and accumulate_ledger leaked numpy's broadcast error on N - 1 sites
+        # and accumulate_ledger leaked numpy's broadcast error on N - 1 sites;
+        # accumulate_ledger took the energy of a state_after of any size
         cfg = ChainConfig(N=32, t_end=0.01, seed=1)
         good = np.zeros(32)
         zero = (np.zeros(31), np.zeros(31))
@@ -429,11 +430,15 @@ class TestStep:
                 step(st, cfg, zero, model, tau_bar=0.1)
             with pytest.raises(ValueError, match=message):
                 accumulate_ledger(st, ChainState(good, good, 0.0), 0.1, cfg, zero, model)
+            with pytest.raises(ValueError, match=message):
+                accumulate_ledger(ChainState(good, good, 0.0), st, 0.1, cfg, zero, model)
 
     def test_nonfinite_start_time_rejected(self, model):
-        # step used to return a state at t = NaN from one at t = NaN
+        # step used to return a state at t = NaN from one at t = NaN, and
+        # accumulate_ledger took a state_after at t = NaN
         cfg = ChainConfig(N=16, t_end=0.01, seed=1)
         st = make_initial_state(cfg, 0.0, model)
+        before = make_initial_state(cfg, 0.0, model)
         zero = (np.zeros(15), np.zeros(15))
         for bad in (math.nan, math.inf):
             st.t = bad
@@ -443,6 +448,8 @@ class TestStep:
                 step(st, cfg, zero, model, tau_bar=0.1)
             with pytest.raises(ValueError, match="state t must be finite"):
                 accumulate_ledger(st, st, 0.1, cfg, zero, model)
+            with pytest.raises(ValueError, match="state t must be finite"):
+                accumulate_ledger(before, st, 0.1, cfg, zero, model)
 
     def test_nonfinite_tension_rejected_before_step_one(self, model, monkeypatch):
         # named as the tension, not a blow-up of the state it produces

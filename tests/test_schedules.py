@@ -9,7 +9,7 @@ import pytest
 
 from hydrochain.macropde import _CFL, MacroConfig
 from hydrochain.microchain import ChainConfig
-from hydrochain.schedules import RampSchedule, StepSchedule, run_steps
+from hydrochain.schedules import RampSchedule, StepSchedule, checked_record_times, run_steps
 
 
 @pytest.mark.parametrize("cls", [RampSchedule, StepSchedule])
@@ -22,18 +22,30 @@ def test_nonfinite_parameters_rejected(cls, bad):
             cls(**{name: bad})
 
 
-@pytest.mark.parametrize(
+CONFIGS = pytest.mark.parametrize(
     "make",
     [lambda times: ChainConfig(N=32, t_end=0.01, record_times=times),
      lambda times: MacroConfig(M=16, t_end=0.01, record_times=times)],
     ids=["chain", "pde"],
 )
+
+
+@CONFIGS
 @pytest.mark.parametrize("times", [0.005, np.full((2, 2), 0.005)], ids=["scalar", "2x2"])
 def test_record_times_must_be_one_dimensional(make, times):
     # a (2, 2) array passed both configs and failed inside the runs with
     # numpy's own errors, and a scalar with numpy's np.diff error
     with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shape {np.shape(times)}")):
         make(times)
+
+
+@CONFIGS
+def test_default_record_grid(make):
+    # no record_times: schedules.checked_record_times gives both configs
+    # 200 times from 0 to t_end
+    times = make(None).record_times
+    assert np.array_equal(times, np.linspace(0.0, 0.01, 200))
+    assert np.array_equal(checked_record_times(None, 0.01), times)
 
 
 def chain_steps(t_end):
