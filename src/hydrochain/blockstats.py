@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .microchain import ChainState
-from .schedules import checked_start
+from .schedules import ChainState, checked_integer, checked_start
 from .thermo import ThermoModel
 
 
@@ -36,12 +35,8 @@ class BlockSpec:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("l", "N"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (1 <= self.l <= self.N):
-            raise ValueError(f"need 1 <= l <= N, got l={self.l}, N={self.N}")
+        checked_integer("l", self.l, 1)
+        checked_integer("N", self.N, 2)
         if 2 * self.l > self.N:
             raise ValueError(f"no admissible hat window for l={self.l}, N={self.N}")
         j = np.arange(-(self.l - 1), self.l)

@@ -41,9 +41,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .microchain import BlowUpError, ChainState as MacroState
-from .schedules import ConstantSchedule, checked_record_times, checked_start, record_steps
-from .schedules import run_steps, tensions_at
+from .schedules import BlowUpError, ChainState as MacroState, ConstantSchedule, checked_integer
+from .schedules import checked_record_times, checked_start, record_steps, run_steps, tensions_at
 from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
@@ -67,10 +66,7 @@ class MacroConfig:
     record_times: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.M, (int, np.integer)):
-            raise ValueError(f"M must be an integer, got {self.M!r}")
-        if self.M < 8:
-            raise ValueError(f"need at least 8 cells, got M={self.M}")
+        checked_integer("M", self.M, 8)
         for name in ("delta1", "delta2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

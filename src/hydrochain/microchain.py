@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
-from .schedules import ConstantSchedule, checked_record_times, checked_start, record_steps
+from .schedules import BlowUpError, ChainState, ConstantSchedule, checked_integer
+from .schedules import checked_positive, checked_record_times, checked_start, record_steps
 from .schedules import run_steps, tensions_at
 from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potential_value
 
@@ -52,10 +53,6 @@ THETA_MAX = 0.25
 # mmap threshold, so each block array comes from the heap, not a fresh mmap
 _BLOCK_BYTES = 96 << 10
 _SPAN_STEPS = 1 << 16  # steps per schedule call, rounded down to whole blocks
-
-
-class BlowUpError(RuntimeError):
-    """State left the finite range during integration."""
 
 
 def default_sigma(n: int) -> int:
@@ -79,26 +76,18 @@ class ChainConfig:
     refine_level: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
-        if self.N < 2:
-            raise ValueError(f"need N >= 2 particles, got {self.N}")
+        checked_integer("N", self.N, 2)
         if self.sigma is None:
             self.sigma = float(default_sigma(self.N))
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        checked_positive("sigma", self.sigma)
         if not (0.0 < self.theta <= THETA_MAX):
             raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
         dt_max = self.theta / (self.N * self.sigma)
         if dt_max == 0.0:  # N sigma overflows at an extreme sigma
             raise ValueError(f"sigma={self.sigma} gives the step bound theta/(N sigma) = 0")
         self.n_coarse, self.dt = run_steps(self.t_end, dt_max)
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.refine_level, (int, np.integer)):
-            raise ValueError(f"refine_level must be an integer, got {self.refine_level!r}")
-        if self.refine_level < 0:
-            raise ValueError("refine_level must be >= 0")
+        checked_integer("seed", self.seed, 0)
+        checked_integer("refine_level", self.refine_level, 0)
         # N / sigma / sigma, not N / sigma**2: sigma**2 over- or underflows
         if self.sigma / self.N >= 1.0 or self.N / self.sigma / self.sigma >= 1.0:
             warnings.warn(
@@ -117,13 +106,6 @@ class ChainConfig:
     @property
     def n_steps(self) -> int:
         return self.n_coarse * 2**self.refine_level
-
-
-@dataclass
-class ChainState:
-    r: np.ndarray
-    p: np.ndarray
-    t: float
 
 
 @dataclass

@@ -26,6 +26,8 @@ import numpy as np
 # timed set-up does not pay for the load
 from numpy.random import SFC64, Generator, SeedSequence
 
+from .schedules import checked_integer
+
 _STREAM_INIT = 0
 _STREAM_COARSE = 1
 _STREAM_BRIDGE = 2
@@ -55,10 +57,8 @@ class BridgedNoise:
     """
 
     def __init__(self, seed: int, n_bonds: int, dt_coarse: float, level: int = 0):
-        if n_bonds < 1:
-            raise ValueError("need at least one bond")
-        if level < 0:
-            raise ValueError("refinement level must be >= 0")
+        checked_integer("n_bonds", n_bonds, 1)
+        checked_integer("level", level, 0)
         self.n_bonds = int(n_bonds)
         self.dt_coarse = float(dt_coarse)
         self._coarse = _generator(seed, _STREAM_COARSE)

@@ -1,5 +1,7 @@
-"""The run clock of the chain and the PDE, whose t_end and record_times count
-from the start state's t, and the boundary tension schedules tau_bar(t)."""
+"""What the chain and the PDE share: the run clock, whose t_end and
+record_times count from the start state's t; the run state (ChainState, which
+checked_start checks, and BlowUpError); the two rules every size and scale is
+checked by (checked_integer, checked_positive); the tension schedules tau_bar(t)."""
 
 from __future__ import annotations
 
@@ -7,6 +9,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class BlowUpError(RuntimeError):
+    """State left the finite range during integration."""
+
+
+@dataclass
+class ChainState:
+    r: np.ndarray
+    p: np.ndarray
+    t: float
+
+
+def checked_integer(name: str, value, lo: int) -> None:
+    """value must be an int or a numpy integer, not a bool, and at least lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def checked_positive(name: str, value) -> None:
+    """value must be positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def checked_record_times(times, t_max: float) -> np.ndarray:
@@ -31,8 +56,7 @@ def run_steps(t_end: float, dt_max: float) -> tuple[int, float]:
     """The fewest steps n of at most dt_max that end on t_end, and their step
     t_end / n. The bound is relative, so a t_end that is k steps of dt_max up
     to rounding keeps k steps, and its step may pass dt_max by that rounding."""
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    checked_positive("t_end", t_end)
     if not (dt_max > 0.0 and t_end / dt_max < math.inf):
         raise ValueError(f"t_end={t_end} takes infinitely many steps of at most {dt_max}")
     n = max(1, math.ceil(t_end / dt_max * (1.0 - 1e-12)))
@@ -96,8 +120,7 @@ class RampSchedule:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.t1 <= 0.0:
-            raise ValueError(f"ramp duration must be positive, got {self.t1}")
+        checked_positive("t1", self.t1)
 
     def __call__(self, t):
         u = np.clip(np.asarray(t, dtype=float) / self.t1, 0.0, 1.0)

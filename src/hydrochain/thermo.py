@@ -33,6 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, default_rng
 
+from .schedules import checked_integer, checked_positive
+
 _QUAD_TOL = 1e-30
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
 _TABLE_NODES = 3600
@@ -58,8 +60,7 @@ class PotentialParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.kappa) and 0.0 <= self.kappa < 1.0 / 3.0):
             raise ValueError(f"kappa must lie in [0, 1/3), got {self.kappa}")
-        if not (math.isfinite(self.moll_width) and self.moll_width > 0.0):
-            raise ValueError(f"moll_width must be positive, got {self.moll_width}")
+        checked_positive("moll_width", self.moll_width)
 
     @property
     def c1(self) -> float:
@@ -215,10 +216,8 @@ class ThermoModel:
         potential: PotentialParams | None = None,
         n_quad: int = 80,
     ):
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise ValueError(f"beta must be positive, got {beta}")
-        if not (isinstance(n_quad, (int, np.integer)) and n_quad >= 2):
-            raise ValueError(f"n_quad must be an integer >= 2, got {n_quad!r}")
+        checked_positive("beta", beta)
+        checked_integer("n_quad", n_quad, 2)
         self.beta = float(beta)
         self.potential = potential if potential is not None else PotentialParams()
         self.c1 = self.potential.c1
@@ -378,7 +377,8 @@ class ThermoModel:
         multiplies the error by at most kappa/(1 - kappa) < 1/2 (as
         PotentialParams requires kappa < 1/3). The loop returns the first
         iterate whose step is at most 1e-14 (1 + |tau|), or a tau with zero
-        residual, and raises ThermoError after _NEWTON_STEPS steps.
+        residual, and raises ThermoError after _NEWTON_STEPS steps, or once a
+        quadrature too coarse to resolve the spread gives beta Var r <= 0.
         """
         if not math.isfinite(rho):
             raise ValueError(f"non-finite strain {rho}")
@@ -388,7 +388,10 @@ class ThermoModel:
             residual = float(rh[0]) - rho
             if residual == 0.0:
                 return tau
-            step = tau - residual / (self.beta * float(var[0]))
+            slope = self.beta * float(var[0])
+            if not slope > 0.0:
+                raise ThermoError(f"tension inversion failed for rho={rho}: beta Var r = {slope}")
+            step = tau - residual / slope
             if abs(step - tau) <= 1e-14 + 1e-14 * abs(tau):
                 return step
             tau = step
@@ -415,8 +418,7 @@ class ThermoModel:
         r*, where the draws would collapse onto a few values, raises
         ThermoError, as does an acceptance ratio that is not finite.
         """
-        if n < 1:
-            raise ValueError(f"need n >= 1 samples, got {n}")
+        checked_integer("n", n, 1)
         if not math.isfinite(tau):
             raise ValueError(f"tau must be finite, got {tau}")
         rng = seed if isinstance(seed, Generator) else default_rng(seed)

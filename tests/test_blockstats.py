@@ -110,16 +110,15 @@ class TestKernels:
         assert (hat.size, bar.size) == (2, 6)
         with pytest.raises(ValueError, match="no admissible hat window for l=6, N=10"):
             BlockSpec(6, 10)
-        with pytest.raises(ValueError, match="need 1 <= l <= N, got l=11, N=10"):
+        with pytest.raises(ValueError, match="no admissible hat window for l=11, N=10"):
             BlockSpec(11, 10)
 
     def test_window_must_be_a_positive_integer(self):
         # l = 0 used to raise ZeroDivisionError, l = -2 numpy's negative
-        # dimensions error and l = 2.5 a TypeError
+        # dimensions error and l = 2.5 and l = True a TypeError
         u = np.arange(10.0)
-        for bad, message in ((0, "need 1 <= l <= N"), (-2, "need 1 <= l <= N"),
-                             (2.5, "l must be an integer"), (2.0, "l must be an integer")):
-            with pytest.raises(ValueError, match=message):
+        for bad in (0, -2, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="l must be an integer >= 1"):
                 BlockSpec(bad, u.size)
         for a, b in zip(profiles(u, np.int64(2)), profiles(u, 2)):
             assert np.array_equal(a, b)
@@ -136,7 +135,7 @@ class TestKernels:
     def test_block_spec_sizes_must_be_integers(self):
         # l = 2.5 used to pass, and EmpiricalField.from_state then raised a
         # bare TypeError from the kernel build
-        for name, bad in (("l", 2.5), ("l", 2.0), ("N", 32.0), ("N", "32")):
+        for name, bad in (("l", 2.5), ("l", 2.0), ("N", 32.0), ("N", "32"), ("N", True)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BlockSpec(**{"l": 2, "N": 32, name: bad})
         assert BlockSpec(np.int64(2), np.int32(32)) == BlockSpec(2, 32)

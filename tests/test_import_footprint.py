@@ -1,7 +1,8 @@
 """Importing hydrochain loads numpy only: no SciPy module and no
 concurrent.futures (the chain draws its noise on the stepping thread), and
 the numpy submodules that numpy 2 loads lazily are loaded at import, not
-inside the first timed call that needs them."""
+inside the first timed call that needs them. The PDE and the block statistics
+read the run state from schedules, so they load without the chain."""
 
 import json
 import os
@@ -25,13 +26,30 @@ print(json.dumps([
 """
 
 
-def test_importing_every_module_loads_no_scipy():
+ANALYSIS_PROBE = """
+import json, sys
+import hydrochain.blockstats, hydrochain.macropde
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("hydrochain."))))
+"""
+
+
+def _probe(code: str):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    loaded, scipy_modules, numpy_submodules, concurrent_modules = json.loads(out)
+    return json.loads(out)
+
+
+def test_importing_every_module_loads_no_scipy():
+    loaded, scipy_modules, numpy_submodules, concurrent_modules = _probe(PROBE)
     assert len(loaded) >= 8
     assert scipy_modules == []
     assert concurrent_modules == []
     assert numpy_submodules == ["numpy.polynomial.legendre", "numpy.random"]
+
+
+def test_pde_and_block_statistics_load_without_the_chain():
+    loaded = _probe(ANALYSIS_PROBE)
+    assert "hydrochain.macropde" in loaded and "hydrochain.blockstats" in loaded
+    assert "hydrochain.microchain" not in loaded

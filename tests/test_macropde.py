@@ -48,8 +48,8 @@ class TestConfig:
 
     def test_non_integral_m_rejected(self):
         # M = 16.5 used to give 17 cells with dx = 1/16.5
-        for bad in (16.5, 16.0):
-            with pytest.raises(ValueError, match="M must be an integer"):
+        for bad in (16.5, 16.0, True, 7):
+            with pytest.raises(ValueError, match="M must be an integer >= 8"):
                 MacroConfig(M=bad)
         for good in (16, np.int64(16), np.int32(16)):
             cfg = MacroConfig(M=good)

@@ -77,9 +77,9 @@ class TestConfig:
 
     def test_non_integral_refine_level_rejected(self):
         # refine_level = 1.5 used to give n_steps = 11.31 and a bare TypeError
-        # from run_trajectory
-        for bad in (1.5, 1.0, "1"):
-            with pytest.raises(ValueError, match="refine_level must be an integer"):
+        # from run_trajectory, and refine_level = True ran level 1
+        for bad in (1.5, 1.0, "1", True, -1):
+            with pytest.raises(ValueError, match="refine_level must be an integer >= 0"):
                 ChainConfig(N=32, t_end=0.001, refine_level=bad)
         for good in (1, np.int64(1)):  # 5 coarse steps of 2e-4 <= theta/(N sigma)
             assert ChainConfig(N=32, t_end=0.001, refine_level=good).n_steps == 10
@@ -123,16 +123,17 @@ class TestConfig:
         assert cfg.n_coarse == 1 and cfg.dt == 0.01
 
     def test_non_integral_n_rejected(self):
-        for bad in (32.5, 32.0, "32"):
-            with pytest.raises(ValueError, match="N must be an integer"):
+        for bad in (32.5, 32.0, "32", True, 1):
+            with pytest.raises(ValueError, match="N must be an integer >= 2"):
                 ChainConfig(N=bad, t_end=0.01)
         for good in (32, np.int64(32), np.int32(32)):
             assert ChainConfig(N=good, t_end=0.01).n_steps == ChainConfig(N=32, t_end=0.01).n_steps
 
     def test_seed_validated(self):
-        # a masked or truncated seed would run another seed's noise silently
-        for bad in (-1, 1.7, 2.0, "1", None):
-            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        # a masked or truncated seed, or seed = True, would run another seed's
+        # noise silently
+        for bad in (-1, 1.7, 2.0, "1", None, True):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
                 ChainConfig(N=32, t_end=0.01, seed=bad)
         for good in (0, np.int64(5), 2**63 - 1, 2**64):
             assert ChainConfig(N=32, t_end=0.01, seed=good).seed == good
@@ -818,6 +819,15 @@ class TestBridgedNoise:
             BridgedNoise(1.7, 4, 1e-4, 0)
         draws = [BridgedNoise(s, 4, 1e-4, 0).next_chunk(2)[0] for s in (0, 2**63 - 1, 2**63)]
         assert len({d.tobytes() for d in draws}) == 3
+
+    def test_sizes_validated(self):
+        # n_bonds = 2.5 used to be truncated to 2 bonds
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_bonds must be an integer >= 1"):
+                BridgedNoise(0, bad, 1e-4)
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="level must be an integer >= 0"):
+                BridgedNoise(0, 4, 1e-4, bad)
 
     def test_chunking_invariance(self):
         a = BridgedNoise(42, 31, 2e-5, 1)

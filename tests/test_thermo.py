@@ -527,6 +527,12 @@ class TestSampler:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             anharmonic.sample_canonical(**args)
 
+    def test_sample_count_validated(self, anharmonic):
+        # n = 2.5 used to raise a bare TypeError from the momentum draw
+        for bad in (0, -1, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                anharmonic.sample_canonical(0.0, bad, 0)
+
     def test_overflowing_tension_raises(self, anharmonic):
         # rejected as a collapsing tension before V could overflow at r* = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
@@ -624,6 +630,10 @@ class TestTable:
     def test_too_few_quadrature_nodes_fail_certification(self):
         with pytest.raises(ThermoError, match="certification"):
             ThermoModel(n_quad=16).table
+        # beta Var r = 0 at these rules used to raise a bare ZeroDivisionError
+        for n in (2, 3, 5):
+            with pytest.raises(ThermoError, match="tension inversion failed for rho="):
+                ThermoModel(n_quad=n).table
 
     @pytest.mark.parametrize("bad", [1, 0, 2.5, True])
     def test_quadrature_node_count_validated(self, bad):
