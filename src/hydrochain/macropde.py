@@ -42,7 +42,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .schedules import BlowUpError, ChainState as MacroState, ConstantSchedule, checked_integer
-from .schedules import checked_record_times, checked_start, record_steps, run_steps, tensions_at
+from .schedules import checked_real, checked_record_times, checked_start, record_steps, run_steps
+from .schedules import tensions_at
 from .thermo import ThermoModel
 
 log = logging.getLogger(__name__)
@@ -68,10 +69,8 @@ class MacroConfig:
     def __post_init__(self):
         checked_integer("M", self.M, 8)
         for name in ("delta1", "delta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.delta1 < 0.0 or self.delta2 < 0.0:
-            raise ValueError("viscosities must be nonnegative")
+            value = getattr(self, name)
+            checked_real(name, value, lambda d: 0.0 <= d < math.inf, "nonnegative and finite")
         self.dx = 1.0 / self.M
         dif_coeff = max(self.delta1, self.delta2)
         dif = self.dx**2 / (2.0 * dif_coeff) if dif_coeff > 0.0 else math.inf

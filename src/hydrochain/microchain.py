@@ -3,9 +3,10 @@
 Integrates the coupled SDEs for (r_1..r_N, p_1..p_N) with the wall convention
 p_0 = 0 by Euler-Maruyama, and keeps the trajectory energy/work/heat ledger.
 The inverse temperature beta and the potential V come from the ThermoModel
-every chain function takes; ChainConfig holds the chain's size, noise and
-schedule, and its one step parameter theta: the coarse step dt is the largest
-step <= theta / (N sigma) that ends on t_end, with theta <= THETA_MAX.
+every chain function takes; ChainConfig holds the chain's size, schedule,
+horizon, seed and records. The noise strength is derived from N,
+sigma = ceil(N^(3/4)), and the coarse step dt is the largest step
+<= _THETA / (N sigma) that ends on t_end; refine_level divides it by 2^L.
 
 Ledger convention: within each step the displacement splits into Hamiltonian
 drift, noise drift and noise coupling; the heat columns are the exact kinetic
@@ -35,40 +36,35 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import BlowUpError, ChainState, ConstantSchedule, checked_integer
-from .schedules import checked_positive, checked_record_times, checked_start, record_steps
+from .schedules import checked_record_times, checked_start, record_steps
 from .schedules import run_steps, tensions_at
 from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potential_value
 
 log = logging.getLogger(__name__)
 
-THETA_MAX = 0.25
+_THETA = 0.1  # the coarse step bound is _THETA / (N sigma)
 # bound on one ledger block's (3 steps, N) leg arrays: below glibc's 128 KiB
 # mmap threshold, so each block array comes from the heap, not a fresh mmap
 _BLOCK_BYTES = 96 << 10
 _SPAN_STEPS = 1 << 16  # steps per schedule call, rounded down to whole blocks
 
 
-def default_sigma(n: int) -> int:
-    """ceil(N^(3/4)): ergodic at micro scale, vanishing at macro scale."""
-    return int(math.ceil(n**0.75 - 1e-9))
-
-
 @dataclass
 class ChainConfig:
-    """The coarse step dt is the largest step <= theta/(N sigma) that ends on
-    t_end: n_coarse steps of t_end / n_coarse (schedules.run_steps)."""
+    """The noise strength sigma = ceil(N^(3/4)) is large at the micro scale
+    and vanishing at the macro scale. The coarse step dt is the largest step
+    <= _THETA/(N sigma) that ends on t_end: n_coarse steps of t_end / n_coarse
+    (schedules.run_steps); refine_level splits each into 2^L fine steps."""
 
     N: int
     tension_schedule: object = field(default_factory=ConstantSchedule)
-    sigma: float | None = None
-    theta: float = 0.1
+    sigma: float = field(init=False)
     dt: float = field(init=False)
     t_end: float = 1.0
     seed: int = 0
@@ -77,25 +73,10 @@ class ChainConfig:
 
     def __post_init__(self):
         checked_integer("N", self.N, 2)
-        if self.sigma is None:
-            self.sigma = float(default_sigma(self.N))
-        checked_positive("sigma", self.sigma)
-        if not (0.0 < self.theta <= THETA_MAX):
-            raise ValueError(f"theta must lie in (0, {THETA_MAX}], got {self.theta}")
-        dt_max = self.theta / (self.N * self.sigma)
-        if dt_max == 0.0:  # N sigma overflows at an extreme sigma
-            raise ValueError(f"sigma={self.sigma} gives the step bound theta/(N sigma) = 0")
-        self.n_coarse, self.dt = run_steps(self.t_end, dt_max)
+        self.sigma = float(math.ceil(self.N**0.75 - 1e-9))
+        self.n_coarse, self.dt = run_steps(self.t_end, _THETA / (self.N * self.sigma))
         checked_integer("seed", self.seed, 0)
         checked_integer("refine_level", self.refine_level, 0)
-        # N / sigma / sigma, not N / sigma**2: sigma**2 over- or underflows
-        if self.sigma / self.N >= 1.0 or self.N / self.sigma / self.sigma >= 1.0:
-            warnings.warn(
-                f"noise scaling far from the hydrodynamic regime: "
-                f"sigma/N={self.sigma / self.N:.3g}, "
-                f"N/sigma^2={self.N / self.sigma / self.sigma:.3g}",
-                stacklevel=2,
-            )
         self.t_end_eff = self.t_end  # the name the benchmark in perfbench/ reads
         self.record_times = checked_record_times(self.record_times, self.t_end)
 

@@ -1,11 +1,13 @@
 """What the chain and the PDE share: the run clock, whose t_end and
 record_times count from the start state's t; the run state (ChainState, which
-checked_start checks, and BlowUpError); the two rules every size and scale is
-checked by (checked_integer, checked_positive); the tension schedules tau_bar(t)."""
+checked_start checks, and BlowUpError); the rules every size, scale and real
+setting is checked by (checked_integer, checked_real, checked_positive); the
+tension schedules tau_bar(t)."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,16 @@ def checked_integer(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def checked_real(name: str, value, ok, need: str) -> None:
+    """value must be a real number, not a bool, for which ok(value) holds;
+    else ValueError "<name> must be <need>, got <value>"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
 def checked_positive(name: str, value) -> None:
-    """value must be positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """value must be a positive and finite real number."""
+    checked_real(name, value, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
 
 
 def checked_record_times(times, t_max: float) -> np.ndarray:
@@ -69,12 +77,12 @@ def record_steps(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
 
 
 def checked_start(state, n: int, size: str) -> None:
-    """A start state needs r and p of shape (n,), n the size named size, and a finite t."""
+    """A start state needs r and p of shape (n,), n the size named size, and a
+    finite real t (not a bool)."""
     for name, x in (("r", state.r), ("p", state.p)):
         if np.shape(x) != (n,):
             raise ValueError(f"state {name} has shape {np.shape(x)}, need ({n},) for {size}={n}")
-    if not math.isfinite(state.t):
-        raise ValueError(f"state t must be finite, got {state.t}")
+    checked_real("state t", state.t, math.isfinite, "finite")
 
 
 def tensions_at(schedule, times: np.ndarray) -> np.ndarray:
@@ -89,8 +97,7 @@ def tensions_at(schedule, times: np.ndarray) -> np.ndarray:
 def _check_finite(schedule) -> None:
     """A NaN parameter would pass the range checks and reshape the schedule."""
     for name, value in vars(schedule).items():
-        if not math.isfinite(value):
-            raise ValueError(f"tension schedule parameter {name} must be finite, got {value}")
+        checked_real(f"tension schedule parameter {name}", value, math.isfinite, "finite")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, default_rng
 
-from .schedules import checked_integer, checked_positive
+from .schedules import checked_integer, checked_positive, checked_real
 
 _QUAD_TOL = 1e-30
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
@@ -58,8 +58,7 @@ class PotentialParams:
     moll_width: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and 0.0 <= self.kappa < 1.0 / 3.0):
-            raise ValueError(f"kappa must lie in [0, 1/3), got {self.kappa}")
+        checked_real("kappa", self.kappa, lambda k: 0.0 <= k < 1.0 / 3.0, "in [0, 1/3)")
         checked_positive("moll_width", self.moll_width)
 
     @property
@@ -380,8 +379,7 @@ class ThermoModel:
         residual, and raises ThermoError after _NEWTON_STEPS steps, or once a
         quadrature too coarse to resolve the spread gives beta Var r <= 0.
         """
-        if not math.isfinite(rho):
-            raise ValueError(f"non-finite strain {rho}")
+        checked_real("rho", rho, math.isfinite, "finite")
         tau = float(rho)
         for _ in range(_NEWTON_STEPS):
             _, rh, var, _ = self._moments(tau)
@@ -419,8 +417,7 @@ class ThermoModel:
         ThermoError, as does an acceptance ratio that is not finite.
         """
         checked_integer("n", n, 1)
-        if not math.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau}")
+        checked_real("tau", tau, math.isfinite, "finite")
         rng = seed if isinstance(seed, Generator) else default_rng(seed)
         beta = self.beta
         p = rng.standard_normal(n) / math.sqrt(beta)

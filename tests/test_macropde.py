@@ -43,6 +43,10 @@ class TestConfig:
             MacroConfig(M=4)
         with pytest.raises(ValueError):
             MacroConfig(delta1=-1.0)
+        # delta1 = True ran delta = 1, and None leaked a TypeError
+        for bad in (True, None):
+            with pytest.raises(ValueError, match="delta1"):
+                MacroConfig(delta1=bad)
         with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
 

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from hydrochain.macropde import _CFL, MacroConfig
-from hydrochain.microchain import ChainConfig
+from hydrochain.microchain import _THETA, ChainConfig
 from hydrochain.schedules import RampSchedule, StepSchedule, checked_record_times, run_steps
 
 
 @pytest.mark.parametrize("cls", [RampSchedule, StepSchedule])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
 def test_nonfinite_parameters_rejected(cls, bad):
     # a NaN tension or t_step makes every comparison false, so each would
-    # silently reshape the schedule
+    # silently reshape the schedule; a bool ran as 1.0
     for name in cls.__dataclass_fields__:
         with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
             cls(**{name: bad})
@@ -50,7 +50,7 @@ def test_default_record_grid(make):
 
 def chain_steps(t_end):
     cfg = ChainConfig(N=32, t_end=t_end)
-    return cfg.n_coarse, cfg.dt, cfg.theta / (cfg.N * cfg.sigma)
+    return cfg.n_coarse, cfg.dt, _THETA / (cfg.N * cfg.sigma)
 
 
 def pde_steps(t_end):

@@ -106,6 +106,11 @@ class TestPotential:
             PotentialParams(kappa=1.0 / 3.0)
         with pytest.raises(ValueError):
             PotentialParams(moll_width=0.0)
+        # a bool ran as a number: moll_width = 1, and kappa = 0, the harmonic spring
+        with pytest.raises(ValueError, match="moll_width"):
+            PotentialParams(moll_width=True)
+        with pytest.raises(ValueError, match="kappa"):
+            PotentialParams(kappa=False)
 
 
 params_st = st.builds(
@@ -225,7 +230,8 @@ class TestLogPartition:
 
     def test_beta_validated(self):
         # the one beta check: chain and PDE read beta from the model
-        for bad in (-1.0, 0.0, math.nan, math.inf):
+        # beta = True ran beta = 1, and None or "1" leaked a TypeError
+        for bad in (-1.0, 0.0, math.nan, math.inf, True, None, "1"):
             with pytest.raises(ValueError, match="beta must be positive"):
                 ThermoModel(beta=bad)
 
@@ -283,6 +289,12 @@ class TestTensionOfStrain:
         for rho in np.linspace(-3000.0, 3000.0, 521):
             tau = model.tension_of_strain(float(rho))
             assert abs(model.mean_strain(tau) - rho) <= 1e-13 * (1.0 + abs(rho))
+
+    def test_strain_validated(self, anharmonic):
+        # rho = True inverted rho = 1, and None leaked a TypeError
+        for bad in (math.nan, math.inf, True, None):
+            with pytest.raises(ValueError, match="rho must be finite"):
+                anharmonic.tension_of_strain(bad)
 
     def test_inversion_failure_names_the_strain(self, anharmonic, monkeypatch):
         monkeypatch.setattr(anharmonic, "_moments", lambda tau: (0, [np.nan], [1.0], 0))
@@ -520,7 +532,7 @@ class TestSampler:
         assert abs(s.r.mean() - anharmonic.mean_strain(0.8)) <= 4 * se
 
     @pytest.mark.parametrize("name", ["tau"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None])
     def test_nonfinite_input_named(self, anharmonic, name, bad):
         args = {"tau": 0.5, "n": 4, "seed": 1}
         args[name] = bad
