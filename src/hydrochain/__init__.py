@@ -3,10 +3,9 @@ limit, and the statistics connecting them."""
 
 __version__ = "0.1.0"
 
-from .thermo import GibbsSample, PotentialParams, ThermoError, ThermoModel
+from .thermo import PotentialParams, ThermoError, ThermoModel
 
 __all__ = [
-    "GibbsSample",
     "PotentialParams",
     "ThermoError",
     "ThermoModel",

@@ -19,15 +19,15 @@ energy balance
     F(t) - F(0) = W(t) - D(t)
 
 can be checked against the discretization error, and the Clausius gap
-W - (F(rho1) - F(rho0)) evaluated after relaxation. The work and dissipation
-rates are the exact energy flux of the semi-discrete right-hand side, so the
-balance misses only the time integration and the table's own F-tau
-consistency (its F pieces take the slope tau at every node). The ghost
-padding, the stencil and the balance rates exist once, in _pad, _stencil and
-_balance, as 1-D operations on one flat buffer per run,
+W - (F(rho1) - F(rho0)) evaluated after relaxation, from the same table F.
+The work and dissipation rates are the exact energy flux of the semi-discrete
+right-hand side, so the balance misses only the time integration and the
+table's own F-tau consistency (its F pieces take the slope tau at every
+node). The ghost padding, the stencil and the balance rates exist once, in
+_pad, _stencil and _balance, as 1-D operations on one flat buffer per run,
 [tau-pad (M+4) | p-pad (M+4)], whose outputs at the seam are never read; the
-rhs and advance's state are [r (M) | 4 zeros | p (M)], written in place by each
-SSP-RK3 combination. advance reads tau and F in one table lookup a step end
+rhs and advance's state are [r (M) | 4 zeros | p (M)], written in place by
+each SSP-RK3 combination. advance reads tau and F in one table lookup a step end
 and the tension schedule once, at every stage time of the run.
 """
 
@@ -95,6 +95,7 @@ class MacroTrajectory:
 
 
 def uniform_state(config: MacroConfig, rho: float) -> MacroState:
+    checked_real("rho", rho, math.isfinite, "finite")
     return MacroState(r=np.full(config.M, float(rho)), p=np.zeros(config.M), t=0.0)
 
 
@@ -273,11 +274,16 @@ def work_and_dissipation(traj: MacroTrajectory):
 
 
 def clausius_gap(traj: MacroTrajectory, model: ThermoModel, tau0: float, tau1: float) -> float:
-    """W - (F(beta, rho(tau1)) - F(beta, rho(tau0))) at the end of the run.
+    """W - (F(rho(tau1)) - F(rho(tau0))) at the end of the run, rho being
+    mean_strain and F the table's, as in F_hist, from one lookup; a strain
+    rho(tau) off the table raises the table's ValueError, as in advance.
 
     Nonnegative up to discretization error; equals the accumulated
-    dissipation once the final state has relaxed. The stationarity check reads
-    the last snapshot, so a run not recorded at its end raises ValueError."""
+    dissipation D once the final state has relaxed: from uniform_state at
+    rho(tau0), gap - D = F_hist[-1] - F(rho(tau1)) - res, with res =
+    F_hist[-1] - F_hist[0] - W + D the signed balance residual. The
+    stationarity check reads the last snapshot, so a run not recorded at its
+    end raises ValueError."""
     if traj.times[-1] != traj.t_hist[-1]:
         raise ValueError(f"no snapshot at t_end={traj.t_hist[-1]:.6g} to check stationarity")
     p_norm = math.sqrt(float(np.mean(traj.p[-1] ** 2)))
@@ -285,10 +291,10 @@ def clausius_gap(traj: MacroTrajectory, model: ThermoModel, tau0: float, tau1: f
         warnings.warn(
             f"final state not stationary: ||p||_2 = {p_norm:.3g}", stacklevel=2
         )
-    df = model.free_energy(model.mean_strain(tau1)) - model.free_energy(
-        model.mean_strain(tau0)
+    _, (f0, f1) = model.tau_and_free_energy_of_rho(
+        np.array([model.mean_strain(tau0), model.mean_strain(tau1)])
     )
-    return float(traj.W_hist[-1] - df)
+    return float(traj.W_hist[-1] - (f1 - f0))
 
 
 def entropy_pair_residual(traj: MacroTrajectory, model: ThermoModel, phi) -> float:

@@ -268,9 +268,7 @@ def energy_per_particle(state: ChainState, model: ThermoModel) -> float:
 
 def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> ChainState:
     """Product Gibbs sample at (beta, tau0), mean momentum 0: N-uniform entropy bound."""
-    rng = initial_state_rng(config.seed)
-    sample = model.sample_canonical(tau0, config.N, rng)
-    return ChainState(r=sample.r, p=sample.p, t=0.0)
+    return model.sample_canonical(tau0, config.N, initial_state_rng(config.seed))
 
 
 def draw_increments(rng: np.random.Generator, n: int, dt: float):

@@ -14,9 +14,12 @@ weak residuals, blockstats.weak_residual and macropde.entropy_pair_residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schedules import checked_integer, checked_real
 
 
 # min(u^2, 1) makes w exactly 0 for |u| >= 1 and w = 1 - u^2 inside; products,
@@ -47,6 +50,9 @@ class SpaceTimeTestFunction:
     mode: int = 0
 
     def __post_init__(self):
+        for name in ("t0", "t1", "x0", "x1"):
+            checked_real(name, getattr(self, name), math.isfinite, "finite")
+        checked_integer("mode", self.mode, 0)
         if not (self.t0 < self.t1 and self.x0 < self.x1):
             raise ValueError("empty support")
         if not (0.0 <= self.x0 and self.x1 <= 1.0):

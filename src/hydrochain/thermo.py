@@ -18,7 +18,8 @@ inversion of rho(tau). The quadrature also gives each node's exact slopes,
 dtau/drho = 1/(beta Var r) and dF/drho = tau, so tau(rho) and F(rho) are cubic
 Hermite pieces with no linear solve, found through uniform strain buckets and
 read at a strain; a strain outside the tabulated range raises instead of
-extrapolating. The module needs numpy only.
+extrapolating. The table's F is the package's one free energy. The module
+needs numpy only; sample_canonical draws from the caller's generator.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# numpy 2 loads these on first use; imported here, a first sample_canonical or
-# model does not pay for the load
+# numpy 2 loads this on first use: imported here, a first model does not pay
 from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, default_rng
 
-from .schedules import checked_integer, checked_positive, checked_real
+from .schedules import ChainState, checked_integer, checked_positive, checked_real
 
 _QUAD_TOL = 1e-30
 _TABLE_RHO_MIN, _TABLE_RHO_MAX = -10.0, 10.0
@@ -185,23 +184,16 @@ def _band_root(params: PotentialParams, tau: float) -> float:
     raise ThermoError(f"band root of V'(r) = {tau} did not converge")
 
 
-@dataclass(frozen=True)
-class GibbsSample:
-    """i.i.d. draws from the single-spring canonical measure."""
-
-    r: np.ndarray
-    p: np.ndarray
-
-
 class ThermoModel:
     """Canonical thermodynamics at inverse temperature beta.
 
     Exposes the potential shorthands V and dV, the exact quadrature path
-    (log_partition, mean_strain, tension_of_strain, free_energy,
-    internal_energy, sample_canonical) and a lazily built, certified table of
-    cubic Hermite pieces for hot loops (tau_of_rho, tau_prime_of_rho and
+    (mean_strain, tension_of_strain and internal_energy), the canonical
+    sampler sample_canonical, and a lazily built, certified table of cubic
+    Hermite pieces (tau_of_rho, tau_prime_of_rho and
     tau_and_free_energy_of_rho, one lookup for tau and F), each read at a
-    strain. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
+    strain. The table's F is the only free energy; G = log Z is read from
+    _moments. tau' = 1/(beta Var r) exists once, as tau_prime_of_rho, the
     derivative of tau_of_rho's piece. Construction runs no quadrature and
     no check of V'': its formula (_potential_curvature) keeps it in [c1, c2]
     for every kappa that PotentialParams admits. It lays out the quadrature's
@@ -356,16 +348,14 @@ class ThermoModel:
         ev = (np.sum(mv_out, axis=0) + np.sum(mv, axis=0)) / z
         return g, rho, var, ev
 
-    def log_partition(self, tau: float) -> float:
-        """G(beta, tau) = log of the single-spring partition integral."""
-        return float(self._moments(tau)[0][0])
-
     def mean_strain(self, tau: float) -> float:
         """rho(beta, tau): canonical mean of r (direct quadrature)."""
+        checked_real("tau", tau, math.isfinite, "finite")
         return float(self._moments(tau)[1][0])
 
     def internal_energy(self, tau: float) -> float:
         """U(beta, tau) = 1/(2 beta) + E[V(r)] (kinetic part exact)."""
+        checked_real("tau", tau, math.isfinite, "finite")
         return 0.5 / self.beta + float(self._moments(tau)[3][0])
 
     def tension_of_strain(self, rho: float) -> float:
@@ -395,15 +385,11 @@ class ThermoModel:
             tau = step
         raise ThermoError(f"tension inversion failed for rho={rho}: {_NEWTON_STEPS} steps")
 
-    def free_energy(self, rho: float) -> float:
-        """F(beta, rho) = tau rho - G(beta,tau)/beta at the conjugate tau."""
-        tau = self.tension_of_strain(rho)
-        return tau * rho - self.log_partition(tau) / self.beta
-
     # -- sampling -------------------------------------------------------------
 
-    def sample_canonical(self, tau: float, n: int, seed) -> GibbsSample:
-        """n i.i.d. draws from the canonical single-spring measure.
+    def sample_canonical(self, tau: float, n: int, rng) -> ChainState:
+        """n i.i.d. draws from the canonical single-spring measure, taken
+        from the numpy Generator rng, as a ChainState at t = 0.
 
         Momenta are exactly Gaussian(0, 1/beta): the chain's wall fixes p_0 = 0,
         so 0 is its only equilibrium mean momentum. Strains come from rejection
@@ -418,7 +404,6 @@ class ThermoModel:
         """
         checked_integer("n", n, 1)
         checked_real("tau", tau, math.isfinite, "finite")
-        rng = seed if isinstance(seed, Generator) else default_rng(seed)
         beta = self.beta
         p = rng.standard_normal(n) / math.sqrt(beta)
         rstar = self._argmax_exponent(float(tau))
@@ -453,7 +438,7 @@ class ThermoModel:
             take = min(keep.size, n - filled)
             out[filled : filled + take] = keep[:take]
             filled += take
-        return GibbsSample(r=out, p=p)
+        return ChainState(r=out, p=p, t=0.0)
 
     # -- tabulated fast path ----------------------------------------------------
 
@@ -469,8 +454,8 @@ class ThermoModel:
         A strain's piece is found through uniform strain buckets no wider than
         the closest two nodes, so a bucket holds at most one node: the bucket
         names the piece left of that node, and one compare steps past it (see
-        _locate). Certified against exact tensions midway between nodes and
-        the slope bounds."""
+        _locate). Certified against exact tensions and free energies midway
+        between nodes, and the slope bounds."""
         taus = np.linspace(
             self.tension_of_strain(_TABLE_RHO_MIN),
             self.tension_of_strain(_TABLE_RHO_MAX),
@@ -496,17 +481,20 @@ class ThermoModel:
             "bucket_edge": rho[first + 1],
         }
         probe = 0.5 * (taus[:-1:40] + taus[1::40])
-        _, rho_p, _, _ = self._moments(probe)
-        err_tau = np.max(np.abs(_horner(table["tau_pieces"], *_locate(table, rho_p)) - probe))
+        g_p, rho_p, _, _ = self._moments(probe)
+        at = _locate(table, rho_p)
+        err_tau = np.max(np.abs(_horner(table["tau_pieces"], *at) - probe))
+        err_f = np.max(np.abs(_horner(table["F_pieces"], *at) - (probe * rho_p - g_p / self.beta)))
         dense = np.linspace(rho[0], rho[-1], 20001)
         slope_dense = _slope(table["tau_pieces"], *_locate(table, dense))
         mono_ok = slope_dense.min() >= self.c1 - 1e-6 and slope_dense.max() <= self.c2 + 1e-6
         table["certificate"] = {
             "max_tau_error": float(err_tau),
+            "max_F_error": float(err_f),
             "slope_range": (float(slope_dense.min()), float(slope_dense.max())),
             "monotone_within_bounds": bool(mono_ok),
         }
-        if err_tau > 5e-8 or not mono_ok:
+        if err_tau > 5e-8 or err_f > 5e-8 or not mono_ok:
             raise ThermoError(f"thermo table failed certification: {table['certificate']}")
         return table
 

@@ -473,6 +473,25 @@ class TestTestFunctions:
             assert all(fn(ti, xi) == 0.0 for ti in t_out for xi in x_out)
         assert np.all(phi(t_in[:, None], x_in[None, :]) != 0.0)
 
+    def test_fields_validated(self):
+        # t1 = inf gave NaN values; t0 = True and modes True, 1.5 and -2 were
+        # taken; None and "a" leaked a TypeError
+        base = {"t0": 0.0, "t1": 1.0, "x0": 0.2, "x1": 0.8, "mode": 0}
+        bad_fields = [("t1", math.inf), ("t0", True), ("t0", "a"), ("x0", None),
+                      ("x1", math.nan), ("t0", -math.inf)]
+        for name, bad in bad_fields:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SpaceTimeTestFunction(**{**base, name: bad})
+        for bad in (True, 1.5, -2, None):
+            with pytest.raises(ValueError, match="mode must be an integer >= 0"):
+                SpaceTimeTestFunction(**{**base, "mode": bad})
+        # the support checks stay
+        with pytest.raises(ValueError, match="empty support"):
+            SpaceTimeTestFunction(**{**base, "t1": 0.0})
+        with pytest.raises(ValueError, match=r"inside \[0,1\]"):
+            SpaceTimeTestFunction(**{**base, "x1": 1.5})
+        assert SpaceTimeTestFunction(0, 1, 0, 1, mode=np.int64(2))(0.5, 0.25) != 0.0
+
     def test_scalar_input_returns_float(self):
         phi = SpaceTimeTestFunction(0.1, 0.9, 0.2, 0.8, mode=1)
         for t, x in ((0.5, 0.4), (0.05, 0.4), (0.5, 1)):

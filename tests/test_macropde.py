@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             MacroConfig(t_end=1.0, record_times=np.array([2.0]))
 
+    def test_uniform_strain_validated(self):
+        # True and "1" built rho = 1, NaN a NaN state, and None leaked a TypeError
+        for bad in (True, "1", math.nan, math.inf, None):
+            with pytest.raises(ValueError, match="rho must be finite"):
+                uniform_state(MacroConfig(M=16), bad)
+
     def test_non_integral_m_rejected(self):
         # M = 16.5 used to give 17 cells with dx = 1/16.5
         for bad in (16.5, 16.0, True, 7):
@@ -434,7 +440,10 @@ class TestFreeEnergy:
         cfg = MacroConfig(M=80, t_end=1e-4)
         rho = 0.37
         got = advance(uniform_state(cfg, rho), cfg, model).F_hist[0]
-        assert got == pytest.approx(model.free_energy(rho), abs=1e-7)
+        # the exact oracle: tau rho - G/beta at the conjugate tension, from
+        # the quadrature that builds the table
+        tau = model.tension_of_strain(rho)
+        assert got == pytest.approx(tau * rho - model._moments(tau)[0][0] / model.beta, abs=1e-7)
 
     def test_harmonic_closed_form(self, harmonic):
         cfg = MacroConfig(M=4000, t_end=1e-6)
@@ -496,6 +505,33 @@ class TestClausius:
         traj = advance(uniform_state(cfg, 0.3), cfg, model)
         gap = clausius_gap(traj, model, taub, taub)
         assert abs(gap) <= 1e-9
+
+    def test_ramp_gap_is_the_dissipation_and_the_free_energy_left(self, model, monkeypatch):
+        # a real transformation, 0 -> 0.5, relaxed to ||p||_2 = 1.4e-4; the gap
+        # reads the table's F, as F_hist does, and runs no tension inversion,
+        # so gap - D + res is F_hist[-1] - F(rho(tau1)) to the bit
+        cfg = MacroConfig(M=16, delta1=0.3, delta2=0.3, t_end=12.0,
+                          tension_schedule=RampSchedule(0.0, 0.5, t1=1.0),
+                          record_times=np.array([0.0, 12.0]))
+        traj = advance(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
+
+        def no_inversion(rho):
+            raise AssertionError("tension_of_strain called")
+
+        monkeypatch.setattr(model, "tension_of_strain", no_inversion)
+        gap = clausius_gap(traj, model, 0.0, 0.5)
+        w, d = traj.W_hist[-1], traj.D_hist[-1]
+        res = traj.F_hist[-1] - traj.F_hist[0] - w + d
+        f1 = model.tau_and_free_energy_of_rho(model.mean_strain(0.5))[1]
+        assert gap > 0.09
+        assert abs(gap - d + res - (traj.F_hist[-1] - f1)) <= 1e-15
+
+    def test_tension_off_the_table_raises(self, model):
+        # rho(20) is about 20, past the table's strains [-10, 10]
+        cfg = MacroConfig(M=16, t_end=0.1)
+        traj = advance(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
+        with pytest.raises(ValueError, match="outside the thermo table"):
+            clausius_gap(traj, model, 0.0, 20.0)
 
     def test_nonstationary_warns(self, model):
         cfg = MacroConfig(M=64, t_end=0.4, tension_schedule=RampSchedule(0.0, 0.5, t1=0.2))

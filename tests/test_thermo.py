@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hydrochain import GibbsSample, PotentialParams, ThermoError, ThermoModel
+from hydrochain import PotentialParams, ThermoError, ThermoModel
 from hydrochain import thermo
+from hydrochain.schedules import ChainState
 from hydrochain.thermo import _potential_curvature, _potential_slope, _potential_value
 
 
@@ -37,6 +38,12 @@ def simpson_oracle(model, tau, what="G"):
     if what == "U":
         return 0.5 / beta + simpson(f * v, x=r) / z
     raise ValueError(what)
+
+
+def log_partition(model, tau):
+    """G(beta, tau), the log of the single-spring partition integral, from the
+    quadrature that builds the table."""
+    return float(model._moments(tau)[0][0])
 
 
 def potential(params, r):
@@ -207,24 +214,24 @@ class TestPotentialProperties:
 
 class TestLogPartition:
     def test_gaussian_normalization(self, harmonic):
-        assert harmonic.log_partition(0.0) == pytest.approx(
+        assert log_partition(harmonic, 0.0) == pytest.approx(
             0.5 * math.log(2 * math.pi), abs=1e-10
         )
 
     def test_complete_the_square(self, harmonic):
-        assert harmonic.log_partition(1.0) == pytest.approx(
+        assert log_partition(harmonic, 1.0) == pytest.approx(
             0.5 * math.log(2 * math.pi) + 0.5, abs=1e-10
         )
 
     def test_beta_scaling(self):
         m = ThermoModel(beta=2.0, potential=PotentialParams(kappa=0.0))
-        assert m.log_partition(0.7) == pytest.approx(
+        assert log_partition(m, 0.7) == pytest.approx(
             0.5 * math.log(2 * math.pi / 2.0) + 2.0 * 0.49 / 2.0, abs=1e-10
         )
 
     def test_against_simpson_oracle(self, anharmonic):
         for tau in (-1.0, 0.0, 0.5, 3.0):
-            assert anharmonic.log_partition(tau) == pytest.approx(
+            assert log_partition(anharmonic, tau) == pytest.approx(
                 simpson_oracle(anharmonic, tau, "G"), abs=1e-8
             )
 
@@ -249,6 +256,13 @@ class TestMeanStrain:
             assert anharmonic.mean_strain(tau) == pytest.approx(
                 simpson_oracle(anharmonic, tau, "rho"), abs=1e-6
             )
+
+    def test_tension_validated(self, anharmonic):
+        # True and "1" read as tau = 1, and NaN ran the quadrature's own check
+        for bad in (math.nan, math.inf, True, "1", None):
+            for exact in (anharmonic.mean_strain, anharmonic.internal_energy):
+                with pytest.raises(ValueError, match="tau must be finite"):
+                    exact(bad)
 
     def test_large_tau_near_identity(self, anharmonic):
         # V = r^2/2 on r > h, so rho(tau) ~ tau for large positive tau
@@ -307,11 +321,19 @@ class TestTensionOfStrain:
             assert 0.75 - 1e-6 <= tp <= 1.0 + 1e-6
 
 
+def table_free_energy(model, rho):
+    """F(beta, rho) from the table, the one free energy the pipeline reads."""
+    return float(model.tau_and_free_energy_of_rho(rho)[1])
+
+
 class TestFreeEnergy:
+    """The table's F pieces, the free energy of advance, entropy_pair_residual
+    and clausius_gap."""
+
     def test_harmonic_closed_form(self, harmonic):
         for rho in (-1.0, 0.0, 2.0):
-            assert harmonic.free_energy(rho) == pytest.approx(
-                rho**2 / 2 - 0.5 * math.log(2 * math.pi), abs=1e-9
+            assert table_free_energy(harmonic, rho) == pytest.approx(
+                rho**2 / 2 - 0.5 * math.log(2 * math.pi), abs=1e-12
             )
 
     def test_convexity_on_triples(self, anharmonic):
@@ -320,17 +342,17 @@ class TestFreeEnergy:
             a, b = sorted(rng.uniform(-3, 3, 2))
             mid = 0.5 * (a + b)
             assert (
-                anharmonic.free_energy(a) + anharmonic.free_energy(b)
-                >= 2 * anharmonic.free_energy(mid) - 1e-10
+                table_free_energy(anharmonic, a) + table_free_energy(anharmonic, b)
+                >= 2 * table_free_energy(anharmonic, mid) - 1e-10
             )
 
     def test_second_derivative_bounds(self, anharmonic):
         eps = 1e-3
         for rho in (-2.0, 0.0, 1.5):
             f2 = (
-                anharmonic.free_energy(rho + eps)
-                - 2 * anharmonic.free_energy(rho)
-                + anharmonic.free_energy(rho - eps)
+                table_free_energy(anharmonic, rho + eps)
+                - 2 * table_free_energy(anharmonic, rho)
+                + table_free_energy(anharmonic, rho - eps)
             ) / eps**2
             assert 0.75 - 1e-3 <= f2 <= 1.0 + 1e-3
 
@@ -342,7 +364,7 @@ class TestFreeEnergy:
         for tau in np.linspace(-3.5, 3.5, 20):
             sup = np.max(tau * rho_grid - f_grid)
             assert sup == pytest.approx(
-                anharmonic.log_partition(float(tau)) / anharmonic.beta, abs=1e-6
+                log_partition(anharmonic, float(tau)) / anharmonic.beta, abs=1e-6
             )
 
 
@@ -506,14 +528,14 @@ def test_band_root_matches_the_newton_step_written_out(kappa, h):
 
 class TestSampler:
     def test_tension_moment(self, anharmonic):
-        s = anharmonic.sample_canonical(0.5, 10**6, seed=123)
+        s = anharmonic.sample_canonical(0.5, 10**6, np.random.default_rng(123))
         vp = anharmonic.dV(s.r)
         se = vp.std() / 1000.0
         assert abs(vp.mean() - 0.5) <= 3 * se
 
     def test_momentum_temperature(self, anharmonic):
         # the wall fixes p_0 = 0: momenta have mean 0 and variance 1/beta
-        s = anharmonic.sample_canonical(0.5, 10**6, seed=42)
+        s = anharmonic.sample_canonical(0.5, 10**6, np.random.default_rng(42))
         se_mean = s.p.std() / 1000.0
         assert abs(s.p.mean()) <= 3 * se_mean
         var = s.p.var()
@@ -521,20 +543,20 @@ class TestSampler:
         assert abs(var - 1.0) <= 3 * se_var
 
     def test_harmonic_marginal_ks(self, harmonic):
-        s = harmonic.sample_canonical(0.7, 10**5, seed=7)
+        s = harmonic.sample_canonical(0.7, 10**5, np.random.default_rng(7))
         stat = kstest(s.r, "norm", args=(0.7, 1.0))
         assert stat.pvalue >= 0.01
 
     def test_sampler_matches_quadrature(self, anharmonic):
         n = 10**6
-        s = anharmonic.sample_canonical(0.8, n, seed=99)
+        s = anharmonic.sample_canonical(0.8, n, np.random.default_rng(99))
         se = s.r.std() / math.sqrt(n)
         assert abs(s.r.mean() - anharmonic.mean_strain(0.8)) <= 4 * se
 
     @pytest.mark.parametrize("name", ["tau"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None, "1"])
     def test_nonfinite_input_named(self, anharmonic, name, bad):
-        args = {"tau": 0.5, "n": 4, "seed": 1}
+        args = {"tau": 0.5, "n": 4, "rng": np.random.default_rng(1)}
         args[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             anharmonic.sample_canonical(**args)
@@ -543,13 +565,13 @@ class TestSampler:
         # n = 2.5 used to raise a bare TypeError from the momentum draw
         for bad in (0, -1, 2.5, 2.0, True):
             with pytest.raises(ValueError, match="n must be an integer >= 1"):
-                anharmonic.sample_canonical(0.0, bad, 0)
+                anharmonic.sample_canonical(0.0, bad, np.random.default_rng(0))
 
     def test_overflowing_tension_raises(self, anharmonic):
         # rejected as a collapsing tension before V could overflow at r* = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ThermoError, match="tau=1e\\+308"):
-                anharmonic.sample_canonical(1e308, 4, 1)
+                anharmonic.sample_canonical(1e308, 4, np.random.default_rng(1))
 
     def test_huge_finite_tension_keeps_distinct_draws(self, anharmonic):
         # the target N(tau, 1/beta) lies on a grid of ulp(tau) = 1.9e-6, so
@@ -558,7 +580,7 @@ class TestSampler:
         # fewest shares that exact draws exceed with probability below 1e-6
         # (5); a collapse leaves a handful of distinct values
         n, tau = 1000, 1e10
-        s = anharmonic.sample_canonical(tau, n, seed=3)
+        s = anharmonic.sample_canonical(tau, n, np.random.default_rng(3))
         lam = n * (n - 1) / 2 * math.ulp(tau) * math.sqrt(anharmonic.beta / (4.0 * math.pi))
         term = math.exp(-lam)
         tail, allowed = 1.0 - term, 0
@@ -573,7 +595,7 @@ class TestSampler:
     def test_huge_tension_has_the_exact_variance(self, anharmonic, tau):
         # far above the band the target is exactly N(tau, 1/beta)
         n = 200_000
-        s = anharmonic.sample_canonical(tau, n, seed=1)
+        s = anharmonic.sample_canonical(tau, n, np.random.default_rng(1))
         se = math.sqrt(2.0 / n) / anharmonic.beta
         assert abs(np.var(s.r - tau) - 1.0 / anharmonic.beta) <= 5 * se
 
@@ -581,13 +603,13 @@ class TestSampler:
     def test_collapsing_tension_raises(self, anharmonic, tau):
         # at |r*| >= 2**43 fewer than 1024 doubles fit in one envelope sd
         with pytest.raises(ThermoError, match=re.escape(f"tau={tau}:")):
-            anharmonic.sample_canonical(tau, 1000, seed=3)
+            anharmonic.sample_canonical(tau, 1000, np.random.default_rng(3))
 
     def test_deterministic(self, anharmonic):
-        a = anharmonic.sample_canonical(0.3, 5000, seed=5)
-        b = anharmonic.sample_canonical(0.3, 5000, seed=5)
+        a = anharmonic.sample_canonical(0.3, 5000, np.random.default_rng(5))
+        b = anharmonic.sample_canonical(0.3, 5000, np.random.default_rng(5))
         assert np.array_equal(a.r, b.r) and np.array_equal(a.p, b.p)
-        assert isinstance(a, GibbsSample)
+        assert isinstance(a, ChainState) and a.t == 0.0
 
 
 class TestConjugacyInvariants:
@@ -606,6 +628,7 @@ class TestConjugacyInvariants:
     def test_table_certificate(self, anharmonic):
         cert = anharmonic.table["certificate"]
         assert cert["max_tau_error"] < 5e-8
+        assert cert["max_F_error"] < 5e-8
         assert cert["monotone_within_bounds"]
 
     def test_tau_prime_is_the_derivative_of_the_tau_piece(self, anharmonic):
@@ -646,6 +669,21 @@ class TestTable:
         for n in (2, 3, 5):
             with pytest.raises(ThermoError, match="tension inversion failed for rho="):
                 ThermoModel(n_quad=n).table
+
+    def test_free_energy_error_fails_certification(self, monkeypatch):
+        # F pieces shifted by twice the bound, the tau pieces untouched
+        pieces, calls = thermo._hermite_pieces, []
+
+        def shifted_f(gaps, y, slope):
+            calls.append(y)
+            y, slope, c2, c3 = pieces(gaps, y, slope)
+            return (y + 1e-7 if len(calls) == 2 else y), slope, c2, c3
+
+        monkeypatch.setattr(thermo, "_hermite_pieces", shifted_f)
+        with pytest.raises(ThermoError, match="certification") as failed:
+            ThermoModel().table
+        errors = dict(re.findall(r"'max_(tau|F)_error': ([^,]+)", str(failed.value)))
+        assert float(errors["tau"]) < 5e-8 < float(errors["F"])
 
     @pytest.mark.parametrize("bad", [1, 0, 2.5, True])
     def test_quadrature_node_count_validated(self, bad):
