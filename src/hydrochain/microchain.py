@@ -22,7 +22,9 @@ three legs over all sites into the block's leg arrays and evaluates only V'
 at its end state, all that the next drift reads. Once per block, V is
 evaluated on all legs and V'' on the steps' start states, and every step's
 ledger increments are formed with row reductions. step and accumulate_ledger
-run a block of one step, with run_trajectory's start checks (_start).
+run a block of one step, with run_trajectory's start checks (_start): step
+returns the end ChainState, and accumulate_ledger the two-record LedgerSeries
+that run_trajectory writes over that step.
 
 run_trajectory counts t_end and record_times from the state's t, on the run
 clock of schedules, and ends on t + t_end. Its blocks are whole coarse rows, at
@@ -87,22 +89,6 @@ class ChainConfig:
     @property
     def n_steps(self) -> int:
         return self.n_coarse * 2**self.refine_level
-
-
-@dataclass
-class Ledger:
-    """Cumulative per-particle energy bookkeeping along one trajectory."""
-
-    E: float = 0.0
-    W: float = 0.0
-    Q_p: float = 0.0
-    Q_r: float = 0.0
-    martingale_p: float = 0.0
-    martingale_r: float = 0.0
-
-    @property
-    def heat(self) -> float:
-        return self.Q_p + self.Q_r + self.martingale_p + self.martingale_r
 
 
 @dataclass
@@ -262,10 +248,6 @@ def _energy(p: np.ndarray, v: np.ndarray) -> float:
     return float(np.mean(p**2) / 2.0 + np.mean(v))
 
 
-def energy_per_particle(state: ChainState, model: ThermoModel) -> float:
-    return _energy(state.p, model.V(state.r))
-
-
 def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> ChainState:
     """Product Gibbs sample at (beta, tau0), mean momentum 0: N-uniform entropy bound."""
     return model.sample_canonical(tau0, config.N, initial_state_rng(config.seed))
@@ -317,21 +299,19 @@ def accumulate_ledger(
     config: ChainConfig,
     increments,
     model: ThermoModel,
-) -> Ledger:
-    """Ledger increments for one step (see _chain_block), with E the energy
-    per particle of state_after. Both states are checked as run_trajectory
-    checks its start state (schedules.checked_start)."""
+) -> LedgerSeries:
+    """The ledger of one step (see _chain_block): the two records that
+    run_trajectory writes at the step's start and end, at the states' t and
+    with E the energy per particle of state_before and of state_after, so
+    first_law_residual[-1] is the step's own. Both states are checked as
+    run_trajectory checks its start state (schedules.checked_start)."""
     _, incr = _one_step(state_before, config, increments, model, tau_bar)
     checked_start(state_after, config.N, "N")
-    w, q_p, q_r, m_p, m_r = incr.tolist()
-    return Ledger(
-        E=energy_per_particle(state_after, model),
-        W=w,
-        Q_p=q_p,
-        Q_r=q_r,
-        martingale_p=m_p,
-        martingale_r=m_r,
-    )
+    states = (state_before, state_after)
+    t = np.array([st.t for st in states], dtype=float)
+    e = np.array([_energy(st.p, model.V(st.r)) for st in states])
+    cum = np.cumsum(np.vstack((np.zeros(5), incr)), axis=0)  # summed as run_trajectory sums
+    return LedgerSeries(t, e, *cum.T.copy())
 
 
 def run_trajectory(

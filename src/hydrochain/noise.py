@@ -26,7 +26,7 @@ import numpy as np
 # timed set-up does not pay for the load
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .schedules import checked_integer
+from .schedules import checked_integer, checked_positive
 
 _STREAM_INIT = 0
 _STREAM_COARSE = 1
@@ -57,7 +57,9 @@ class BridgedNoise:
     """
 
     def __init__(self, seed: int, n_bonds: int, dt_coarse: float, level: int = 0):
+        checked_integer("seed", seed, 0)
         checked_integer("n_bonds", n_bonds, 1)
+        checked_positive("dt_coarse", dt_coarse)
         checked_integer("level", level, 0)
         self.n_bonds = int(n_bonds)
         self.dt_coarse = float(dt_coarse)

@@ -102,15 +102,16 @@ def _check_finite(schedule) -> None:
 
 @dataclass(frozen=True)
 class ConstantSchedule:
-    """tau_bar(t) = tau0, checked where it is read, as any schedule's tension."""
+    """tau_bar(t) = tau0."""
 
     tau0: float = 0.0
 
-    def __call__(self, t):
-        return self.tau0 + 0.0 * np.asarray(t) if np.ndim(t) else self.tau0
+    def __post_init__(self):
+        _check_finite(self)
 
-    def to_dict(self):
-        return {"kind": "constant", "tau0": self.tau0}
+    def __call__(self, t):
+        val = self.tau0 + 0.0 * np.asarray(t, dtype=float)
+        return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,6 @@ class RampSchedule:
         val = self.tau0 + (self.tau1 - self.tau0) * u * u * (3.0 - 2.0 * u)
         return float(val) if val.ndim == 0 else val
 
-    def to_dict(self):
-        return {"kind": "ramp", "tau0": self.tau0, "tau1": self.tau1, "t1": self.t1}
-
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -152,7 +150,4 @@ class StepSchedule:
     def __call__(self, t):
         val = np.where(np.asarray(t, dtype=float) < self.t_step, self.tau0, self.tau1)
         return float(val) if val.ndim == 0 else val
-
-    def to_dict(self):
-        return {"kind": "step", "tau0": self.tau0, "tau1": self.tau1, "t_step": self.t_step}
 

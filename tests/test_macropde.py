@@ -13,6 +13,8 @@ from hydrochain.macropde import (
     MacroState,
     MacroTrajectory,
     _pad,
+    _scratch,
+    _zeros,
     advance,
     balance_integrands,
     clausius_gap,
@@ -287,10 +289,13 @@ class TestAdvance:
         def later_inf(t):  # turns non-finite at a stage time after step 1
             return np.where(np.asarray(t) < 0.05, 0.1, math.inf)
 
+        def constant(v):  # a plain callable: ConstantSchedule rejects v itself
+            return lambda t: np.full(np.shape(t), v)
+
         for schedule, message in (
-            (ConstantSchedule(math.nan), "tau = nan at t = 0$"),
-            (ConstantSchedule(math.inf), "tau = inf at t = 0$"),
-            (ConstantSchedule(-math.inf), "tau = -inf at t = 0$"),
+            (constant(math.nan), "tau = nan at t = 0$"),
+            (constant(math.inf), "tau = inf at t = 0$"),
+            (constant(-math.inf), "tau = -inf at t = 0$"),
             (later_inf, "tau = inf at t = 0.05$"),
         ):
             cfg = MacroConfig(M=16, t_end=0.1, tension_schedule=schedule)
@@ -431,6 +436,20 @@ class TestAdvanceBitwise:
         assert cfg.n_steps == 1
         traj = self.check(uniform_state(cfg, model.mean_strain(0.0)), cfg, model)
         assert traj.times.tolist() == [0.0] * 50 + [t_end] * 50
+
+    @pytest.mark.parametrize("m", [8, 64, 400, 1600])
+    def test_buffers_start_on_64_byte_boundaries(self, m):
+        # the run's buffers are aligned, so its step time does not depend on
+        # where the heap happens to place them
+        cfg = MacroConfig(M=m, t_end=0.1)
+        s = _scratch(uniform_state(cfg, 0.0), cfg)
+        for name, extra in (("pad", 8), ("d1", 4), ("lap", 4), ("grad", 5), ("rhs", 4)):
+            buf = getattr(s, name)
+            assert buf.ctypes.data % 64 == 0, name
+            assert buf.shape == (2 * m + extra,) and not buf.any(), name
+        for n in range(1, 20):
+            buf = _zeros(n)
+            assert buf.ctypes.data % 64 == 0 and buf.shape == (n,) and not buf.any()
 
 
 class TestFreeEnergy:

@@ -18,7 +18,6 @@ from hydrochain.microchain import (
     ChainState,
     accumulate_ledger,
     draw_increments,
-    energy_per_particle,
     make_initial_state,
     run_trajectory,
     step,
@@ -339,12 +338,13 @@ class TestStep:
             taub = float(cfg.tension_schedule(k * cfg.dt_fine))
             st2 = step(st, cfg, (dw[k], dwt[k]), model, tau_bar=taub)
             led = accumulate_ledger(st, st2, taub, cfg, (dw[k], dwt[k]), model)
-            acc += [led.W, led.Q_p, led.Q_r, led.martingale_p, led.martingale_r]
+            steps = [led.W, led.Q_p, led.Q_r, led.martingale_p, led.martingale_r]
+            acc += [col[-1] for col in steps]
             st = st2
             snap = res.snapshots[k + 1]
             assert np.array_equal(st.r, snap.r) and np.array_equal(st.p, snap.p)
             assert np.array_equal(acc, [col[k + 1] for col in cols])
-            assert led.E == led_run.E[k + 1]
+            assert led.E[-1] == led_run.E[k + 1]
 
     def test_starts_at_state_time(self, model):
         cfg = ChainConfig(N=32, t_end=0.01, seed=5, record_times=np.array([0.0, 0.01]))
@@ -429,7 +429,9 @@ class TestStep:
         ran = []
         monkeypatch.setattr(microchain, "_chain_block", lambda *args: ran.append(args))
         for tau in (math.nan, math.inf):
-            cfg = ChainConfig(N=16, t_end=0.01, seed=1, tension_schedule=ConstantSchedule(tau))
+            # a plain callable: ConstantSchedule rejects tau itself
+            cfg = ChainConfig(N=16, t_end=0.01, seed=1,
+                              tension_schedule=lambda t: np.full(np.shape(t), tau))
             with pytest.raises(ValueError, match=f"non-finite tau = {tau} at t = 0$"):
                 run_trajectory(cfg, 0.0, model)
         # a tension that turns non-finite later is named at its step's start time
@@ -643,7 +645,7 @@ class TestLedger:
         )
         res = run_trajectory(cfg, 0.0, model)
         assert len(res.snapshots) == 7
-        energies = [energy_per_particle(snap, model) for snap in res.snapshots]
+        energies = [np.mean(s.p**2) / 2 + np.mean(model.V(s.r)) for s in res.snapshots]
         assert res.ledger.E.tolist() == energies
         assert len(set(energies)) == 7
 
@@ -656,10 +658,10 @@ class TestLedger:
         st2 = step(st, cfg, zero, model, tau_bar=taub)
         led = accumulate_ledger(st, st2, taub, cfg, zero, model)
         e1 = np.mean(st.p**2) / 2 + np.mean(model.V(st.r))
-        assert led.W == 0.0
-        assert led.heat == pytest.approx(0.0, abs=1e-15)
-        assert led.E == pytest.approx(e1, abs=1e-15)
-        assert led.Q_p == pytest.approx(-led.martingale_p, abs=1e-15)
+        assert led.W[-1] == 0.0
+        assert led.heat[-1] == pytest.approx(0.0, abs=1e-15)
+        assert led.E[-1] == pytest.approx(e1, abs=1e-15)
+        assert led.Q_p[-1] == pytest.approx(-led.martingale_p[-1], abs=1e-15)
 
     def test_work_is_taubar_dL_exactly(self, model):
         cfg = ChainConfig(N=64, t_end=0.01, seed=3)
@@ -668,7 +670,7 @@ class TestLedger:
         inc = draw_increments(rng, cfg.N, cfg.dt_fine)
         st2 = step(st, cfg, inc, model, tau_bar=0.9)
         led = accumulate_ledger(st, st2, 0.9, cfg, inc, model)
-        assert led.W == pytest.approx(0.9 * (st2.r.mean() - st.r.mean()), abs=1e-16)
+        assert led.W[-1] == pytest.approx(0.9 * (st2.r.mean() - st.r.mean()), abs=1e-16)
 
     def test_public_ops_match_kernel(self, model):
         """step + accumulate_ledger replayed stepwise reproduce run_trajectory."""
@@ -688,11 +690,11 @@ class TestLedger:
             taub = float(cfg.tension_schedule(k * cfg.dt))
             st2 = step(st, cfg, (dw[k], dwt[k]), model, tau_bar=taub)
             led = accumulate_ledger(st, st2, taub, cfg, (dw[k], dwt[k]), model)
-            acc["W"] += led.W
-            acc["Q_p"] += led.Q_p
-            acc["Q_r"] += led.Q_r
-            acc["M_p"] += led.martingale_p
-            acc["M_r"] += led.martingale_r
+            acc["W"] += led.W[-1]
+            acc["Q_p"] += led.Q_p[-1]
+            acc["Q_r"] += led.Q_r[-1]
+            acc["M_p"] += led.martingale_p[-1]
+            acc["M_r"] += led.martingale_r[-1]
             st = st2
         assert np.allclose(st.r, res.snapshots[-1].r, atol=1e-12)
         assert np.allclose(st.p, res.snapshots[-1].p, atol=1e-12)
@@ -701,6 +703,29 @@ class TestLedger:
         assert acc["Q_r"] == pytest.approx(res.ledger.Q_r[-1], abs=1e-10)
         assert acc["M_p"] == pytest.approx(res.ledger.martingale_p[-1], abs=1e-10)
         assert acc["M_r"] == pytest.approx(res.ledger.martingale_r[-1], abs=1e-10)
+
+    @pytest.mark.parametrize("t0, level", [(0.0, 0), (0.25, 1)])
+    def test_one_step_ledger_is_the_runs(self, model, t0, level):
+        # accumulate_ledger's two records are those run_trajectory writes
+        # over the same step, in every column and to the bit, so its
+        # first_law_residual[-1] is the step's own
+        dt = 0.1 / (32 * 14)
+        schedule = RampSchedule(0.1, 0.6, 1.0)
+        cfg = ChainConfig(N=32, t_end=dt, seed=4, tension_schedule=schedule,
+                          refine_level=level, record_times=np.array([0.0, dt / 2**level]))
+        st = make_initial_state(cfg, 0.1, model)
+        st.t = t0
+        res = run_trajectory(cfg, 0.1, model, initial_state=st)
+        dw, dwt = BridgedNoise(cfg.seed, cfg.N - 1, cfg.dt, level).next_chunk(1)
+        inc = (dw[0], dwt[0])
+        taub = schedule(t0)
+        led = accumulate_ledger(st, step(st, cfg, inc, model, taub), taub, cfg, inc, model)
+        names = ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r",
+                 "first_law_residual")
+        for name in names:
+            col, want = getattr(led, name), getattr(res.ledger, name)
+            assert col.shape == (2,) and col.tobytes() == want.tobytes(), name
+        assert led.W[0] == 0.0 and led.W[1] != 0.0
 
     def test_first_law_refinement_smoke(self, model):
         sched = RampSchedule(tau0=0.0, tau1=0.5, t1=0.025)
@@ -787,16 +812,24 @@ class TestBridgedNoise:
         # seed -1 used to be masked to 2**63 - 1, and 2**63 to 0
         with pytest.raises(ValueError):
             BridgedNoise(-1, 4, 1e-4, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             BridgedNoise(1.7, 4, 1e-4, 0)
         draws = [BridgedNoise(s, 4, 1e-4, 0).next_chunk(2)[0] for s in (0, 2**63 - 1, 2**63)]
         assert len({d.tobytes() for d in draws}) == 3
 
     def test_sizes_validated(self):
-        # n_bonds = 2.5 used to be truncated to 2 bonds
+        # n_bonds = 2.5 used to be truncated to 2 bonds; seed None drew from
+        # OS entropy and True ran as seed 1; dt_coarse NaN or inf gave
+        # non-finite increments, True ran as 1.0 and -1.0 raised a math error
+        for bad in (None, True, -1, 1.7, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                BridgedNoise(bad, 4, 1e-4)
         for bad in (0, 2.5, True):
             with pytest.raises(ValueError, match="n_bonds must be an integer >= 1"):
                 BridgedNoise(0, bad, 1e-4)
+        for bad in (math.nan, math.inf, True, -1.0, 0.0, None, "1e-4"):
+            with pytest.raises(ValueError, match="dt_coarse must be positive and finite"):
+                BridgedNoise(0, 4, bad)
         for bad in (-1, 1.5, True):
             with pytest.raises(ValueError, match="level must be an integer >= 0"):
                 BridgedNoise(0, 4, 1e-4, bad)

@@ -22,7 +22,6 @@ ALLOWED = {
     "clausius_gap": "Direction 3: Clausius on the chain against the PDE",
     "entropy_pair_residual": "Direction 3: entropy production of chain and PDE",
     "StepSchedule": "Direction 3: the shock-regime scenario",
-    "to_dict": "Direction 4: the manifest's config record",
     "internal_energy": "Direction 4: the manifest's first-law monitor",
     "tau_prime_of_rho": "aim 2: the one computation of tau'",
 }

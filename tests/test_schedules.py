@@ -9,17 +9,30 @@ import pytest
 
 from hydrochain.macropde import _CFL, MacroConfig
 from hydrochain.microchain import _THETA, ChainConfig
-from hydrochain.schedules import RampSchedule, StepSchedule, checked_record_times, run_steps
+from hydrochain.schedules import ConstantSchedule, RampSchedule, StepSchedule
+from hydrochain.schedules import checked_record_times, run_steps
+
+SCHEDULES = [RampSchedule, StepSchedule, ConstantSchedule]
 
 
-@pytest.mark.parametrize("cls", [RampSchedule, StepSchedule])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+@pytest.mark.parametrize("cls", SCHEDULES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1", None])
 def test_nonfinite_parameters_rejected(cls, bad):
     # a NaN tension or t_step makes every comparison false, so each would
-    # silently reshape the schedule; a bool ran as 1.0
+    # silently reshape the schedule; a bool ran as 1.0. ConstantSchedule
+    # checked nothing: True ran the chain and the PDE at tau = 1, and "1"
+    # and None leaked a TypeError from the first call
     for name in cls.__dataclass_fields__:
         with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
             cls(**{name: bad})
+
+
+@pytest.mark.parametrize("cls", SCHEDULES)
+def test_scalar_time_gives_a_float(cls):
+    # ConstantSchedule(1)(0.0) returned the int 1
+    schedule = cls(**{name: 1 for name in cls.__dataclass_fields__})
+    assert type(schedule(0.0)) is float and type(schedule(2)) is float
+    assert schedule(np.array([0.0, 0.5, 2.0])).tolist() == [schedule(t) for t in (0.0, 0.5, 2.0)]
 
 
 CONFIGS = pytest.mark.parametrize(

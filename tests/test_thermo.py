@@ -8,11 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicSpline
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
 
 from hydrochain import PotentialParams, ThermoError, ThermoModel
 from hydrochain import thermo
@@ -20,9 +17,16 @@ from hydrochain.schedules import ChainState
 from hydrochain.thermo import _potential_curvature, _potential_slope, _potential_value
 
 
+def scipy(name):
+    """The SciPy module scipy.<name> of an oracle; without SciPy the test
+    that reads it is skipped, and the rest of the module runs."""
+    return pytest.importorskip(f"scipy.{name}")
+
+
 def simpson_oracle(model, tau, what="G"):
     """Brute-force fixed-grid Simpson quadrature at ~10x the production node
     count, independent of the Gauss-Legendre path."""
+    simpson = scipy("integrate").simpson
     beta = model.beta
     width = 14.0 / math.sqrt(beta * model.c1)
     rstar = model._argmax_exponent(float(tau))
@@ -70,6 +74,7 @@ class TestPotential:
         # antiderivative oracle: integrate the pinned V'' blend twice from -h,
         # where V matches the piecewise quadratic exactly
         h, k = 0.1, 0.25
+        quad = scipy("integrate").quad
         dv_num = quad(lambda s: potential(params, s)[2], -h, 2.0, limit=200)[0]
         assert d1 == pytest.approx((1 - k) * (-h) + dv_num, abs=1e-10)
         v_num = quad(lambda s: potential(params, s)[1], -h, 2.0, limit=200)[0]
@@ -544,7 +549,7 @@ class TestSampler:
 
     def test_harmonic_marginal_ks(self, harmonic):
         s = harmonic.sample_canonical(0.7, 10**5, np.random.default_rng(7))
-        stat = kstest(s.r, "norm", args=(0.7, 1.0))
+        stat = scipy("stats").kstest(s.r, "norm", args=(0.7, 1.0))
         assert stat.pvalue >= 0.01
 
     def test_sampler_matches_quadrature(self, anharmonic):
@@ -649,7 +654,7 @@ def tau_spline(anharmonic):
     """tau(rho) fitted alone: a cubic spline of the table's tensions on its
     strain nodes."""
     table = anharmonic.table
-    return CubicSpline(table["rho"], table["tau"])
+    return scipy("interpolate").CubicSpline(table["rho"], table["tau"])
 
 
 @pytest.fixture(scope="module")
@@ -658,7 +663,8 @@ def f_spline(anharmonic):
     strain nodes."""
     table = anharmonic.table
     g = anharmonic._moments(table["tau"])[0]
-    return CubicSpline(table["rho"], table["tau"] * table["rho"] - g / anharmonic.beta)
+    f = table["tau"] * table["rho"] - g / anharmonic.beta
+    return scipy("interpolate").CubicSpline(table["rho"], f)
 
 
 class TestTable:
