@@ -15,16 +15,19 @@ quadratic-variation counterterms (2/beta per momentum bond, (V''_i+V''_{i+1})
 /beta per strain bond) reported inside Q_p/Q_r so those columns match the
 generator computation, while martingale_p/martingale_r carry the zero-mean
 remainder. The first-law residual is then exactly the energy the explicit
-Hamiltonian leg fails to conserve, which vanishes linearly in dt.
+Hamiltonian leg fails to conserve: O(dt) per step, but it grows linearly in
+macro time, at about 2 theta N / sigma per particle per unit of time (theta =
+_THETA), so it does not vanish at fixed theta as N grows.
 
 The step exists once, in the loop of _chain_block: each step writes its
 three legs over all sites into the block's leg arrays and evaluates only V'
-at its end state, all that the next drift reads. Once per block, V is
-evaluated on all legs and V'' on the steps' start states, and every step's
-ledger increments are formed with row reductions. step and accumulate_ledger
-run a block of one step, with run_trajectory's start checks (_start): step
-returns the end ChainState, and accumulate_ledger the two-record LedgerSeries
-that run_trajectory writes over that step.
+at its end state, all that the next drift reads, keeping the band of V''
+that V' computes. Once per block, V is evaluated on all legs and V'' on the
+steps' start states from their bands, and every step's ledger increments
+are formed with row reductions. step and accumulate_ledger run a block of
+one step, with run_trajectory's start checks (_start): step returns the end
+ChainState, and accumulate_ledger the two-record LedgerSeries that
+run_trajectory writes over that step.
 
 run_trajectory counts t_end and record_times from the state's t, on the run
 clock of schedules, and ends on t + t_end. Its blocks are whole coarse rows, at
@@ -46,7 +49,8 @@ from .noise import BridgedNoise, initial_state_rng
 from .schedules import BlowUpError, ChainState, ConstantSchedule, checked_integer
 from .schedules import checked_record_times, checked_start, record_steps
 from .schedules import run_steps, tensions_at
-from .thermo import ThermoModel, _potential_curvature, _potential_slope, _potential_value
+from .thermo import ThermoModel, _band, _curvature_on_band, _potential_slope, _potential_value
+from .thermo import _slope_on_band
 
 log = logging.getLogger(__name__)
 
@@ -121,41 +125,17 @@ class TrajectoryResult:
 # -- one step -----------------------------------------------------------------
 
 
-def _differences(x: np.ndarray, left: float, right: float) -> np.ndarray:
-    """g[i] = x[i] - x[i-1] for i = 0..n, with x[-1] = left and x[n] = right."""
-    g = np.empty(x.size + 1)
-    g[0] = x[0] - left
-    np.subtract(x[1:], x[:-1], out=g[1:-1])
-    g[-1] = right - x[-1]
-    return g
-
-
-def _gradients(a: np.ndarray, p: np.ndarray, tau_bar: float):
-    """Drift pieces per site: (p_i - p_{i-1} with the wall p_0 = 0,
-    a_{i+1} - a_i with a_{N+1} = tau_bar, Laplacian of a, Laplacian of p).
-
-    The Laplacians are those of the path graph (Neumann ends): their rows sum
-    to zero, so the noise drift conserves sum r and sum p."""
-    ga = _differences(a, a[0], tau_bar)
-    gp = _differences(p, 0.0, p[-1])
-    lap_a = ga[1:] - ga[:-1]
-    lap_a[-1] = -ga[-2]
-    lap_p = gp[1:] - gp[:-1]
-    lap_p[0] = gp[1]
-    return gp[:-1], ga[1:], lap_a, lap_p
-
-
 def _couplings(dw, dwt, config: ChainConfig, model: ThermoModel):
     """The noise-coupling kicks c (w_i - w_{i-1}), with w_0 = w_N = 0, that
     a step subtracts from p and from r, row by row for a block of steps'
-    increments (dw, dwt)."""
+    increments (dw, dwt). The last kick is 0.0 - w, whose zero is +0.0."""
     coeff = math.sqrt(2.0 * config.N * config.sigma / model.beta)
     kicks = []
     for w in map(np.asarray, (dw, dwt)):
         g = np.empty(w.shape[:-1] + (w.shape[-1] + 1,))
-        g[..., :-1] = w
-        g[..., -1] = 0.0
-        g[..., 1:] -= w
+        g[..., 0] = w[..., 0]
+        np.subtract(w[..., 1:], w[..., :-1], out=g[..., 1:-1])
+        np.subtract(0.0, w[..., -1], out=g[..., -1])
         g *= coeff
         kicks.append(g)
     return kicks
@@ -176,14 +156,18 @@ def _chain_block(
 
     A step takes its displacement in three legs: Hamiltonian drift, noise
     drift and noise coupling, whose kicks (_couplings, built for the whole
-    block at once) telescope exactly. It writes the state after each leg
-    into the block's leg arrays and computes V' at its end state, all that
-    the next step's drift reads. Once the steps are done, V is evaluated on
-    all legs and V'' on the steps' start states, and the ledger increments
-    [W, Q_p, Q_r, M_p, M_r] of every step are formed with row reductions:
-    W = tau_bar * Delta(mean strain), and the Q/M columns are the exact
-    energy changes along the two noise legs, with the quadratic-variation
-    counterterms shifted into Q_p/Q_r.
+    block at once) telescope exactly. Both drifts read one buffer
+    x = [0 | p | p_N | a_1 | a | tau_bar], a = V'(r): one difference of x
+    gives p_i - p_{i-1} (wall p_0 = 0) and a_{i+1} - a_i (a_{N+1} = tau_bar),
+    and one difference of those both Neumann Laplacians. A step writes the
+    state after each leg into the block's leg arrays, and V' at its end
+    state into x, all that the next step's drift reads; it keeps the band
+    that V' computes. Once the steps are done, V is evaluated on all legs
+    and V'' on the steps' start states from their bands, and the ledger
+    increments [W, Q_p, Q_r, M_p, M_r] of every step are formed with row
+    reductions: W = tau_bar * Delta(mean strain), and the Q/M columns are the
+    exact energy changes along the two noise legs, with the quadratic-
+    variation counterterms shifted into Q_p/Q_r.
 
     Returns (rl, pl, v, incr, d1): rl and pl hold the legs of the block's
     step j in rows 3j..3j+2, the last of them its end state; v is V on rl;
@@ -191,6 +175,7 @@ def _chain_block(
     whose increments are not finite raises BlowUpError naming it.
     """
     n, sigma, beta = config.N, config.sigma, model.beta
+    params = model.potential
     dt = config.dt_fine
     ndt = n * dt
     nsdt = n * sigma * dt
@@ -199,24 +184,51 @@ def _chain_block(
     kicks_p, kicks_r = _couplings(dw, dwt, config, model)
     rl = np.empty((m, 3, n))
     pl = np.empty((m, 3, n))
+    # the band of r at each step's start, row j + 1 written by step j's V'
+    bands = np.empty((m + 1, n))
+    _band(params, r, out=bands[0])
+    # x = [0 | p_1..p_N | p_N | a_1 | a_1..a_N | tau_bar]; g = diff(x) is
+    # [gp | unread seam | ga], and lap = diff(g) is [lap_p | 2 unread | lap_a]
+    x = np.empty(2 * n + 4)
+    x[0] = 0.0
+    xp, xa = x[1 : n + 1], x[n + 3 : 2 * n + 3]
+    xp[...] = p
+    xa[...] = d1
+    g = np.empty(2 * n + 3)
+    gp, ga = g[: n + 1], g[n + 2 :]
+    dp_left, da_right = gp[:-1], ga[1:]
+    lap = np.empty(2 * n + 2)
+    lap_p, lap_a = lap[:n], lap[n + 2 :]
+    x_hi, x_lo, g_hi, g_lo = x[1:], x[:-1], g[1:], g[:-1]
     # an overflow or a NaN in a step makes its increments non-finite, and
     # that raises below; the steps after it run on and are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for (r1, r2, r3), (p1, p2, p3), kick_p, kick_r, taub in zip(
-            rl, pl, kicks_p, kicks_r, taubars
+        for (r1, r2, r3), (p1, p2, p3), kick_p, kick_r, taub, band in zip(
+            rl, pl, kicks_p, kicks_r, taubars, bands[1:]
         ):
-            dp_left, da_right, lap_a, lap_p = _gradients(d1, p, taub)
-            np.add(r, np.multiply(ndt, dp_left, out=r1), out=r1)
-            np.add(r1, np.multiply(nsdt, lap_a, out=r2), out=r2)
+            x[n + 1] = x[n]
+            x[n + 2] = x[n + 3]
+            x[-1] = taub
+            np.subtract(x_hi, x_lo, out=g)
+            np.subtract(g_hi, g_lo, out=lap)
+            # the Neumann ends: the rows of both Laplacians sum to zero, so
+            # the noise drift conserves sum r and sum p
+            lap_p[0] = gp[1]
+            lap_a[-1] = -ga[-2]
+            g *= ndt
+            lap *= nsdt
+            np.add(r, dp_left, out=r1)
+            np.add(r1, lap_a, out=r2)
             np.subtract(r2, kick_r, out=r3)
-            np.add(p, np.multiply(ndt, da_right, out=p1), out=p1)
-            np.add(p1, np.multiply(nsdt, lap_p, out=p2), out=p2)
+            np.add(p, da_right, out=p1)
+            np.add(p1, lap_p, out=p2)
             np.subtract(p2, kick_p, out=p3)
-            d1 = _potential_slope(model.potential, r3)
+            _slope_on_band(params, r3, _band(params, r3, out=band), out=xa)
+            xp[...] = p3
             r, p = r3, p3
         rl = rl.reshape(3 * m, n)
         pl = pl.reshape(3 * m, n)
-        v = _potential_value(model.potential, rl)
+        v = _potential_value(params, rl)
         v1, v2, v3 = v.sum(axis=-1).reshape(m, 3).T
         k1, k2, k3 = np.einsum("ij,ij->i", pl, pl).reshape(m, 3).T
         ends = rl[2::3]
@@ -224,7 +236,7 @@ def _chain_block(
         starts[0] = r0
         starts[1:] = ends[:-1]
         dr = ends - starts
-        d2s = _potential_curvature(model.potential, starts)  # for ct_r
+        d2s = _curvature_on_band(params, bands[:-1])  # V'' at the starts, for ct_r
         ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
         ct_r = sigma * dt * (2.0 * d2s.sum(axis=-1) - d2s[:, 0] - d2s[:, -1]) / (beta * n)
         incr = np.empty((m, 5))
@@ -237,15 +249,17 @@ def _chain_block(
     if not finite.all():
         k = k0 + 1 + int(np.argmin(finite))
         raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
-    return rl, pl, v, incr, d1
+    return rl, pl, v, incr, xa
 
 
 # -- public operations ---------------------------------------------------------
 
 
-def _energy(p: np.ndarray, v: np.ndarray) -> float:
-    """Energy per particle from the momenta and the spring energies V(r)."""
-    return float(np.mean(p**2) / 2.0 + np.mean(v))
+def _energy(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Energy per particle of each row of a (k, N) block of momenta and
+    spring energies V(r): the bits of mean(p**2)/2 + mean(v) per row."""
+    n = p.shape[-1]
+    return np.add.reduce(p * p, axis=-1) / n / 2.0 + np.add.reduce(v, axis=-1) / n
 
 
 def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> ChainState:
@@ -309,7 +323,7 @@ def accumulate_ledger(
     checked_start(state_after, config.N, "N")
     states = (state_before, state_after)
     t = np.array([st.t for st in states], dtype=float)
-    e = np.array([_energy(st.p, model.V(st.r)) for st in states])
+    e = _energy(np.stack([st.p for st in states]), model.V(np.stack([st.r for st in states])))
     cum = np.cumsum(np.vstack((np.zeros(5), incr)), axis=0)  # summed as run_trajectory sums
     return LedgerSeries(t, e, *cum.T.copy())
 
@@ -336,7 +350,10 @@ def run_trajectory(
 
     The steps run in blocks of _block_rows coarse rows (_chain_block), each
     drawing its noise just before its steps, on the calling thread; the
-    ledger is a cumsum seeded with the carried accumulator.
+    ledger is a cumsum seeded with the carried accumulator. A block's
+    records are read once after its steps: their end-state rows of r, p and
+    V in one gather, which the snapshots hold, and their energies in one
+    row reduction (_energy).
     """
     n = config.N
     dt = config.dt_fine
@@ -351,18 +368,20 @@ def run_trajectory(
 
     rec_steps = record_steps(config.record_times, dt, n_steps)
     acc = np.zeros(5)
-    rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record
+    rows = []  # (t, E, W, Q_p, Q_r, M_p, M_r) per record, a (k, 7) block per block
     snapshots = []
 
-    def record(k: int, r: np.ndarray, p: np.ndarray, v: np.ndarray, acc: np.ndarray):
-        st = ChainState(r=r.copy(), p=p.copy(), t=t0 + k * dt)
-        snapshots.append(st)
-        rows.append((st.t, _energy(p, v), *acc.tolist()))
-        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, st.t, k, n_steps)
+    def record(ks: np.ndarray, r: np.ndarray, p: np.ndarray, v: np.ndarray, acc: np.ndarray):
+        """The records at steps ks, from their own rows of r, p, V and acc."""
+        ts = t0 + ks * dt
+        snapshots.extend(map(ChainState, r, p, ts.tolist()))
+        rows.append(np.column_stack((ts, _energy(p, v), acc)))
+        log.debug("chain N=%d t=%.4g (%d/%d steps)", n, ts[-1], ks[-1], n_steps)
 
     rec_idx = int(np.count_nonzero(rec_steps == 0))  # the records at the start
-    for _ in range(rec_idx):
-        record(0, r, p, model.V(r), acc)
+    if rec_idx:  # gathered as a block's are, from rows of one
+        start = np.zeros(rec_idx, dtype=int)
+        record(start, r[None][start], p[None][start], model.V(r)[None][start], acc[None][start])
     noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
     fine = 2**config.refine_level
     block = _block_rows(n, config.refine_level) * fine
@@ -376,14 +395,16 @@ def run_trajectory(
             r, p, d1, dw, dwt, taubars[k % span :][:block].tolist(), k, t0, config, model
         )
         cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
-        while rec_idx < len(rec_steps) and rec_steps[rec_idx] <= k + len(incr):
-            j = rec_steps[rec_idx] - k
-            record(k + j, rl[3 * j - 1], pl[3 * j - 1], v[3 * j - 1], cum[j])
-            rec_idx += 1
+        stop = int(np.searchsorted(rec_steps, k + len(incr), side="right"))
+        if stop > rec_idx:  # the block's records, each at its step's end state
+            js = rec_steps[rec_idx:stop] - k
+            legs = 3 * js - 1
+            record(k + js, rl[legs], pl[legs], v[legs], cum[js])
+            rec_idx = stop
         acc = cum[-1]
         r, p = rl[-1], pl[-1]
 
-    series = LedgerSeries(*np.ascontiguousarray(np.reshape(rows, (-1, 7)).T))
+    series = LedgerSeries(*np.ascontiguousarray(np.vstack(rows).T))
     return TrajectoryResult(snapshots=snapshots, ledger=series, config=config, n_steps=n_steps)
 
 

@@ -148,6 +148,7 @@ class StepSchedule:
         _check_finite(self)
 
     def __call__(self, t):
-        val = np.where(np.asarray(t, dtype=float) < self.t_step, self.tau0, self.tau1)
+        t = np.asarray(t, dtype=float)
+        val = np.where(t < self.t_step, float(self.tau0), float(self.tau1))
         return float(val) if val.ndim == 0 else val
 

@@ -100,12 +100,14 @@ def _strain(r):
 # _strain's check. The arithmetic follows the operation order of these
 # formulas, in place on a few buffers for an array r; a scalar r runs the same
 # statements on numpy scalars, where the in-place operators rebind, and
-# returns floats.
+# returns floats. The V' and V'' formulas read the band y from _band, so a
+# caller that also needs V'' where it took V' (the chain's steps) keeps y and
+# skips a second band pass; an out array, where given, receives the result.
 
 
-def _band(params: PotentialParams, r):
-    """y = clip(r/h, -1, 1) + 1."""
-    y = np.minimum(np.maximum(r / params.moll_width, -1.0), 1.0)
+def _band(params: PotentialParams, r, out=None):
+    """y = clip(r/h, -1, 1) + 1, written into out when given."""
+    y = np.minimum(np.maximum(r / params.moll_width, -1.0), 1.0, out=out)
     y += 1.0
     return y
 
@@ -136,10 +138,9 @@ def _potential_value(params: PotentialParams, r):
     return float(v) if v.ndim == 0 else v
 
 
-def _potential_slope(params: PotentialParams, r):
-    """V' at r."""
+def _slope_on_band(params: PotentialParams, r, y, out=None):
+    """V' at r from its band y = _band(params, r), written into out when given."""
     k, h = params.kappa, params.moll_width
-    y = _band(params, r)
     power = y * y
     power *= y  # y^3
     scratch = 4.0 - y
@@ -147,20 +148,29 @@ def _potential_slope(params: PotentialParams, r):
     scratch *= h / 16.0
     scratch += _excess(params, r)
     scratch *= k
-    d1 = r * (1.0 - k)
+    d1 = np.multiply(r, 1.0 - k, out=out)
     d1 += scratch
     return float(d1) if d1.ndim == 0 else d1
 
 
-def _potential_curvature(params: PotentialParams, r):
-    """V'' at r."""
+def _potential_slope(params: PotentialParams, r):
+    """V' at r."""
+    return _slope_on_band(params, r, _band(params, r))
+
+
+def _curvature_on_band(params: PotentialParams, y):
+    """V'' from the band y = _band(params, r) of r."""
     k = params.kappa
-    y = _band(params, r)
     d2 = 3.0 - y
     d2 *= y * y
     d2 *= 0.25 * k
     d2 += 1.0 - k
     return float(d2) if d2.ndim == 0 else d2
+
+
+def _potential_curvature(params: PotentialParams, r):
+    """V'' at r."""
+    return _curvature_on_band(params, _band(params, r))
 
 
 def _band_root(params: PotentialParams, tau: float) -> float:

@@ -24,7 +24,9 @@ from hydrochain.microchain import (
 )
 from hydrochain.noise import BridgedNoise, initial_state_rng
 from hydrochain.schedules import ConstantSchedule, RampSchedule, StepSchedule
+from hydrochain.schedules import record_steps, tensions_at
 from hydrochain.thermo import PotentialParams, ThermoModel
+from hydrochain.thermo import _potential_curvature, _potential_slope, _potential_value
 
 
 @pytest.fixture(scope="module")
@@ -742,6 +744,139 @@ class TestLedger:
             out = run_trajectory(cfg, 0.0, model)
             res.append(out.ledger.first_law_residual[-1])
         assert 0.25 <= res[1] / res[0] <= 0.75
+
+
+def reference_differences(x, left, right):
+    """g[i] = x[i] - x[i-1] for i = 0..n, with x[-1] = left and x[n] = right."""
+    g = np.empty(x.size + 1)
+    g[0] = x[0] - left
+    np.subtract(x[1:], x[:-1], out=g[1:-1])
+    g[-1] = right - x[-1]
+    return g
+
+
+def reference_gradients(a, p, tau_bar):
+    """(p_i - p_{i-1} with p_0 = 0, a_{i+1} - a_i with a_{N+1} = tau_bar,
+    the Neumann Laplacians of a and of p)."""
+    ga = reference_differences(a, a[0], tau_bar)
+    gp = reference_differences(p, 0.0, p[-1])
+    lap_a = ga[1:] - ga[:-1]
+    lap_a[-1] = -ga[-2]
+    lap_p = gp[1:] - gp[:-1]
+    lap_p[0] = gp[1]
+    return gp[:-1], ga[1:], lap_a, lap_p
+
+
+def reference_trajectory(config, model, state):
+    """The chain's loop one step at a time, each difference, kick, V' and V''
+    on its own arrays, V on each step's three legs, and each record's energy
+    by np.mean: (snapshot r, snapshot p, snapshot t, ledger columns t, E, W,
+    Q_p, Q_r, M_p, M_r)."""
+    n, sigma, beta = config.N, config.sigma, model.beta
+    params = model.potential
+    dt, n_steps = config.dt_fine, config.n_steps
+    ndt, nsdt = n * dt, n * sigma * dt
+    t0 = state.t
+    taubars = tensions_at(config.tension_schedule, t0 + np.arange(n_steps) * dt).tolist()
+    noise = BridgedNoise(config.seed, n - 1, config.dt, config.refine_level)
+    dw, dwt = noise.next_chunk(config.n_coarse)
+    coeff = math.sqrt(2.0 * n * sigma / beta)
+
+    def kick(w):
+        g = np.empty(n)
+        g[:-1] = w
+        g[-1] = 0.0
+        g[1:] -= w
+        g *= coeff
+        return g
+
+    def energy(p, v):
+        return float(np.mean(p**2) / 2.0 + np.mean(v))
+
+    r, p = state.r, state.p
+    d1 = _potential_slope(params, r)
+    acc = np.zeros(5)
+    recorded = {0: (r, p, energy(p, model.V(r)), acc)}
+    ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
+    for k, taub in enumerate(taubars):
+        dp_left, da_right, lap_a, lap_p = reference_gradients(d1, p, taub)
+        r1 = r + ndt * dp_left
+        r2 = r1 + nsdt * lap_a
+        r3 = r2 - kick(dwt[k])
+        p1 = p + ndt * da_right
+        p2 = p1 + nsdt * lap_p
+        p3 = p2 - kick(dw[k])
+        v = _potential_value(params, np.stack((r1, r2, r3)))
+        v1, v2, v3 = v.sum(axis=-1)
+        pl = np.stack((p1, p2, p3))
+        k1, k2, k3 = np.einsum("ij,ij->i", pl, pl)
+        d2 = _potential_curvature(params, r)
+        ct_r = sigma * dt * (2.0 * d2.sum() - d2[0] - d2[-1]) / (beta * n)
+        incr = np.array([
+            taub * (r3 - r).sum() / n,
+            (k2 - k1) / (2.0 * n) + ct_p,
+            (v2 - v1) / n + ct_r,
+            (k3 - k2) / (2.0 * n) - ct_p,
+            (v3 - v2) / n - ct_r,
+        ])
+        acc = acc + incr
+        d1 = _potential_slope(params, r3)
+        r, p = r3, p3
+        recorded[k + 1] = (r, p, energy(p, v[2]), acc)
+    steps = record_steps(config.record_times, dt, n_steps)
+    rec = [recorded[k] for k in steps]
+    times = [t0 + k * dt for k in steps]
+    ledger = np.array([(t, e, *a) for t, (_, _, e, a) in zip(times, rec)]).T
+    return [x[0] for x in rec], [x[1] for x in rec], times, ledger
+
+
+class TestChainBitwise:
+    """run_trajectory equals the loop of reference_trajectory to the bit: its
+    drift buffer, V'' from the steps' bands, two-pass kicks and block-read
+    records change no output bit."""
+
+    @staticmethod
+    def check(config, model, t0=0.0):
+        start = make_initial_state(config, 0.1, model)
+        start.t = t0
+        res = run_trajectory(config, 0.1, model, initial_state=start)
+        snap_r, snap_p, times, ledger = reference_trajectory(config, model, start)
+        assert len(res.snapshots) == len(times)
+        for st, r, p, t in zip(res.snapshots, snap_r, snap_p, times):
+            assert st.r.tobytes() == r.tobytes() and st.p.tobytes() == p.tobytes()
+            # every record's t is a float: records after the start were
+            # numpy float64s of the same value
+            assert type(st.t) is float and st.t == t
+        names = ("t", "E", "W", "Q_p", "Q_r", "martingale_p", "martingale_r")
+        for name, want in zip(names, ledger):
+            assert getattr(res.ledger, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_every_step_recorded_under_a_ramp(self, model, level):
+        steps = 40
+        t_end = steps * 0.1 / (32 * 14)
+        cfg = ChainConfig(N=32, t_end=t_end, seed=11, refine_level=level,
+                          tension_schedule=RampSchedule(0.0, 0.5, t1=t_end),
+                          record_times=np.linspace(0.0, t_end, steps * 2**level + 1))
+        rec = record_steps(cfg.record_times, cfg.dt_fine, cfg.n_steps)
+        assert rec.tolist() == list(range(cfg.n_steps + 1))
+        self.check(cfg, model)
+
+    def test_pipeline_chain(self, model):
+        # the benchmark pipeline's chain: N = 256 at level 2, 125 coarse
+        # steps, 100 records
+        t_end = 125 * ChainConfig(N=256).dt
+        cfg = ChainConfig(N=256, t_end=t_end, seed=1, refine_level=2,
+                          tension_schedule=RampSchedule(0.0, 0.4, t_end),
+                          record_times=np.linspace(0.0, t_end, 100))
+        self.check(cfg, model)
+
+    def test_start_at_nonzero_time(self, model):
+        t_end = 30 * 0.1 / (32 * 14)
+        cfg = ChainConfig(N=32, t_end=t_end, seed=5, refine_level=1,
+                          tension_schedule=StepSchedule(0.1, 0.4, t_step=0.25 + t_end / 2),
+                          record_times=np.linspace(0.0, t_end, 9))
+        self.check(cfg, model, t0=0.25)
 
 
 class TestTrajectoryStatistics:

@@ -31,8 +31,11 @@ def test_nonfinite_parameters_rejected(cls, bad):
 def test_scalar_time_gives_a_float(cls):
     # ConstantSchedule(1)(0.0) returned the int 1
     schedule = cls(**{name: 1 for name in cls.__dataclass_fields__})
+    # and StepSchedule(1, 1, 1) gave an int64 array on an array time
     assert type(schedule(0.0)) is float and type(schedule(2)) is float
-    assert schedule(np.array([0.0, 0.5, 2.0])).tolist() == [schedule(t) for t in (0.0, 0.5, 2.0)]
+    values = schedule(np.array([0.0, 0.5, 2.0]))
+    assert values.dtype == np.float64
+    assert values.tolist() == [schedule(t) for t in (0.0, 0.5, 2.0)]
 
 
 CONFIGS = pytest.mark.parametrize(
