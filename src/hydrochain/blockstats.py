@@ -20,6 +20,7 @@ from .thermo import ThermoModel
 def default_block_width(n: int) -> int:
     """ceil(N^(2/3)): with sigma = ceil(N^(3/4)) this gives l/sigma -> 0 and
     N sigma / l^3 -> 0."""
+    checked_integer("N", n, 2)
     return int(math.ceil(n ** (2.0 / 3.0) - 1e-9))
 
 

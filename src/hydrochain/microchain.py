@@ -19,15 +19,15 @@ Hamiltonian leg fails to conserve: O(dt) per step, but it grows linearly in
 macro time, at about 2 theta N / sigma per particle per unit of time (theta =
 _THETA), so it does not vanish at fixed theta as N grows.
 
-The step exists once, in the loop of _chain_block: each step writes its
-three legs over all sites into the block's leg arrays and evaluates only V'
-at its end state, all that the next drift reads, keeping the band of V''
-that V' computes. Once per block, V is evaluated on all legs and V'' on the
-steps' start states from their bands, and every step's ledger increments
-are formed with row reductions. step and accumulate_ledger run a block of
-one step, with run_trajectory's start checks (_start): step returns the end
-ChainState, and accumulate_ledger the two-record LedgerSeries that
-run_trajectory writes over that step.
+The step exists once, in the loop of _chain_block: each step evaluates V'
+at its own start state, keeping the band of V'' that V' computes, and
+writes its three legs over all sites into the block's leg arrays; nothing
+is carried from one step to the next but (r, p). Once per block, V is
+evaluated on all legs and V'' on the steps' start states from their bands,
+and every step's ledger increments are formed with row reductions. step and
+accumulate_ledger run a block of one step, after run_trajectory's start
+checks (_start): step returns the end ChainState, and accumulate_ledger the
+two-record LedgerSeries that run_trajectory writes over that step.
 
 run_trajectory counts t_end and record_times from the state's t, on the run
 clock of schedules, and ends on t + t_end. Its blocks are whole coarse rows, at
@@ -47,10 +47,9 @@ import numpy as np
 
 from .noise import BridgedNoise, initial_state_rng
 from .schedules import BlowUpError, ChainState, ConstantSchedule, checked_integer
-from .schedules import checked_record_times, checked_start, record_steps
-from .schedules import run_steps, tensions_at
-from .thermo import ThermoModel, _band, _curvature_on_band, _potential_slope, _potential_value
-from .thermo import _slope_on_band
+from .schedules import checked_positive, checked_real, checked_record_times, checked_start
+from .schedules import record_steps, run_steps, tensions_at
+from .thermo import ThermoModel, _band, _curvature_on_band, _potential_value, _slope_on_band
 
 log = logging.getLogger(__name__)
 
@@ -148,31 +147,31 @@ def _block_rows(n: int, level: int) -> int:
 
 
 def _chain_block(
-    r, p, d1, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
+    r, p, dw, dwt, taubars, k0: int, t0: float, config: ChainConfig, model: ThermoModel
 ):
     """Steps k0 + 1, k0 + 2, ... of a run that started at t0: Euler-Maruyama
     steps of size config.dt_fine from the finite state (r, p), one per row of
-    the noise increments (dw, dwt) and entry of taubars. d1 is V' at r.
+    the noise increments (dw, dwt) and entry of taubars.
 
     A step takes its displacement in three legs: Hamiltonian drift, noise
     drift and noise coupling, whose kicks (_couplings, built for the whole
     block at once) telescope exactly. Both drifts read one buffer
     x = [0 | p | p_N | a_1 | a | tau_bar], a = V'(r): one difference of x
     gives p_i - p_{i-1} (wall p_0 = 0) and a_{i+1} - a_i (a_{N+1} = tau_bar),
-    and one difference of those both Neumann Laplacians. A step writes the
-    state after each leg into the block's leg arrays, and V' at its end
-    state into x, all that the next step's drift reads; it keeps the band
-    that V' computes. Once the steps are done, V is evaluated on all legs
-    and V'' on the steps' start states from their bands, and the ledger
-    increments [W, Q_p, Q_r, M_p, M_r] of every step are formed with row
-    reductions: W = tau_bar * Delta(mean strain), and the Q/M columns are the
-    exact energy changes along the two noise legs, with the quadratic-
-    variation counterterms shifted into Q_p/Q_r.
+    and one difference of those both Neumann Laplacians. A step first writes
+    its start state's p and V' into x, keeping the band that V' computes,
+    then the state after each leg into the block's leg arrays. Once the
+    steps are done, V is evaluated on all legs and V'' on the steps' start
+    states from their bands, and the ledger increments [W, Q_p, Q_r, M_p,
+    M_r] of every step are formed with row reductions: W = tau_bar *
+    Delta(mean strain), and the Q/M columns are the exact energy changes
+    along the two noise legs, with the quadratic-variation counterterms
+    shifted into Q_p/Q_r.
 
-    Returns (rl, pl, v, incr, d1): rl and pl hold the legs of the block's
-    step j in rows 3j..3j+2, the last of them its end state; v is V on rl;
-    incr has a row per step; d1 is V' at the last end state. The first step
-    whose increments are not finite raises BlowUpError naming it.
+    Returns (rl, pl, v, incr): rl and pl hold the legs of the block's step j
+    in rows 3j..3j+2, the last of them its end state; v is V on rl; incr has
+    a row per step. The first step whose increments are not finite raises
+    BlowUpError naming it.
     """
     n, sigma, beta = config.N, config.sigma, model.beta
     params = model.potential
@@ -184,16 +183,12 @@ def _chain_block(
     kicks_p, kicks_r = _couplings(dw, dwt, config, model)
     rl = np.empty((m, 3, n))
     pl = np.empty((m, 3, n))
-    # the band of r at each step's start, row j + 1 written by step j's V'
-    bands = np.empty((m + 1, n))
-    _band(params, r, out=bands[0])
+    bands = np.empty((m, n))  # the band of r at each step's start
     # x = [0 | p_1..p_N | p_N | a_1 | a_1..a_N | tau_bar]; g = diff(x) is
     # [gp | unread seam | ga], and lap = diff(g) is [lap_p | 2 unread | lap_a]
     x = np.empty(2 * n + 4)
     x[0] = 0.0
     xp, xa = x[1 : n + 1], x[n + 3 : 2 * n + 3]
-    xp[...] = p
-    xa[...] = d1
     g = np.empty(2 * n + 3)
     gp, ga = g[: n + 1], g[n + 2 :]
     dp_left, da_right = gp[:-1], ga[1:]
@@ -204,8 +199,10 @@ def _chain_block(
     # that raises below; the steps after it run on and are discarded
     with np.errstate(over="ignore", invalid="ignore"):
         for (r1, r2, r3), (p1, p2, p3), kick_p, kick_r, taub, band in zip(
-            rl, pl, kicks_p, kicks_r, taubars, bands[1:]
+            rl, pl, kicks_p, kicks_r, taubars, bands
         ):
+            _slope_on_band(params, r, _band(params, r, out=band), out=xa)
+            xp[...] = p
             x[n + 1] = x[n]
             x[n + 2] = x[n + 3]
             x[-1] = taub
@@ -223,20 +220,14 @@ def _chain_block(
             np.add(p, da_right, out=p1)
             np.add(p1, lap_p, out=p2)
             np.subtract(p2, kick_p, out=p3)
-            _slope_on_band(params, r3, _band(params, r3, out=band), out=xa)
-            xp[...] = p3
             r, p = r3, p3
         rl = rl.reshape(3 * m, n)
         pl = pl.reshape(3 * m, n)
         v = _potential_value(params, rl)
         v1, v2, v3 = v.sum(axis=-1).reshape(m, 3).T
         k1, k2, k3 = np.einsum("ij,ij->i", pl, pl).reshape(m, 3).T
-        ends = rl[2::3]
-        starts = np.empty((m, n))
-        starts[0] = r0
-        starts[1:] = ends[:-1]
-        dr = ends - starts
-        d2s = _curvature_on_band(params, bands[:-1])  # V'' at the starts, for ct_r
+        dr = np.diff(np.vstack((r0, rl[2::3])), axis=0)
+        d2s = _curvature_on_band(params, bands)  # V'' at the starts, for ct_r
         ct_p = 2.0 * sigma * (n - 1) * dt / (beta * n)
         ct_r = sigma * dt * (2.0 * d2s.sum(axis=-1) - d2s[:, 0] - d2s[:, -1]) / (beta * n)
         incr = np.empty((m, 5))
@@ -249,7 +240,7 @@ def _chain_block(
     if not finite.all():
         k = k0 + 1 + int(np.argmin(finite))
         raise BlowUpError(f"non-finite state at step {k}, t={t0 + k * dt:.6g}")
-    return rl, pl, v, incr, xa
+    return rl, pl, v, incr
 
 
 # -- public operations ---------------------------------------------------------
@@ -269,26 +260,27 @@ def make_initial_state(config: ChainConfig, tau0: float, model: ThermoModel) -> 
 
 def draw_increments(rng: np.random.Generator, n: int, dt: float):
     """(dw, dwt): one step of the 2(N-1) independent Brownian increments."""
+    checked_integer("n", n, 2)
+    checked_positive("dt", dt)
     z = rng.standard_normal((2, n - 1)) * math.sqrt(dt)
     return z[0], z[1]
 
 
-def _start(state: ChainState, config: ChainConfig, model: ThermoModel) -> np.ndarray:
-    """V' at the start state's r, once schedules.checked_start passes the
-    state; a start state that is not finite raises the BlowUpError of step 1."""
+def _start(state: ChainState, config: ChainConfig) -> None:
+    """schedules.checked_start on a run's start state; a start state that is
+    not finite raises the BlowUpError of step 1."""
     checked_start(state, config.N, "N")
     if not (np.isfinite(state.r).all() and np.isfinite(state.p).all()):
         raise BlowUpError(f"non-finite state at step 1, t={state.t + config.dt_fine:.6g}")
-    return _potential_slope(model.potential, state.r)
 
 
 def _one_step(state: ChainState, config: ChainConfig, increments, model: ThermoModel, tau_bar):
     """_chain_block on a block of one step: (end state, ledger increments)."""
-    d1 = _start(state, config, model)
+    _start(state, config)
+    checked_real("tau_bar", tau_bar, math.isfinite, "finite")
     r, p, t = state.r, state.p, state.t
-    taubars = tensions_at(lambda _: tau_bar, np.array([t])).tolist()
     dw, dwt = increments
-    rl, pl, _, incr, _ = _chain_block(r, p, d1, [dw], [dwt], taubars, 0, t, config, model)
+    rl, pl, _, incr = _chain_block(r, p, [dw], [dwt], [float(tau_bar)], 0, t, config, model)
     return ChainState(r=rl[2], p=pl[2], t=t + config.dt_fine), incr[0]
 
 
@@ -301,8 +293,9 @@ def step(
 ) -> ChainState:
     """One Euler-Maruyama step of size config.dt_fine under the boundary
     tension tau_bar. The state is checked as run_trajectory checks its start
-    state; a non-finite tau_bar raises the ValueError of schedules.tensions_at,
-    and a state that is or turns non-finite BlowUpError."""
+    state; a tau_bar that is not a finite real number raises ValueError
+    (schedules.checked_real), and a state that is or turns non-finite
+    BlowUpError."""
     return _one_step(state, config, increments, model, tau_bar)[0]
 
 
@@ -363,7 +356,7 @@ def run_trajectory(
     state = initial_state if initial_state is not None else make_initial_state(
         config, tau0, model
     )
-    d1 = _start(state, config, model)  # V' at r, carried
+    _start(state, config)
     r, p, t0 = state.r, state.p, state.t
 
     rec_steps = record_steps(config.record_times, dt, n_steps)
@@ -391,8 +384,8 @@ def run_trajectory(
             times = t0 + np.arange(k, min(k + span, n_steps)) * dt
             taubars = tensions_at(config.tension_schedule, times)
         dw, dwt = noise.next_chunk(min(block, n_steps - k) // fine)
-        rl, pl, v, incr, d1 = _chain_block(
-            r, p, d1, dw, dwt, taubars[k % span :][:block].tolist(), k, t0, config, model
+        rl, pl, v, incr = _chain_block(
+            r, p, dw, dwt, taubars[k % span :][:block].tolist(), k, t0, config, model
         )
         cum = np.cumsum(np.vstack((acc, incr)), axis=0)  # acc after each step
         stop = int(np.searchsorted(rec_steps, k + len(incr), side="right"))

@@ -56,7 +56,7 @@ class BridgedNoise:
     coarser level with the same seed.
     """
 
-    def __init__(self, seed: int, n_bonds: int, dt_coarse: float, level: int = 0):
+    def __init__(self, seed: int, n_bonds: int, dt_coarse: float, level: int):
         checked_integer("seed", seed, 0)
         checked_integer("n_bonds", n_bonds, 1)
         checked_positive("dt_coarse", dt_coarse)
@@ -72,6 +72,7 @@ class BridgedNoise:
         Returns (dw, dwt), each of shape (n_coarse * 2**level, n_bonds), with
         per-row variance dt_coarse / 2**level.
         """
+        checked_integer("n_coarse", n_coarse, 1)
         # in place: no temporary copy of a level's increments
         cur = self._coarse.standard_normal((n_coarse, 2, self.n_bonds))
         cur *= math.sqrt(self.dt_coarse)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import checked_integer, checked_real
+from .schedules import checked_integer, checked_positive, checked_real
 
 
 # min(u^2, 1) makes w exactly 0 for |u| >= 1 and w = 1 - u^2 inside; products,
@@ -117,6 +117,7 @@ class SpaceTimeTestFunction:
 def default_test_functions(t_end: float):
     """Small built-in family used by the weak-residual reports: the bump and
     its first two sine modes on (0.2, 0.8)."""
+    checked_positive("t_end", t_end)
     return [
         SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, 0.2, 0.8, mode=0),
         SpaceTimeTestFunction(0.05 * t_end, 0.95 * t_end, 0.2, 0.8, mode=1),

@@ -214,13 +214,15 @@ class ThermoModel:
     def __init__(
         self,
         beta: float = 1.0,
-        potential: PotentialParams | None = None,
+        potential: PotentialParams = PotentialParams(),
         n_quad: int = 80,
     ):
         checked_positive("beta", beta)
+        if not isinstance(potential, PotentialParams):
+            raise ValueError(f"potential must be a PotentialParams, got {potential!r}")
         checked_integer("n_quad", n_quad, 2)
         self.beta = float(beta)
-        self.potential = potential if potential is not None else PotentialParams()
+        self.potential = potential
         self.c1 = self.potential.c1
         self.c2 = self.potential.c2
         # integration half-width: Gaussian domination V >= V(r*) + c1 (r-r*)^2/2

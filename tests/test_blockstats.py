@@ -143,6 +143,11 @@ class TestKernels:
     def test_default_width(self):
         assert default_block_width(512) == 64
         assert default_block_width(128) == 26
+        assert default_block_width(np.int64(128)) == 26
+        # True gave 1, 2.5 gave 2 and -8 leaked a TypeError (a complex power)
+        for bad in (True, 2.5, -8, 1, "64"):
+            with pytest.raises(ValueError, match="N must be an integer >= 2"):
+                default_block_width(bad)
 
 
 class TestEtahatIdentity:
@@ -491,6 +496,11 @@ class TestTestFunctions:
         with pytest.raises(ValueError, match=r"inside \[0,1\]"):
             SpaceTimeTestFunction(**{**base, "x1": 1.5})
         assert SpaceTimeTestFunction(0, 1, 0, 1, mode=np.int64(2))(0.5, 0.25) != 0.0
+        # default_test_functions(True) built supports on (0.05, 0.95), and
+        # "1" leaked a TypeError
+        for bad in (True, "1", 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                default_test_functions(bad)
 
     def test_scalar_input_returns_float(self):
         phi = SpaceTimeTestFunction(0.1, 0.9, 0.2, 0.8, mode=1)

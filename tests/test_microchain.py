@@ -104,6 +104,19 @@ class TestConfig:
         for good in (32, np.int64(32), np.int32(32)):
             assert ChainConfig(N=good, t_end=0.01).n_steps == ChainConfig(N=32, t_end=0.01).n_steps
 
+    def test_draw_increments_validated(self):
+        # dt NaN gave NaN increments, True ran as 1.0 and -1e-4 leaked a math
+        # domain error; n = 1 returned empty increments
+        rng = np.random.default_rng(0)
+        for bad in (math.nan, math.inf, True, -1e-4, 0.0, "1e-4"):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                draw_increments(rng, 8, bad)
+        for bad in (1, 8.0, True, "8"):
+            with pytest.raises(ValueError, match="n must be an integer >= 2"):
+                draw_increments(rng, bad, 1e-4)
+        dw, dwt = draw_increments(rng, np.int64(8), 1e-4)
+        assert dw.shape == dwt.shape == (7,)
+
     def test_seed_validated(self):
         # a masked or truncated seed, or seed = True, would run another seed's
         # noise silently
@@ -318,21 +331,23 @@ class TestStep:
         assert rows * 3 * 1024 * 8 <= microchain._BLOCK_BYTES < (rows + 1) * 3 * 1024 * 8
         assert microchain._block_rows(16384, 2) == 1
 
-    def test_carried_derivatives_change_no_bit(self, model):
-        # run_trajectory passes V' from one step to the next; step and
-        # accumulate_ledger evaluate them afresh, and must agree to the bit
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_stepwise_replay_is_the_run_to_the_bit(self, model, level):
+        # step and accumulate_ledger, replayed one step at a time on the
+        # run's noise and tensions, give every record of run_trajectory:
+        # the state after each step, the cumulative ledger and E
         t_end = 12 * 0.1 / (32 * 14)
         cfg = ChainConfig(
             N=32,
             t_end=t_end,
             seed=31,
-            refine_level=1,
+            refine_level=level,
             tension_schedule=RampSchedule(0.1, 0.6, t1=t_end),
-            record_times=np.linspace(0.0, t_end, 25),
+            record_times=np.linspace(0.0, t_end, 12 * 2**level + 1),
         )
         res = run_trajectory(cfg, 0.1, model)
         st = make_initial_state(cfg, 0.1, model)
-        dw, dwt = BridgedNoise(cfg.seed, cfg.N - 1, cfg.dt, 1).next_chunk(cfg.n_coarse)
+        dw, dwt = BridgedNoise(cfg.seed, cfg.N - 1, cfg.dt, level).next_chunk(cfg.n_coarse)
         led_run = res.ledger
         cols = [led_run.W, led_run.Q_p, led_run.Q_r, led_run.martingale_p, led_run.martingale_r]
         acc = np.zeros(5)
@@ -512,13 +527,14 @@ class TestStep:
 
     def test_step_names_nonfinite_tension(self, model):
         # a non-finite tension used to surface as "non-finite state after
-        # step"; it is named in run_trajectory's message, at the step's start
+        # step"; the one real-number rule names it before the step runs, and
+        # rejects a string, a bool and an array, which used to run
         cfg = ChainConfig(N=16, t_end=0.01)
         st, _ = fixed_point_state(model, 16)
         st.t = 0.25
         zero = (np.zeros(15), np.zeros(15))
-        for tau in (math.nan, math.inf, -math.inf):
-            message = f"tension schedule gives non-finite tau = {tau} at t = 0.25$"
+        for tau in (math.nan, math.inf, -math.inf, "0.5", True, np.array([0.5])):
+            message = re.escape(f"tau_bar must be finite, got {tau!r}") + "$"
             with pytest.raises(ValueError, match=message):
                 step(st, cfg, zero, model, tau_bar=tau)
             with pytest.raises(ValueError, match=message):
@@ -673,38 +689,6 @@ class TestLedger:
         st2 = step(st, cfg, inc, model, tau_bar=0.9)
         led = accumulate_ledger(st, st2, 0.9, cfg, inc, model)
         assert led.W[-1] == pytest.approx(0.9 * (st2.r.mean() - st.r.mean()), abs=1e-16)
-
-    def test_public_ops_match_kernel(self, model):
-        """step + accumulate_ledger replayed stepwise reproduce run_trajectory."""
-        cfg = ChainConfig(
-            N=32,
-            t_end=20 * 0.1 / (32 * 14),
-            seed=13,
-            tension_schedule=RampSchedule(0.1, 0.6, t1=0.01),
-            record_times=np.array([0.0, 20 * 0.1 / (32 * 14)]),
-        )
-        res = run_trajectory(cfg, 0.1, model)
-        st = make_initial_state(cfg, 0.1, model)
-        noise = BridgedNoise(cfg.seed, cfg.N - 1, cfg.dt, 0)
-        dw, dwt = noise.next_chunk(cfg.n_coarse)
-        acc = {"W": 0.0, "Q_p": 0.0, "Q_r": 0.0, "M_p": 0.0, "M_r": 0.0}
-        for k in range(cfg.n_steps):
-            taub = float(cfg.tension_schedule(k * cfg.dt))
-            st2 = step(st, cfg, (dw[k], dwt[k]), model, tau_bar=taub)
-            led = accumulate_ledger(st, st2, taub, cfg, (dw[k], dwt[k]), model)
-            acc["W"] += led.W[-1]
-            acc["Q_p"] += led.Q_p[-1]
-            acc["Q_r"] += led.Q_r[-1]
-            acc["M_p"] += led.martingale_p[-1]
-            acc["M_r"] += led.martingale_r[-1]
-            st = st2
-        assert np.allclose(st.r, res.snapshots[-1].r, atol=1e-12)
-        assert np.allclose(st.p, res.snapshots[-1].p, atol=1e-12)
-        assert acc["W"] == pytest.approx(res.ledger.W[-1], abs=1e-12)
-        assert acc["Q_p"] == pytest.approx(res.ledger.Q_p[-1], abs=1e-10)
-        assert acc["Q_r"] == pytest.approx(res.ledger.Q_r[-1], abs=1e-10)
-        assert acc["M_p"] == pytest.approx(res.ledger.martingale_p[-1], abs=1e-10)
-        assert acc["M_r"] == pytest.approx(res.ledger.martingale_r[-1], abs=1e-10)
 
     @pytest.mark.parametrize("t0, level", [(0.0, 0), (0.25, 1)])
     def test_one_step_ledger_is_the_runs(self, model, t0, level):
@@ -958,16 +942,21 @@ class TestBridgedNoise:
         # non-finite increments, True ran as 1.0 and -1.0 raised a math error
         for bad in (None, True, -1, 1.7, "1"):
             with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-                BridgedNoise(bad, 4, 1e-4)
+                BridgedNoise(bad, 4, 1e-4, 0)
         for bad in (0, 2.5, True):
             with pytest.raises(ValueError, match="n_bonds must be an integer >= 1"):
-                BridgedNoise(0, bad, 1e-4)
+                BridgedNoise(0, bad, 1e-4, 0)
         for bad in (math.nan, math.inf, True, -1.0, 0.0, None, "1e-4"):
             with pytest.raises(ValueError, match="dt_coarse must be positive and finite"):
-                BridgedNoise(0, 4, bad)
+                BridgedNoise(0, 4, bad, 0)
         for bad in (-1, 1.5, True):
             with pytest.raises(ValueError, match="level must be an integer >= 0"):
                 BridgedNoise(0, 4, 1e-4, bad)
+        # n_coarse = 0 returned empty chunks, and -1 and True leaked numpy's
+        # errors
+        for bad in (0, -1, True, 2.0):
+            with pytest.raises(ValueError, match="n_coarse must be an integer >= 1"):
+                BridgedNoise(0, 4, 1e-4, 1).next_chunk(bad)
 
     def test_chunking_invariance(self):
         a = BridgedNoise(42, 31, 2e-5, 1)

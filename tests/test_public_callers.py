@@ -9,7 +9,9 @@ ROADMAP item that will call it. The allowlist must stay exact: once such a
 name gets a caller, it leaves the list.
 
 Every private top-level function and class needs a caller in src/ or
-perfbench/ too, with no allowlist: a helper a refactor leaves behind is dead."""
+perfbench/ too, with no allowlist: a helper a refactor leaves behind is dead.
+So does a parameter: every parameter of every function in the package is
+read in that function's body."""
 
 import ast
 from pathlib import Path
@@ -90,3 +92,33 @@ def test_every_private_helper_has_a_caller():
     assert len(definitions) >= 30
     called = referenced_names()
     assert sorted(qualified for qualified, name in definitions if name not in called) == []
+
+
+def unread_parameters():
+    """(qualified name, parameter) of each parameter of a function or lambda
+    in the package that its body, nested functions included, never reads;
+    self is exempt, since a method takes it whether it reads it or not."""
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", f"<lambda>:{node.lineno}")
+            for param in params:
+                if param.arg not in read and param.arg != "self":
+                    yield f"{path.stem}.{name}", param.arg
+
+
+def test_every_parameter_is_read():
+    # a parameter that a refactor leaves unread is dead: every caller still
+    # computes and passes it
+    assert sorted(unread_parameters()) == []

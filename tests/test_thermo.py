@@ -114,6 +114,13 @@ class TestPotential:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             PotentialParams(kappa=0.4)
+
+    def test_potential_must_be_potential_params(self):
+        # "x", 0.25 and a dict leaked AttributeError: ... has no attribute 'c1'
+        for bad in ("x", 0.25, {"kappa": 0.25}, None):
+            with pytest.raises(ValueError, match="potential must be a PotentialParams"):
+                ThermoModel(potential=bad)
+        assert ThermoModel().potential == PotentialParams()
         with pytest.raises(ValueError):
             PotentialParams(kappa=1.0 / 3.0)
         with pytest.raises(ValueError):
